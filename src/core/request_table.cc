@@ -39,20 +39,27 @@ RequestId RequestTable::Register(AppId app, const ResourceDescriptor& descriptor
 
   const size_t r = ResourceIndex(descriptor.resource);
   by_id_.emplace(id, index);
-  buckets_[{r, app}].push_back(index);
+  BucketFor(r, app).push_back(index);
   lower_index_[r].emplace(BoundKey{klass, descriptor.lower, id}, index);
   upper_index_[r].emplace(BoundKey{klass, descriptor.upper, id}, index);
   ++class_counts_[r][klass];
   return id;
 }
 
+std::vector<uint32_t>& RequestTable::BucketFor(size_t r, AppId app) {
+  if (app >= buckets_[r].size()) {
+    buckets_[r].resize(app + 1);
+  }
+  return buckets_[r][app];
+}
+
 void RequestTable::Reclassify(AppId app, uint32_t klass) {
   for (size_t r = 0; r < kNumResources; ++r) {
-    const auto bucket_it = buckets_.find({r, app});
-    if (bucket_it == buckets_.end()) {
+    const std::vector<uint32_t>* bucket = FindBucket(r, app);
+    if (bucket == nullptr) {
       continue;
     }
-    for (const uint32_t index : bucket_it->second) {
+    for (const uint32_t index : *bucket) {
       Slot& slot = slots_[index];
       if (slot.klass == klass) {
         continue;
@@ -98,7 +105,7 @@ Status RequestTable::Cancel(RequestId id) {
   }
   const uint32_t index = it->second;
   const Entry& entry = slots_[index].entry;
-  auto& bucket = buckets_[{ResourceIndex(entry.descriptor.resource), entry.app}];
+  std::vector<uint32_t>& bucket = BucketFor(ResourceIndex(entry.descriptor.resource), entry.app);
   bucket.erase(std::find(bucket.begin(), bucket.end(), index));
   Release(index);
   return OkStatus();
@@ -106,11 +113,11 @@ Status RequestTable::Cancel(RequestId id) {
 
 std::vector<RequestTable::Entry> RequestTable::TakeViolated(ResourceId resource, AppId app,
                                                             double level) {
-  const auto bucket_it = buckets_.find({ResourceIndex(resource), app});
-  if (bucket_it == buckets_.end()) {
+  const size_t r = ResourceIndex(resource);
+  if (app >= buckets_[r].size()) {
     return {};
   }
-  std::vector<uint32_t>& bucket = bucket_it->second;
+  std::vector<uint32_t>& bucket = buckets_[r][app];
   std::vector<uint32_t> violated;
   size_t keep = 0;
   for (const uint32_t index : bucket) {
@@ -138,13 +145,13 @@ std::vector<RequestTable::Entry> RequestTable::TakeViolated(ResourceId resource,
 }
 
 std::vector<RequestTable::Entry> RequestTable::EntriesFor(AppId app, ResourceId resource) const {
-  const auto bucket_it = buckets_.find({ResourceIndex(resource), app});
-  if (bucket_it == buckets_.end()) {
+  const std::vector<uint32_t>* bucket = FindBucket(ResourceIndex(resource), app);
+  if (bucket == nullptr) {
     return {};
   }
   std::vector<Entry> matching;
-  matching.reserve(bucket_it->second.size());
-  for (const uint32_t index : bucket_it->second) {
+  matching.reserve(bucket->size());
+  for (const uint32_t index : *bucket) {
     matching.push_back(slots_[index].entry);
   }
   std::sort(matching.begin(), matching.end(),

@@ -10,8 +10,9 @@
 // hot cache lines instead of exercising the allocator, and 100k concurrent
 // windows sit in one contiguous allocation.  Around the slab:
 //
-//   * per-(resource, app) buckets of slot indices, making TakeViolated and
-//     EntriesFor O(app's windows) instead of O(table);
+//   * per-(resource, app) buckets of slot indices — one vector per
+//     resource, indexed by app id — making TakeViolated and EntriesFor
+//     O(app's windows) instead of O(table), with no lookup to find them;
 //   * per-resource interval indexes ordered by (class, window bound),
 //     letting CollectViolatedApps find every app with a violated window at
 //     a given level in O(log table + violated) — the query the indexed
@@ -106,10 +107,19 @@ class RequestTable {
   // the free list.  Bucket membership is the caller's to maintain.
   void Release(uint32_t index);
 
+  // The bucket for (|r|, |app|), grown into existence.
+  std::vector<uint32_t>& BucketFor(size_t r, AppId app);
+  // The bucket for (|r|, |app|), or nullptr if |app| is past the end of
+  // |r|'s buckets (it has no windows there).
+  const std::vector<uint32_t>* FindBucket(size_t r, AppId app) const {
+    return app < buckets_[r].size() ? &buckets_[r][app] : nullptr;
+  }
+
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_;  // LIFO: the hottest slot is reused first
   std::unordered_map<RequestId, uint32_t> by_id_;
-  std::map<std::pair<size_t, AppId>, std::vector<uint32_t>> buckets_;
+  // Slot indices per resource, indexed by app id.
+  std::array<std::vector<std::vector<uint32_t>>, kNumResources> buckets_;
   std::array<std::map<BoundKey, uint32_t>, kNumResources> lower_index_;
   std::array<std::map<BoundKey, uint32_t>, kNumResources> upper_index_;
   // Live window count per class, per resource — the class set the global

@@ -1,5 +1,6 @@
 #include "src/core/upcall.h"
 
+#include <cstddef>
 #include <utility>
 
 #include "src/core/contract.h"
@@ -7,11 +8,32 @@
 
 namespace odyssey {
 
+UpcallDispatcher::PendingUpcall UpcallDispatcher::AppQueue::PopFront() {
+  PendingUpcall front = std::move(pending[head++]);
+  if (empty()) {
+    pending.clear();
+    head = 0;
+  } else if (head >= 32 && 2 * head >= pending.size()) {
+    // A queue that never drains still frees its delivered prefix.
+    pending.erase(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  return front;
+}
+
+UpcallDispatcher::AppQueue& UpcallDispatcher::QueueFor(AppId app) {
+  if (app >= queues_.size()) {
+    queues_.resize(app + 1);
+  }
+  return queues_[app];
+}
+
 uint64_t UpcallDispatcher::Post(AppId app, RequestId request, ResourceId resource, double level,
                                 UpcallHandler handler) {
-  AppQueue& q = queues_[app];
+  AppQueue& q = QueueFor(app);
   const uint64_t seq = q.next_seq++;
-  q.queue.push_back(PendingUpcall{seq, request, resource, level, sim_->now(), std::move(handler)});
+  q.pending.push_back(
+      PendingUpcall{seq, request, resource, level, sim_->now(), std::move(handler)});
   ++queued_;
   ODY_TRACE_INSTANT2(sim_->trace(), kViceroy, "upcall_post", sim_->now(), app, "seq",
                      static_cast<double>(seq), "level", level);
@@ -21,27 +43,25 @@ uint64_t UpcallDispatcher::Post(AppId app, RequestId request, ResourceId resourc
   return seq;
 }
 
-void UpcallDispatcher::Block(AppId app) { queues_[app].blocked = true; }
+void UpcallDispatcher::Block(AppId app) { QueueFor(app).blocked = true; }
 
 void UpcallDispatcher::Unblock(AppId app) {
-  AppQueue& q = queues_[app];
+  AppQueue& q = QueueFor(app);
   q.blocked = false;
   ScheduleDelivery(app);
 }
 
 bool UpcallDispatcher::blocked(AppId app) const {
-  const auto it = queues_.find(app);
-  return it != queues_.end() && it->second.blocked;
+  return app < queues_.size() && queues_[app].blocked;
 }
 
 uint64_t UpcallDispatcher::last_delivered_seq(AppId app) const {
-  const auto it = queues_.find(app);
-  return it == queues_.end() ? 0 : it->second.last_delivered;
+  return app < queues_.size() ? queues_[app].last_delivered : 0;
 }
 
 void UpcallDispatcher::ScheduleDelivery(AppId app) {
-  AppQueue& q = queues_[app];
-  if (q.blocked || q.delivery_scheduled || q.queue.empty()) {
+  AppQueue& q = QueueFor(app);
+  if (q.blocked || q.delivery_scheduled || q.empty()) {
     return;
   }
   q.delivery_scheduled = true;
@@ -65,13 +85,12 @@ void UpcallDispatcher::FireBatch() {
 }
 
 void UpcallDispatcher::DeliverNext(AppId app) {
-  AppQueue& q = queues_[app];
+  AppQueue& q = QueueFor(app);
   q.delivery_scheduled = false;
-  if (q.blocked || q.queue.empty()) {
+  if (q.blocked || q.empty()) {
     return;
   }
-  PendingUpcall upcall = std::move(q.queue.front());
-  q.queue.pop_front();
+  PendingUpcall upcall = q.PopFront();
   // Exactly-once, in-order delivery (§4.3): sequence numbers are assigned
   // consecutively at Post time and the queue is FIFO, so the next delivery
   // must be exactly the successor of the last — a gap means a lost upcall,

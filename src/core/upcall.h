@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -81,12 +80,20 @@ class UpcallDispatcher {
     UpcallHandler handler;
   };
 
+  // Per-app FIFO.  Pending upcalls are pending[head..]; the storage is
+  // reused once the queue drains (and compacted if it never does).  Unlike
+  // a deque, an app that never posts owns no allocation, and the vector of
+  // queues grows by moving them rather than copying.
   struct AppQueue {
-    std::deque<PendingUpcall> queue;
+    std::vector<PendingUpcall> pending;
+    size_t head = 0;
     uint64_t next_seq = 1;
     uint64_t last_delivered = 0;
     bool blocked = false;
     bool delivery_scheduled = false;
+
+    bool empty() const { return head == pending.size(); }
+    PendingUpcall PopFront();
   };
 
   // Deliveries due at the same instant ride one simulation event.  A supply
@@ -102,6 +109,8 @@ class UpcallDispatcher {
     std::vector<AppId> apps;
   };
 
+  // The queue for |app|, grown into existence.
+  AppQueue& QueueFor(AppId app);
   void ScheduleDelivery(AppId app);
   void FireBatch();
   void DeliverNext(AppId app);
@@ -109,7 +118,7 @@ class UpcallDispatcher {
   Simulation* sim_;
   Duration delivery_latency_;
   DeliveryObserver observer_;
-  std::map<AppId, AppQueue> queues_;
+  std::vector<AppQueue> queues_;  // indexed by app id
   std::deque<Batch> batches_;
   uint64_t delivered_ = 0;
   size_t queued_ = 0;

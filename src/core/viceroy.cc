@@ -31,15 +31,13 @@ Viceroy::Viceroy(Simulation* sim, std::unique_ptr<BandwidthStrategy> strategy,
 }
 
 AppId Viceroy::RegisterApplication(std::string name) {
-  const AppId id = next_app_++;
-  apps_[id] = std::move(name);
-  return id;
+  apps_.push_back(std::move(name));
+  return apps_.size();
 }
 
 const std::string& Viceroy::ApplicationName(AppId app) const {
   static const std::string kUnknown = "<unknown>";
-  const auto it = apps_.find(app);
-  return it == apps_.end() ? kUnknown : it->second;
+  return app == 0 || app > apps_.size() ? kUnknown : apps_[app - 1];
 }
 
 void Viceroy::AttachConnection(AppId app, Endpoint* endpoint) {
@@ -140,7 +138,7 @@ void Viceroy::SetStaticLevel(ResourceId resource, double level) {
     }
     return;
   }
-  for (const auto& [app, name] : apps_) {
+  for (AppId app = 1; app <= apps_.size(); ++app) {
     EvaluateApp(app, resource, level);
   }
 }
@@ -173,7 +171,7 @@ void Viceroy::Reevaluate() {
     }
   }
   candidates_.clear();
-  for (const auto& [app, name] : apps_) {
+  for (AppId app = 1; app <= apps_.size(); ++app) {
     candidates_.push_back(app);
   }
   EvaluateCandidates();

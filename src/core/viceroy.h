@@ -100,9 +100,9 @@ class Viceroy {
   std::unique_ptr<BandwidthStrategy> strategy_;
   UpcallDispatcher upcalls_;
   RequestTable requests_;
-  std::map<AppId, std::string> apps_;
+  // Application names; app id k (ids count up from 1) is at index k - 1.
+  std::vector<std::string> apps_;
   std::map<ResourceId, double> static_levels_;
-  AppId next_app_ = 1;
   ReevaluateMode reevaluate_mode_ = ReevaluateMode::kIndexed;
   // Candidate scratch, reused across re-evaluations to avoid reallocating
   // in the hot notification path.

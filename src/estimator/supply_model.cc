@@ -16,36 +16,45 @@ SupplyModel::SupplyModel(const SupplyModelConfig& config)
     : config_(config), supply_(config.supply_window) {}
 
 void SupplyModel::AddConnection(ConnectionId connection) {
-  connections_.try_emplace(connection, config_);
+  if (connection >= connections_.size()) {
+    connections_.resize(connection + 1);
+  }
+  PerConnection& slot = connections_[connection];
+  if (!slot.registered) {
+    slot = PerConnection(config_);
+    ++registered_;
+  }
 }
 
 void SupplyModel::RemoveConnection(ConnectionId connection) {
-  if (connections_.erase(connection) > 0) {
-    const auto it = std::lower_bound(live_.begin(), live_.end(), connection);
-    if (it != live_.end() && *it == connection) {
-      live_.erase(it);
-    }
-    ++version_;
+  PerConnection* state = Find(connection);
+  if (state == nullptr) {
+    return;
   }
+  *state = PerConnection();
+  --registered_;
+  const auto it = std::lower_bound(live_.begin(), live_.end(), connection);
+  if (it != live_.end() && *it == connection) {
+    live_.erase(it);
+  }
+  ++version_;
 }
 
 void SupplyModel::OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) {
-  auto it = connections_.find(connection);
-  if (it == connections_.end()) {
-    return;
+  if (PerConnection* state = Find(connection)) {
+    state->estimator.OnRoundTrip(obs);
   }
-  it->second.estimator.OnRoundTrip(obs);
 }
 
 void SupplyModel::OnThroughput(ConnectionId connection, const ThroughputObservation& obs) {
-  auto it = connections_.find(connection);
-  if (it == connections_.end()) {
+  PerConnection* state = Find(connection);
+  if (state == nullptr) {
     return;
   }
-  const double raw_bps = it->second.estimator.OnThroughput(obs);
+  const double raw_bps = state->estimator.OnThroughput(obs);
   // The window's bytes arrived over its whole transfer span, not at the
   // completion instant.
-  it->second.usage.Record(obs.at - obs.elapsed, obs.at, obs.window_bytes);
+  state->usage.Record(obs.at - obs.elapsed, obs.at, obs.window_bytes);
   const auto pos = std::lower_bound(live_.begin(), live_.end(), connection);
   if (pos == live_.end() || *pos != connection) {
     live_.insert(pos, connection);
@@ -64,7 +73,7 @@ void SupplyModel::OnThroughput(ConnectionId connection, const ThroughputObservat
 }
 
 void SupplyModel::OnFailure(ConnectionId connection, const FailureObservation& obs) {
-  if (!connections_.contains(connection)) {
+  if (Find(connection) == nullptr) {
     return;
   }
   // A failed exchange is the only downward evidence a dead link produces:
@@ -84,9 +93,10 @@ void SupplyModel::ScanAt(Time now) const {
   int active = 0;
   size_t keep = 0;
   for (const ConnectionId id : live_) {
-    const auto it = connections_.find(id);
+    const PerConnection& state = connections_[id];
     ++scan_ops_;
-    const double rate = it->second.usage.RateAt(now);
+    const double rate = state.usage.RateAt(now);
+    state.rate = rate;
     aggregate += rate;
     if (rate > 16.0) {  // UsageMeter::ActiveAt's default threshold
       ++active;
@@ -94,7 +104,7 @@ void SupplyModel::ScanAt(Time now) const {
     // Eviction: RateAt pruned the meter; once empty it stays empty (event
     // end times are non-decreasing), so the connection is idle for good
     // until its next Record.
-    if (!it->second.usage.empty()) {
+    if (!state.usage.empty()) {
       live_[keep++] = id;
     }
   }
@@ -106,6 +116,10 @@ void SupplyModel::ScanAt(Time now) const {
   cached_active_ = active;
 }
 
+// After ScanAt(now), a connection's rate at |now| is its scan memo: the
+// scan evaluated RateAt(now) on the same meter, and a second evaluation at
+// the same instant prunes nothing more and sums the same events in the
+// same order — the same bits the naive model's ActiveAt/RateAt calls read.
 double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
   const double supply = TotalSupply();
   if (supply <= 0.0) {
@@ -113,10 +127,10 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
   }
   const int active = ActiveConnectionCount(now);
 
-  const auto it = connections_.find(connection);
-  const bool known = it != connections_.end();
+  const PerConnection* state = Find(connection);
   ++scan_ops_;
-  const bool self_active = known && it->second.usage.ActiveAt(now);
+  const double rate = state == nullptr ? 0.0 : state->rate;
+  const bool self_active = rate > 16.0;  // UsageMeter::ActiveAt's default threshold
 
   // Fair share: the expected lower bound (§6.2.1).  If this connection is
   // not among the currently active ones, it would join them, so split one
@@ -124,7 +138,7 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
   const int share_ways = active + (self_active ? 0 : 1);
   const double fair_share = supply / static_cast<double>(share_ways < 1 ? 1 : share_ways);
 
-  if (!known) {
+  if (state == nullptr) {
     return fair_share;
   }
 
@@ -134,13 +148,12 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
   // and grows as its usage registers ("higher rates of consumption by the
   // first stream give it more weight compared to the startup of the
   // second", §6.2.1).
-  ScanAt(now);
   const double total_usage = cached_usage_;
   if (total_usage <= 0.0) {
     return fair_share;
   }
   const double slack = supply > total_usage ? supply - total_usage : 0.0;
-  const double competed_for = slack * (it->second.usage.RateAt(now) / total_usage);
+  const double competed_for = slack * (rate / total_usage);
   const double availability = fair_share + competed_for;
   return availability < supply ? availability : supply;
 }
@@ -148,20 +161,20 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
 int SupplyModel::ActiveConnectionCount(Time now) const {
   ScanAt(now);
   int active = cached_active_;
-  if (active == 0 && !connections_.empty()) {
+  if (active == 0 && registered_ > 0) {
     active = 1;
   }
   return active;
 }
 
 const ConnectionEstimator* SupplyModel::EstimatorFor(ConnectionId connection) const {
-  const auto it = connections_.find(connection);
-  return it == connections_.end() ? nullptr : &it->second.estimator;
+  const PerConnection* state = Find(connection);
+  return state == nullptr ? nullptr : &state->estimator;
 }
 
 double SupplyModel::UsageRateFor(ConnectionId connection, Time now) const {
-  const auto it = connections_.find(connection);
-  return it == connections_.end() ? 0.0 : it->second.usage.RateAt(now);
+  const PerConnection* state = Find(connection);
+  return state == nullptr ? 0.0 : state->usage.RateAt(now);
 }
 
 void SupplyModel::CollectLiveConnections(Time now, std::vector<ConnectionId>* out) const {

@@ -31,6 +31,11 @@
 //     O(registered).  Aggregate and active-count results are cached per
 //     (time, mutation version), so a burst of availability queries at one
 //     instant — the viceroy re-evaluating every app — pays for one scan.
+//     Per-connection state lives in a dense vector indexed by connection
+//     id (ids are per-Simulation counters starting at 1), and each scan
+//     memoizes every live connection's usage rate, so a query after the
+//     scan is a few array reads: no map lookup and no second walk of the
+//     connection's usage meter.
 //   * NaiveSupplyModel — the original full-rescan implementation, kept
 //     verbatim as the reference side of the differential tests
 //     (tests/scale_differential_test.cc).  Never used in production paths.
@@ -41,6 +46,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/estimator/connection_estimator.h"
@@ -134,17 +140,38 @@ class SupplyModel : public SupplyModelInterface {
   struct PerConnection {
     ConnectionEstimator estimator;
     UsageMeter usage;
+    // usage.RateAt at the last ScanAt's instant for a live connection, and
+    // exactly 0.0 — an empty meter's rate — for every other: slots start
+    // at 0.0, removal resets the slot, and the scan that evicts a
+    // connection stores the 0.0 its pruned-empty meter read.
+    mutable double rate = 0.0;
+    bool registered = false;
 
+    PerConnection() = default;
     explicit PerConnection(const SupplyModelConfig& config)
-        : estimator(config.estimator), usage(config.usage_tau) {}
+        : estimator(config.estimator), usage(config.usage_tau), registered(true) {}
   };
 
+  // The registered connection |connection|, or nullptr.
+  const PerConnection* Find(ConnectionId connection) const {
+    if (connection >= connections_.size() || !connections_[connection].registered) {
+      return nullptr;
+    }
+    return &connections_[connection];
+  }
+  PerConnection* Find(ConnectionId connection) {
+    return const_cast<PerConnection*>(std::as_const(*this).Find(connection));
+  }
+
   // Recomputes (and caches) the aggregate usage rate and active count over
-  // the live set at |now|, evicting connections whose meters pruned empty.
+  // the live set at |now|, evicting connections whose meters pruned empty
+  // and memoizing each live connection's rate.
   void ScanAt(Time now) const;
 
   SupplyModelConfig config_;
-  std::map<ConnectionId, PerConnection> connections_;
+  // Indexed by connection id; slot 0 and unregistered ids stay default.
+  std::vector<PerConnection> connections_;
+  size_t registered_ = 0;
   SlidingMax supply_;
 
   // Ascending ids of connections whose meters may hold unexpired events.

@@ -9,6 +9,14 @@
 namespace odyssey {
 namespace {
 
+// Grows |table| so |id| indexes it.
+template <typename T>
+void EnsureSlot(std::vector<T>* table, uint64_t id) {
+  if (id >= table->size()) {
+    table->resize(id + 1);
+  }
+}
+
 // Estimator state is sampled after each observation folds in, so the trace
 // shows the EWMA inputs (the observation) next to its outputs (the
 // smoothed series) at the same sim time.
@@ -40,8 +48,10 @@ CentralizedStrategy::CentralizedStrategy(Simulation* sim,
     : sim_(sim), model_(std::move(model)) {}
 
 CentralizedStrategy::~CentralizedStrategy() {
-  for (auto& [connection, endpoint] : endpoints_) {
-    endpoint->log().RemoveListener(this);
+  for (Endpoint* endpoint : endpoints_) {
+    if (endpoint != nullptr) {
+      endpoint->log().RemoveListener(this);
+    }
   }
 }
 
@@ -57,44 +67,53 @@ void CentralizedStrategy::BumpCount(int from, int to) {
   }
 }
 
+void CentralizedStrategy::MarkRttDirty(AppId app) {
+  EnsureSlot(&rtt_dirty_flag_, app);
+  if (!rtt_dirty_flag_[app]) {
+    rtt_dirty_flag_[app] = true;
+    rtt_dirty_.push_back(app);
+  }
+}
+
+const std::vector<ConnectionId>& CentralizedStrategy::ConnectionsOf(AppId app) const {
+  static const std::vector<ConnectionId> kNone;
+  return app < app_connections_.size() ? app_connections_[app] : kNone;
+}
+
 void CentralizedStrategy::AttachConnection(AppId app, Endpoint* endpoint) {
-  model_->AddConnection(endpoint->id());
-  owner_[endpoint->id()] = app;
-  endpoints_[endpoint->id()] = endpoint;
+  const ConnectionId id = endpoint->id();
+  model_->AddConnection(id);
+  EnsureSlot(&owner_, id);
+  EnsureSlot(&endpoints_, id);
+  owner_[id] = app;
+  endpoints_[id] = endpoint;
+  EnsureSlot(&app_connections_, app);
   std::vector<ConnectionId>& conns = app_connections_[app];
   const int before = static_cast<int>(conns.size());
-  conns.insert(std::lower_bound(conns.begin(), conns.end(), endpoint->id()), endpoint->id());
+  conns.insert(std::lower_bound(conns.begin(), conns.end(), id), id);
   BumpCount(before, before + 1);
-  rtt_dirty_.insert(app);
+  MarkRttDirty(app);
   endpoint->log().AddListener(this);
 }
 
 void CentralizedStrategy::DetachConnection(Endpoint* endpoint) {
+  const ConnectionId id = endpoint->id();
   endpoint->log().RemoveListener(this);
-  model_->RemoveConnection(endpoint->id());
-  const auto owner_it = owner_.find(endpoint->id());
-  if (owner_it != owner_.end()) {
-    const AppId app = owner_it->second;
-    const auto app_it = app_connections_.find(app);
-    std::vector<ConnectionId>& conns = app_it->second;
-    conns.erase(std::find(conns.begin(), conns.end(), endpoint->id()));
+  model_->RemoveConnection(id);
+  if (IsAttached(id)) {
+    const AppId app = owner_[id];
+    std::vector<ConnectionId>& conns = app_connections_[app];
+    conns.erase(std::find(conns.begin(), conns.end(), id));
     BumpCount(static_cast<int>(conns.size()) + 1, static_cast<int>(conns.size()));
-    if (conns.empty()) {
-      app_connections_.erase(app_it);
-    }
-    rtt_dirty_.insert(app);
-    owner_.erase(owner_it);
+    MarkRttDirty(app);
+    owner_[id] = 0;
+    endpoints_[id] = nullptr;
   }
-  endpoints_.erase(endpoint->id());
 }
 
 double CentralizedStrategy::AvailabilityFor(AppId app, Time now) const {
   double total = 0.0;
-  const auto it = app_connections_.find(app);
-  if (it == app_connections_.end()) {
-    return total;
-  }
-  for (const ConnectionId connection : it->second) {
+  for (const ConnectionId connection : ConnectionsOf(app)) {
     total += model_->AvailabilityFor(connection, now);
   }
   return total;
@@ -106,11 +125,7 @@ double CentralizedStrategy::TotalSupply(Time now) const {
 }
 
 Duration CentralizedStrategy::SmoothedRttFor(AppId app) const {
-  const auto it = app_connections_.find(app);
-  if (it == app_connections_.end()) {
-    return 0;
-  }
-  for (const ConnectionId connection : it->second) {
+  for (const ConnectionId connection : ConnectionsOf(app)) {
     const ConnectionEstimator* estimator = model_->EstimatorFor(connection);
     if (estimator != nullptr) {
       return estimator->smoothed_rtt();
@@ -120,13 +135,11 @@ Duration CentralizedStrategy::SmoothedRttFor(AppId app) const {
 }
 
 int CentralizedStrategy::ConnectionCountFor(AppId app) const {
-  const auto it = app_connections_.find(app);
-  return it == app_connections_.end() ? 0 : static_cast<int>(it->second.size());
+  return static_cast<int>(ConnectionsOf(app).size());
 }
 
 AppId CentralizedStrategy::OwnerOf(ConnectionId connection) const {
-  const auto it = owner_.find(connection);
-  return it == owner_.end() ? 0 : it->second;
+  return connection < owner_.size() ? owner_[connection] : 0;
 }
 
 ReevalHint CentralizedStrategy::TakeReevalHint(Time now) {
@@ -138,10 +151,12 @@ ReevalHint CentralizedStrategy::TakeReevalHint(Time now) {
   std::vector<ConnectionId> live;
   model_->CollectLiveConnections(now, &live);
   for (const ConnectionId connection : live) {
-    const auto it = owner_.find(connection);
-    if (it != owner_.end()) {
-      hint.dirty.push_back(it->second);
+    if (IsAttached(connection)) {
+      hint.dirty.push_back(owner_[connection]);
     }
+  }
+  for (const AppId app : rtt_dirty_) {
+    rtt_dirty_flag_[app] = false;
   }
   hint.dirty.insert(hint.dirty.end(), rtt_dirty_.begin(), rtt_dirty_.end());
   rtt_dirty_.clear();
@@ -173,9 +188,8 @@ void CentralizedStrategy::OnRoundTrip(ConnectionId connection, const RoundTripOb
   ODY_TRACE_INSTANT1(sim_->trace(), kEstimator, "rtt_obs", sim_->now(), connection, "rtt_us",
                      static_cast<double>(obs.rtt));
   model_->OnRoundTrip(connection, obs);
-  const auto it = owner_.find(connection);
-  if (it != owner_.end()) {
-    rtt_dirty_.insert(it->second);
+  if (IsAttached(connection)) {
+    MarkRttDirty(owner_[connection]);
   }
   TraceEstimatorState(sim_, *model_, connection);
   NotifyChanged();
@@ -204,9 +218,10 @@ double CentralizedStrategy::ConnectionAvailability(ConnectionId connection, Time
 
 std::vector<ConnectionId> CentralizedStrategy::AttachedConnections() const {
   std::vector<ConnectionId> out;
-  out.reserve(endpoints_.size());
-  for (const auto& [connection, endpoint] : endpoints_) {
-    out.push_back(connection);
+  for (ConnectionId connection = 0; connection < endpoints_.size(); ++connection) {
+    if (IsAttached(connection)) {
+      out.push_back(connection);
+    }
   }
   return out;
 }

@@ -7,19 +7,20 @@
 //
 // The strategy also keeps the incremental bookkeeping behind the viceroy's
 // indexed re-evaluation (TakeReevalHint): per-app connection lists, a
-// histogram of apps by connection count, and a set of apps whose rtt may
-// have moved since the last hint.  An app none of whose connections has
-// recent usage or a fresh rtt sample sees availability of exactly
-// (connection count) x (idle fair share) — the hint reports those idle
-// levels so the viceroy can probe the request table's interval index
-// instead of re-deriving every app's availability.
+// histogram of apps by connection count, and the apps whose rtt may have
+// moved since the last hint.  Per-connection and per-app tables are dense
+// vectors indexed by id (connection and app ids are counters that start at
+// 1), so a per-app query on the re-evaluation path is array reads.  An app
+// none of whose connections has recent usage or a fresh rtt sample sees
+// availability of exactly (connection count) x (idle fair share) — the
+// hint reports those idle levels so the viceroy can probe the request
+// table's interval index instead of re-deriving every app's availability.
 
 #ifndef SRC_STRATEGIES_CENTRALIZED_H_
 #define SRC_STRATEGIES_CENTRALIZED_H_
 
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "src/core/bandwidth_strategy.h"
@@ -75,34 +76,42 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
  protected:
   // Derived strategies (congestion-manager) reuse the attach/detach
   // bookkeeping and the supply model but regroup shares; they read these
-  // directly rather than duplicating the maps.
-  const std::map<ConnectionId, AppId>& owners() const { return owner_; }
-  const std::map<AppId, std::vector<ConnectionId>>& app_connections() const {
-    return app_connections_;
-  }
+  // directly rather than duplicating the tables.
+  //
+  // |app|'s attached connections in ascending id order (empty if none).
+  const std::vector<ConnectionId>& ConnectionsOf(AppId app) const;
   const SupplyModelInterface* model() const { return model_.get(); }
   Simulation* simulation() const { return sim_; }
 
  private:
   // Moves one app between connection-count buckets of the histogram.
   void BumpCount(int from, int to);
+  // Adds |app| to the rtt-dirty set.
+  void MarkRttDirty(AppId app);
+  bool IsAttached(ConnectionId connection) const {
+    return connection < endpoints_.size() && endpoints_[connection] != nullptr;
+  }
 
   Simulation* sim_;
   std::unique_ptr<SupplyModelInterface> model_;
   // Non-null when |model_| is the incremental implementation; its live-set
   // bookkeeping is what makes TakeReevalHint's result exact.
   SupplyModel* fast_model_ = nullptr;
-  std::map<ConnectionId, AppId> owner_;          // connection -> app
-  std::map<ConnectionId, Endpoint*> endpoints_;  // for detach
-  // connection ids per app, ascending — the same visit order the original
-  // filter over the connection->app map produced, so per-app availability
-  // sums are bit-identical.
-  std::map<AppId, std::vector<ConnectionId>> app_connections_;
+  // Indexed by connection id: the owning app (0 if unattached) and the
+  // endpoint (null if unattached, unsubscribed on destruction).
+  std::vector<AppId> owner_;
+  std::vector<Endpoint*> endpoints_;
+  // Indexed by app id: connection ids per app, ascending — the same visit
+  // order the original filter over the connection->app map produced, so
+  // per-app availability sums are bit-identical.
+  std::vector<std::vector<ConnectionId>> app_connections_;
   // connection count -> number of apps with that count (zero-count apps
   // and empty buckets omitted).  The support of the hint's idle_levels.
   std::map<int, int> apps_by_count_;
-  // Apps whose rtt or connection set changed since the last hint.
-  std::set<AppId> rtt_dirty_;
+  // Apps whose rtt or connection set changed since the last hint, unsorted
+  // and unique: |rtt_dirty_flag_| (indexed by app id) marks membership.
+  std::vector<AppId> rtt_dirty_;
+  std::vector<bool> rtt_dirty_flag_;
 };
 
 }  // namespace odyssey

@@ -47,12 +47,8 @@ double CongestionManagerStrategy::ConnectionAvailability(ConnectionId connection
 }
 
 double CongestionManagerStrategy::AvailabilityFor(AppId app, Time now) const {
-  const auto it = app_connections().find(app);
-  if (it == app_connections().end()) {
-    return 0.0;
-  }
   double total = 0.0;
-  for (const ConnectionId connection : it->second) {
+  for (const ConnectionId connection : ConnectionsOf(app)) {
     total += ConnectionAvailability(connection, now);
   }
   return total;

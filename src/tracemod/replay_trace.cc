@@ -1,6 +1,8 @@
 #include "src/tracemod/replay_trace.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -97,7 +99,14 @@ std::string ReplayTrace::Serialize() const {
 }
 
 bool ReplayTrace::Parse(const std::string& text, ReplayTrace* out) {
+  // Segments and the whole trace are capped at half the int64 microsecond
+  // range (about 73,000 years).  The double-to-Duration conversion then
+  // cannot round past 2^63, and the offsets At() and IntegralBytes() sum,
+  // plus a start time of the same order, stay representable.
+  constexpr Duration kMaxTotal = std::numeric_limits<Duration>::max() / 2;
+  constexpr double kMaxSeconds = DurationToSeconds(kMaxTotal);
   ReplayTrace parsed;
+  Duration total = 0;
   std::istringstream is(text);
   std::string line;
   while (std::getline(is, line)) {
@@ -106,20 +115,26 @@ bool ReplayTrace::Parse(const std::string& text, ReplayTrace* out) {
     if (hash != std::string::npos) {
       line = line.substr(0, hash);
     }
+    if (line.find_first_not_of(" \t\r\v\f") == std::string::npos) {
+      continue;  // blank or comment-only line
+    }
     std::istringstream fields(line);
     double seconds = 0.0;
     double bandwidth = 0.0;
     long long latency_us = 0;
-    if (!(fields >> seconds)) {
-      continue;  // blank line
+    if (!(fields >> seconds >> bandwidth >> latency_us)) {
+      return false;  // a field is missing, malformed or out of range
     }
-    if (!(fields >> bandwidth >> latency_us)) {
+    if (!std::isfinite(seconds) || !std::isfinite(bandwidth) || seconds < 0.0 ||
+        bandwidth < 0.0 || latency_us < 0 || seconds > kMaxSeconds) {
       return false;
     }
-    if (seconds < 0.0 || bandwidth < 0.0 || latency_us < 0) {
+    const Duration duration = SecondsToDuration(seconds);
+    if (duration > kMaxTotal - total) {
       return false;
     }
-    parsed.Append(SecondsToDuration(seconds), bandwidth, latency_us);
+    total += duration;
+    parsed.Append(duration, bandwidth, latency_us);
   }
   *out = std::move(parsed);
   return true;

@@ -1,5 +1,7 @@
 // Unit tests for replay traces and the paper's reference waveforms.
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "src/tracemod/replay_trace.h"
@@ -137,6 +139,42 @@ TEST(ReplayTraceTest, ParseRejectsMalformedLines) {
   EXPECT_FALSE(ReplayTrace::Parse("1.0 only-two\n", &parsed));
   EXPECT_FALSE(ReplayTrace::Parse("-1.0 100 0\n", &parsed));
   EXPECT_FALSE(ReplayTrace::Parse("1.0 -100 0\n", &parsed));
+}
+
+TEST(ReplayTraceTest, ParseRejectsAnUnparsableFirstField) {
+  ReplayTrace parsed;
+  // An overflowing first number is malformed, not a blank line to skip.
+  EXPECT_FALSE(ReplayTrace::Parse("1.0 100 0\n1e999 40960 10\n2.0 100 0\n", &parsed));
+  EXPECT_FALSE(ReplayTrace::Parse("abc 100 0\n", &parsed));
+  EXPECT_FALSE(ReplayTrace::Parse("  -\t # only a sign\n", &parsed));
+  // Whitespace-only and comment-only lines are still skipped.
+  ASSERT_TRUE(ReplayTrace::Parse(" \t\r\n   # note\n1.0 100 0\n", &parsed));
+  EXPECT_EQ(parsed.segments().size(), 1u);
+}
+
+TEST(ReplayTraceTest, ParseRejectsNonFiniteValues) {
+  ReplayTrace parsed;
+  EXPECT_FALSE(ReplayTrace::Parse("inf 100 0\n", &parsed));
+  EXPECT_FALSE(ReplayTrace::Parse("nan 100 0\n", &parsed));
+  EXPECT_FALSE(ReplayTrace::Parse("1.0 inf 0\n", &parsed));
+  EXPECT_FALSE(ReplayTrace::Parse("1.0 nan 0\n", &parsed));
+  EXPECT_FALSE(ReplayTrace::Parse("1.0 1e999 0\n", &parsed));
+  EXPECT_FALSE(ReplayTrace::Parse("1.0 100 99999999999999999999\n", &parsed));
+}
+
+TEST(ReplayTraceTest, ParseRejectsDurationsPastTheTimeRange) {
+  ReplayTrace parsed;
+  // One segment longer than the int64 microsecond range.
+  EXPECT_FALSE(ReplayTrace::Parse("1e13 100 0\n", &parsed));
+  EXPECT_FALSE(ReplayTrace::Parse("9.3e12 100 0\n", &parsed));
+  // Segments that fit alone but overflow together.
+  EXPECT_FALSE(ReplayTrace::Parse("4e12 100 0\n4e12 100 0\n", &parsed));
+  // A long trace inside the range parses, and At()/IntegralBytes() past its
+  // end stay finite.
+  ASSERT_TRUE(ReplayTrace::Parse("4e12 100 0\n1 200 5\n", &parsed));
+  EXPECT_EQ(parsed.TotalDuration(), SecondsToDuration(4e12) + kSecond);
+  EXPECT_EQ(parsed.At(parsed.TotalDuration()).latency, 5);
+  EXPECT_TRUE(std::isfinite(parsed.IntegralBytes(parsed.TotalDuration() + kSecond)));
 }
 
 // --- Figure 7: the reference waveforms ---
