@@ -1,6 +1,5 @@
 #include "src/check/zoo_scenario.h"
 
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,22 +15,6 @@
 
 namespace odyssey {
 namespace {
-
-// Strategy rows of the zoo grid.  |token| is the variant-name prefix and
-// matches the fleet_share vocabulary; |registry| is the builtin
-// StrategyRegistry name the cell installs.
-struct ZooStrategy {
-  const char* token;
-  const char* registry;
-};
-
-constexpr ZooStrategy kZooStrategies[] = {
-    {"odyssey", "odyssey"},
-    {"laissez", "laissez-faire"},
-    {"blind", "blind-optimism"},
-    {"cm", "congestion-manager"},
-    {"broker", "admission-broker"},
-};
 
 // The workload shapes.  Each builds a fully explicit FuzzScenario — no
 // generator draws — so every strategy faces the identical op schedule and
@@ -214,24 +197,17 @@ void RegisterZooScenarios(ScenarioRegistry* registry) {
   scenario.description =
       "Every registered bandwidth strategy through the supply-step, demand-churn, "
       "six-warden and mobility cells, with all fuzzing oracles on";
-  for (const ZooStrategy& strategy : kZooStrategies) {
-    // The table must stay in lockstep with the builtin registry: a strategy
-    // added there without a zoo row would silently escape the campaign.
-    ODY_ASSERT(StrategyRegistry::Builtin().Find(strategy.registry) != nullptr,
-               "zoo table references an unregistered strategy");
+  // One row per registered strategy: a new registry entry joins the grid.
+  for (const std::string& strategy : StrategyRegistry::Builtin().Names()) {
+    const std::string& label = StrategyRegistry::Builtin().Find(strategy)->label;
     for (int s = 0; s < 4; ++s) {
       const ZooShape shape = static_cast<ZooShape>(s);
-      const std::string name = std::string(strategy.token) + "_" + kShapeNames[s];
       scenario.variants.push_back(ScenarioVariant{
-          name, [shape, registry_name = std::string(strategy.registry)](
-                    uint64_t seed, TraceRecorder* trace) {
-            return RunCell(shape, registry_name, seed, trace);
+          label + "_" + kShapeNames[s], [shape, strategy](uint64_t seed, TraceRecorder* trace) {
+            return RunCell(shape, strategy, seed, trace);
           }});
     }
   }
-  ODY_ASSERT(scenario.variants.size() ==
-                 std::size(kZooStrategies) * std::size(kShapeNames),
-             "zoo grid is incomplete");
   const Status status = registry->Register(std::move(scenario));
   ODY_ASSERT(status.ok(), "zoo scenario registration failed");
 }
@@ -245,12 +221,13 @@ CampaignSpec ZooCampaign() {
   // Every strategy_zoo variant (an empty list sweeps all of them, so a new
   // strategy row joins the campaign without touching this spec).
   spec.sweeps.push_back(SweepSpec{"strategy_zoo", {}, 3});
-  // The sharded rig: admission control and shared congestion state must
-  // compose with cross-node estimate aggregation, not just the local model.
-  for (const ZooStrategy& strategy : kZooStrategies) {
+  // The sharded rig, one n8 pair per registry entry: admission control and
+  // shared congestion state must compose with cross-node estimate
+  // aggregation, not just the local model.
+  for (const std::string& strategy : StrategyRegistry::Builtin().Names()) {
+    const std::string& label = StrategyRegistry::Builtin().Find(strategy)->label;
     for (const char* wave : {"fixed", "mob"}) {
-      spec.sweeps.push_back(
-          SweepSpec{"fleet_share", {"n8_" + std::string(strategy.token) + "_" + wave}, 2});
+      spec.sweeps.push_back(SweepSpec{"fleet_share", {"n8_" + label + "_" + wave}, 2});
     }
   }
   return spec;

@@ -24,11 +24,11 @@
 
 namespace odyssey {
 
-// Registers the "strategy_zoo" scenario: variants <strategy>_{supply,
-// demand, concurrent, mob} for every name in StrategyRegistry::Builtin()
-// (strategy short names match the fleet_share variant vocabulary:
-// odyssey, laissez, blind, cm, broker).  Asserts that registration
-// succeeds, like RegisterBuiltinScenarios.
+// Registers the "strategy_zoo" scenario: variants <label>_{supply, demand,
+// concurrent, mob} for every entry in StrategyRegistry::Builtin(), named by
+// the entry's label (the fleet_share variant vocabulary: odyssey, laissez,
+// blind, cm, broker).  Asserts that registration succeeds, like
+// RegisterBuiltinScenarios.
 void RegisterZooScenarios(ScenarioRegistry* registry);
 
 // The tier_zoo campaign spec: every strategy_zoo variant plus the

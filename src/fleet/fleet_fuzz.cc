@@ -7,21 +7,12 @@
 
 #include "src/check/fuzz_driver.h"
 #include "src/core/contract.h"
-#include "src/core/odyssey_client.h"
-#include "src/fleet/fleet_aggregator.h"
-#include "src/fleet/fleet_dispatcher.h"
-#include "src/fleet/fleet_oracle.h"
-#include "src/fleet/fleet_supply_model.h"
+#include "src/fleet/fleet_node.h"
 #include "src/metrics/experiment.h"
-#include "src/net/fault_injector.h"
-#include "src/net/modulator.h"
 #include "src/servers/calibration.h"
 #include "src/servers/file_server.h"
 #include "src/servers/telemetry_server.h"
 #include "src/sim/random.h"
-#include "src/strategies/centralized.h"
-#include "src/strategies/strategy_registry.h"
-#include "src/tracemod/replay_trace.h"
 #include "src/wardens/bitstream_warden.h"
 #include "src/wardens/file_warden.h"
 #include "src/wardens/speech_warden.h"
@@ -30,43 +21,6 @@
 #include "src/wardens/web_warden.h"
 
 namespace odyssey {
-namespace {
-
-// The quiescent tail the convergence oracle demands: longer than the
-// generator's longest outage (kMaxOutage = 3s) plus a couple of announce
-// rounds, so every node rebroadcasts at least once after the last fault.
-constexpr Duration kConvergenceTail = 4 * kSecond;
-
-// Stable service -> server-group mapping (FNV-1a 64; std::hash is
-// implementation-defined and would break cross-platform reproducibility).
-FleetServerId ServerGroupOf(const std::string& service, int servers) {
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : service) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<FleetServerId>(h % static_cast<uint64_t>(servers));
-}
-
-// One client node's rig.  Declaration order is destruction order in
-// reverse: the oracle goes first, then the client (which detaches every
-// endpoint from the strategy), and only then the aggregator the strategy's
-// fleet model borrows.
-struct FleetNode {
-  FuzzScenario scenario;  // per-node waveform; referenced by the oracle
-  ReplayTrace waveform;
-  FaultPlan plan;
-  std::unique_ptr<Link> link;
-  std::unique_ptr<Modulator> modulator;
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<FleetAggregator> aggregator;
-  FleetSupplyModel* model = nullptr;        // owned by the strategy (centralized family)
-  CentralizedStrategy* strategy = nullptr;  // audit surface; null for isolated estimates
-  std::unique_ptr<OdysseyClient> client;
-  std::unique_ptr<OracleSet> oracle;
-};
-
-}  // namespace
 
 FuzzScenario FleetNodeScenario(const FuzzScenario& scenario, int node) {
   FuzzScenario out = scenario;
@@ -85,10 +39,7 @@ FuzzScenario FleetNodeScenario(const FuzzScenario& scenario, int node) {
 
 FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions& options) {
   ODY_ASSERT(scenario.fleet_nodes >= 2, "fleet runner needs a fleet-dimension scenario");
-  ODY_ASSERT(scenario.fleet_servers >= 1, "fleet scenario names no server groups");
   FuzzRunResult result;
-  const int node_count = scenario.fleet_nodes;
-  const int server_groups = scenario.fleet_servers;
 
   Simulation sim(scenario.seed);
   if (options.trace != nullptr) {
@@ -110,11 +61,11 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
   TelemetryServer telemetry_server(&sim);
   telemetry_server.CreateFeed(kFuzzFeed, 200 * kMillisecond, 100.0, 5.0);
 
-  FleetDispatcher dispatcher(&sim);
-
-  std::vector<std::unique_ptr<FleetNode>> nodes;
-  nodes.reserve(static_cast<size_t>(node_count));
-  for (int i = 0; i < node_count; ++i) {
+  // The node's strategy comes from the registry (the scenario's strategy
+  // dimension).
+  Fleet fleet(&sim, scenario.seed, scenario.strategy.empty() ? "odyssey" : scenario.strategy,
+              scenario.fleet_servers);
+  for (int i = 0; i < scenario.fleet_nodes; ++i) {
     auto node = std::make_unique<FleetNode>();
     node->scenario = FleetNodeScenario(scenario, i);
     node->waveform = BuildTrace(node->scenario);
@@ -122,98 +73,29 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
     // fault schedule, independent probabilistic draws.
     node->plan = BuildFaultPlan(scenario);
     node->plan.WithSeed(SplitMix64(node->plan.seed ^ static_cast<uint64_t>(i)).Next());
-
     const FuzzSegment first = node->scenario.segments.empty()
                                   ? FuzzSegment{kSecond, kHighBandwidth, kOneWayLatency}
                                   : node->scenario.segments.front();
-    node->link = std::make_unique<Link>(&sim, first.bandwidth_bps, first.latency);
-    node->modulator = std::make_unique<Modulator>(&sim, node->link.get());
-    node->injector = std::make_unique<FaultInjector>(&sim, node->link.get());
-    node->injector->Arm(node->plan);
 
-    node->aggregator = std::make_unique<FleetAggregator>(
-        &sim, &dispatcher, static_cast<FleetNodeId>(i), scenario.seed);
-    // The node's strategy comes from the registry (the scenario's strategy
-    // dimension); centralized-family strategies get the fleet-aggregated
-    // supply model injected, so admission control and congestion-manager
-    // grouping compose with sharded aggregation.
-    const std::string strategy_name = scenario.strategy.empty() ? "odyssey" : scenario.strategy;
-    const StrategyInfo* info = StrategyRegistry::Builtin().Find(strategy_name);
-    ODY_ASSERT(info != nullptr, "unknown fleet strategy name");
-    StrategyContext context;
-    context.sim = &sim;
-    context.modulator = node->modulator.get();
-    if (info->audited) {
-      auto model = std::make_unique<FleetSupplyModel>(node->aggregator.get());
-      node->model = model.get();
-      context.injected_model = std::move(model);
-    }
-    std::unique_ptr<BandwidthStrategy> strategy =
-        StrategyRegistry::Builtin().Create(strategy_name, std::move(context));
-    node->strategy = strategy->audit_surface();
-    node->client = std::make_unique<OdysseyClient>(&sim, node->link.get(), std::move(strategy),
-                                                   kUpcallLatency);
-
-    if (node->model != nullptr) {
-      FleetSupplyModel* model_ptr = node->model;
-      node->client->set_connection_observer(
-          [model_ptr, server_groups](Endpoint* endpoint, const std::string& service) {
-            model_ptr->MapConnection(endpoint->id(), ServerGroupOf(service, server_groups));
-          });
-      node->aggregator->set_report_source(
-          [model_ptr, &sim] { return model_ptr->LocalReports(sim.now()); });  // ody_lint: owned-capture
-    } else {
-      // Isolated-estimate strategies still publish whole-link estimates so
-      // discovery and convergence cover them (same as the fleet campaign
-      // rig): one report per server group at the strategy's total supply.
-      BandwidthStrategy* raw = &node->client->viceroy().strategy();
-      node->aggregator->set_report_source([raw, server_groups, &sim] {  // ody_lint: owned-capture
-        std::vector<FleetAggregator::LocalReport> reports;
-        if (!raw->HasEstimate()) {
-          return reports;
-        }
-        for (int s = 0; s < server_groups; ++s) {
-          FleetAggregator::LocalReport report;
-          report.server = static_cast<FleetServerId>(s);
-          report.supply_bps = raw->TotalSupply(sim.now());
-          report.active = 1;
-          reports.push_back(report);
-        }
-        return reports;
-      });
-    }
-
-    node->client->InstallWarden(std::make_unique<VideoWarden>(&video_server));
-    node->client->InstallWarden(std::make_unique<WebWarden>(&distillation_server));
-    node->client->InstallWarden(std::make_unique<SpeechWarden>(&janus_server));
-    node->client->InstallWarden(std::make_unique<BitstreamWarden>());
-    node->client->InstallWarden(std::make_unique<FileWarden>(&file_server));
-    node->client->InstallWarden(std::make_unique<TelemetryWarden>(&telemetry_server));
-    node->client->set_retry_policy(RetryPolicy::Default());
-    node->client->set_fault_injector(node->injector.get());
-
-    node->oracle = std::make_unique<OracleSet>(node->scenario, &sim, &node->client->viceroy(),
-                                               node->strategy, node->link.get());
-    node->oracle->set_max_audited_connections(options.max_audited_connections);
-    nodes.push_back(std::move(node));
+    std::vector<std::unique_ptr<Warden>> wardens;
+    wardens.push_back(std::make_unique<VideoWarden>(&video_server));
+    wardens.push_back(std::make_unique<WebWarden>(&distillation_server));
+    wardens.push_back(std::make_unique<SpeechWarden>(&janus_server));
+    wardens.push_back(std::make_unique<BitstreamWarden>());
+    wardens.push_back(std::make_unique<FileWarden>(&file_server));
+    wardens.push_back(std::make_unique<TelemetryWarden>(&telemetry_server));
+    FleetNode* built = fleet.AddNode(
+        std::move(node), TraceSegment{first.duration, first.bandwidth_bps, first.latency},
+        std::move(wardens));
+    built->client->set_retry_policy(RetryPolicy::Default());
+    built->oracle->set_max_audited_connections(options.max_audited_connections);
   }
+  fleet.Connect();
 
-  // Register every node on the bus after all rigs exist (ascending ids, so
-  // broadcast order is the id order).
-  for (int i = 0; i < node_count; ++i) {
-    FleetAggregator* aggregator = nodes[static_cast<size_t>(i)]->aggregator.get();
-    dispatcher.RegisterNode(static_cast<FleetNodeId>(i), &nodes[static_cast<size_t>(i)]->waveform,
-                            nodes[static_cast<size_t>(i)]->injector.get(),
-                            [aggregator](const FleetMessage& message) {  // ody_lint: owned-capture
-                              aggregator->OnMessage(message);
-                            });
-  }
-
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    FleetNode* node = nodes[i].get();
-    OracleSet* oracle = node->oracle.get();
+  for (size_t i = 0; i < fleet.nodes().size(); ++i) {
+    OracleSet* oracle = fleet.nodes()[i]->oracle.get();
     const bool mutate = options.selftest_mutation && i == 0;
-    node->client->viceroy().upcalls().set_delivery_observer(
+    fleet.nodes()[i]->client->viceroy().upcalls().set_delivery_observer(
         [oracle, &result, mutate](AppId app, uint64_t seq, RequestId request, ResourceId resource,
                                   double level, Time posted_at) {
           ++result.upcalls_delivered;
@@ -229,46 +111,26 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
 #endif
         });
   }
-  // The step/tie observers are simulation-global; node 0's oracle audits
-  // them on behalf of the whole fleet.
-  OracleSet* lead_oracle = nodes.front()->oracle.get();
-  sim.set_step_observer([lead_oracle](Time when) { lead_oracle->OnStep(when); });  // ody_lint: owned-capture
-  // ody_lint: owned-capture
-  sim.set_tie_observer([lead_oracle](Time when, uint64_t prev_seq, uint64_t seq) {
-    lead_oracle->OnTieBreak(when, prev_seq, seq);
-  });
 #ifdef ODYSSEY_FUZZ_SELFTEST
   if (options.selftest_tiebreak) {
     sim.set_selftest_lifo_ties(true);
   }
 #endif
 
-  std::vector<FleetOracleSet::NodeBinding> bindings;
-  bindings.reserve(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    bindings.push_back(FleetOracleSet::NodeBinding{static_cast<FleetNodeId>(i),
-                                                   nodes[i]->model, nodes[i]->aggregator.get()});
-  }
-  FleetOracleSet fleet_oracle(&sim, std::move(bindings), server_groups);
-
   const Time end = scenario.horizon + options.drain_grace;
   struct Sampler {
     Simulation* sim;
-    std::vector<std::unique_ptr<FleetNode>>* nodes;
-    FleetOracleSet* fleet_oracle;
+    Fleet* fleet;
     Time end;
     Duration period;
     void Tick() {
-      for (auto& node : *nodes) {
-        node->oracle->Sample();
-      }
-      fleet_oracle->Sample();
+      fleet->SampleOracles();
       if (sim->now() < end) {
         sim->Schedule(period, [this] { Tick(); });
       }
     }
   };
-  Sampler sampler{&sim, &nodes, &fleet_oracle, end, options.oracle_period};
+  Sampler sampler{&sim, &fleet, end, options.oracle_period};
   // The sampler stops rescheduling at |end| and the sim drains before it
   // leaves scope.
   sim.Schedule(options.oracle_period, [&sampler] { sampler.Tick(); });  // ody_lint: owned-capture
@@ -278,13 +140,13 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
   std::vector<std::unique_ptr<FuzzDriver>> drivers;
   drivers.reserve(scenario.apps.size());
   for (size_t i = 0; i < scenario.apps.size(); ++i) {
-    FleetNode* node = nodes[i % nodes.size()].get();
+    FleetNode* node = fleet.nodes()[i % fleet.nodes().size()].get();
     drivers.push_back(std::make_unique<FuzzDriver>(node->client.get(), node->oracle.get(),
                                                    scenario.apps[i], static_cast<int>(i), &result));
     drivers.back()->Start();
   }
 
-  for (auto& node : nodes) {
+  for (const auto& node : fleet.nodes()) {
     node->modulator->Replay(node->waveform);
     node->aggregator->StopAt(scenario.horizon);
     node->aggregator->Start();
@@ -295,42 +157,22 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
     driver->Stop();
   }
   sim.RunUntil(end);
+  // Finish also detaches the observers before the stack unwinds: the
+  // oracles borrow the viceroys and links.
+  fleet.Finish(scenario.horizon, end);
 
-  // The convergence oracle only arms when the tail was provably quiet:
-  // no fault kind that can eat a fleet message near or after the horizon,
-  // and every node's radio live through the drain (a shadow silently drops
-  // control traffic, legitimately leaving peers with staler reports).
-  const Time tail_start = scenario.horizon - kConvergenceTail;
-  bool quiescent_tail = tail_start > 0;
-  for (const auto& node : nodes) {
-    quiescent_tail = quiescent_tail && FaultPlanQuietAfter(node->plan, tail_start) &&
-                     WaveformLiveThroughout(node->waveform, tail_start, end);
-  }
-  for (auto& node : nodes) {
-    node->oracle->Finish();
-  }
-  fleet_oracle.Finish(quiescent_tail, 0.01);
-
-  // Detach the observers before the stack unwinds: the oracles borrow the
-  // viceroys and links, and no event may fire past this point anyway.
-  for (auto& node : nodes) {
-    node->client->viceroy().upcalls().set_delivery_observer({});
-  }
-  sim.set_step_observer({});
-  sim.set_tie_observer({});
-
-  for (const auto& node : nodes) {
+  for (const auto& node : fleet.nodes()) {
     for (const FuzzViolation& violation : node->oracle->violations()) {
       result.violations.push_back(violation);
     }
     result.violation_count += node->oracle->violation_count();
     result.bytes_delivered += node->link->bytes_delivered();
   }
-  for (const FuzzViolation& violation : fleet_oracle.violations()) {
+  for (const FuzzViolation& violation : fleet.oracle().violations()) {
     result.violations.push_back(violation);
   }
-  result.violation_count += fleet_oracle.violation_count();
-  result.tie_pairs_audited = lead_oracle->tie_pairs_audited();
+  result.violation_count += fleet.oracle().violation_count();
+  result.tie_pairs_audited = fleet.nodes().front()->oracle->tie_pairs_audited();
   return result;
 }
 

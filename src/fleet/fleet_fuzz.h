@@ -1,12 +1,12 @@
 // Executes one fleet-dimension FuzzScenario against N full Odyssey stacks.
 //
 // RunFleetFuzzScenario is the multi-node sibling of RunFuzzScenario: when a
-// scenario carries fleet_nodes >= 2 the rig builds that many client nodes —
-// each a full viceroy + warden ensemble behind its own modulated link and
-// fault injector — sharing one set of servers through the fleet estimate
-// aggregation protocol (FleetDispatcher + FleetAggregator +
-// FleetSupplyModel).  The scenario's apps are dealt round-robin across the
-// nodes and driven by the same FuzzDriver as the single-node runner.
+// scenario carries fleet_nodes >= 2 the rig builds that many client nodes
+// through the Fleet builder the tier_fleet campaign uses (fleet_node.h),
+// every node running the scenario's strategy (odyssey when unset), sharing
+// one set of servers through the fleet estimate aggregation protocol.  The
+// scenario's apps are dealt round-robin across the nodes and driven by the
+// same FuzzDriver as the single-node runner.
 //
 // Every node keeps the full single-node oracle set armed against its own
 // stack (per-node waveform for byte conservation), and the fleet-level

@@ -11,29 +11,17 @@
 #include <vector>
 
 #include "src/check/fuzz_scenario.h"
-#include "src/check/oracles.h"
 #include "src/core/contract.h"
-#include "src/core/odyssey_client.h"
 #include "src/core/resource.h"
-#include "src/fleet/fleet_aggregator.h"
-#include "src/fleet/fleet_dispatcher.h"
-#include "src/fleet/fleet_oracle.h"
-#include "src/fleet/fleet_supply_model.h"
+#include "src/fleet/fleet_node.h"
 #include "src/metrics/experiment.h"
 #include "src/mobility/waveform_source.h"
-#include "src/net/fault_injector.h"
-#include "src/net/link.h"
-#include "src/net/modulator.h"
 #include "src/servers/file_server.h"
 #include "src/servers/telemetry_server.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
-#include "src/strategies/admission_broker.h"
-#include "src/strategies/blind_optimism.h"
-#include "src/strategies/centralized.h"
-#include "src/strategies/congestion_manager.h"
-#include "src/strategies/laissez_faire.h"
+#include "src/strategies/strategy_registry.h"
 #include "src/tracemod/replay_trace.h"
 #include "src/wardens/file_warden.h"
 #include "src/wardens/telemetry_warden.h"
@@ -50,60 +38,15 @@ constexpr Duration kFairnessPeriod = 500 * kMillisecond;
 constexpr Duration kOraclePeriod = 100 * kMillisecond;
 constexpr Duration kDrainGrace = 2 * kSecond;
 constexpr Duration kReadPeriod = 1 * kSecond;
-// The convergence tail: no fault may touch a fleet message after
-// horizon - kConvergenceTail (matches the fleet fuzz runner's constant).
-constexpr Duration kConvergenceTail = 4 * kSecond;
-constexpr double kConvergenceTolerance = 0.01;
-
-enum class FleetStrategyKind {
-  kOdyssey,
-  kLaissezFaire,
-  kBlindOptimism,
-  kCongestionManager,
-  kAdmissionBroker,
-};
-
-const char* FleetStrategyName(FleetStrategyKind kind) {
-  switch (kind) {
-    case FleetStrategyKind::kOdyssey:
-      return "odyssey";
-    case FleetStrategyKind::kLaissezFaire:
-      return "laissez";
-    case FleetStrategyKind::kBlindOptimism:
-      return "blind";
-    case FleetStrategyKind::kCongestionManager:
-      return "cm";
-    case FleetStrategyKind::kAdmissionBroker:
-      return "broker";
-  }
-  return "?";
-}
 
 struct FleetParams {
   int nodes = 2;
   int servers = 2;
-  FleetStrategyKind strategy = FleetStrategyKind::kOdyssey;
+  std::string strategy = "odyssey";  // StrategyRegistry name
   bool mobility = false;
   Duration horizon = 8 * kSecond;
   int apps_per_node = 2;
 };
-
-// Stable service -> server-group mapping for warden-opened connections
-// (FNV-1a 64, same scheme as the fleet fuzz runner); explicit "fleet-s<k>"
-// services parse their suffix directly.
-FleetServerId ServerGroupOf(const std::string& service, int servers) {
-  constexpr char kPrefix[] = "fleet-s";
-  if (service.rfind(kPrefix, 0) == 0) {
-    return static_cast<FleetServerId>(
-        std::stoul(service.substr(sizeof(kPrefix) - 1)) % static_cast<unsigned long>(servers));
-  }
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : service) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<FleetServerId>(h % static_cast<uint64_t>(servers));
-}
 
 // The node's waveform: fixed quarters scaled by a per-node factor in
 // [0.6, 1.4), or a motion-generated trace (model rotated per node).  Either
@@ -149,21 +92,9 @@ struct AppState {
   double weight = 1.0;    // synthetic-feed share of the node waveform
 };
 
-// One client node of the fleet rig.  Declaration order is destruction
-// order in reverse: the oracle first, then the client (which detaches every
-// endpoint from the strategy), then the aggregator the fleet model borrows.
-struct FleetRigNode {
-  FuzzScenario scenario;
-  ReplayTrace waveform;
-  FaultPlan plan;
-  std::unique_ptr<Link> link;
-  std::unique_ptr<Modulator> modulator;
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<FleetAggregator> aggregator;
-  FleetSupplyModel* model = nullptr;        // owned by the strategy (odyssey only)
-  CentralizedStrategy* centralized = nullptr;  // owned by the client (odyssey only)
-  std::unique_ptr<OdysseyClient> client;
-  std::unique_ptr<OracleSet> oracle;
+// The campaign's per-node application feed, beside the shared node stack.
+struct NodeFeed {
+  FleetNode* node = nullptr;
   std::vector<AppState> apps;
   uint64_t tick = 0;
 };
@@ -183,7 +114,7 @@ class FleetRig {
     Build();
     Start();
     sim_.RunUntil(params_.horizon + kDrainGrace);
-    Finish();
+    fleet_->Finish(params_.horizon, params_.horizon + kDrainGrace);
     // ody-lint: allow(fleet-pod-message)
     const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
     return Metrics(wall.count());
@@ -195,33 +126,17 @@ class FleetRig {
     file_server_->Publish("doc/0", 32.0 * 1024.0);
     telemetry_server_ = std::make_unique<TelemetryServer>(&sim_);
     telemetry_server_->CreateFeed("feed0", 200 * kMillisecond, 100.0, 5.0);
-    dispatcher_ = std::make_unique<FleetDispatcher>(&sim_);
+    fleet_ = std::make_unique<Fleet>(&sim_, seed_, params_.strategy, params_.servers);
 
-    nodes_.reserve(static_cast<size_t>(params_.nodes));
+    feeds_.reserve(static_cast<size_t>(params_.nodes));
     for (int i = 0; i < params_.nodes; ++i) {
       BuildNode(i);
     }
-    for (int i = 0; i < params_.nodes; ++i) {
-      FleetAggregator* aggregator = nodes_[static_cast<size_t>(i)]->aggregator.get();
-      dispatcher_->RegisterNode(
-          static_cast<FleetNodeId>(i), &nodes_[static_cast<size_t>(i)]->waveform,
-          nodes_[static_cast<size_t>(i)]->injector.get(),
-          [aggregator](const FleetMessage& message) {  // ody_lint: owned-capture
-            aggregator->OnMessage(message);
-          });
-    }
-
-    std::vector<FleetOracleSet::NodeBinding> bindings;
-    bindings.reserve(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      bindings.push_back(FleetOracleSet::NodeBinding{static_cast<FleetNodeId>(i),
-                                                     nodes_[i]->model, nodes_[i]->aggregator.get()});
-    }
-    fleet_oracle_ = std::make_unique<FleetOracleSet>(&sim_, std::move(bindings), params_.servers);
+    fleet_->Connect();
   }
 
   void BuildNode(int index) {
-    auto node = std::make_unique<FleetRigNode>();
+    auto node = std::make_unique<FleetNode>();
     node->waveform = NodeWaveform(params_, seed_, index);
     node->scenario = MirrorScenario(node->waveform, params_.horizon, seed_);
     // Every fourth node (offset 1) rides out a mid-run outage, ending well
@@ -231,126 +146,42 @@ class FleetRig {
       node->plan.WithOutage(params_.horizon / 4, 1 * kSecond);
     }
     const TraceSegment first = node->waveform.At(0);
-    node->link = std::make_unique<Link>(&sim_, first.bandwidth_bps, first.latency);
-    node->modulator = std::make_unique<Modulator>(&sim_, node->link.get());
-    node->injector = std::make_unique<FaultInjector>(&sim_, node->link.get());
-    if (!node->plan.empty()) {
-      node->injector->Arm(node->plan);
-    }
-    node->aggregator = std::make_unique<FleetAggregator>(&sim_, dispatcher_.get(),
-                                                         static_cast<FleetNodeId>(index), seed_);
-
-    std::unique_ptr<BandwidthStrategy> strategy;
-    switch (params_.strategy) {
-      case FleetStrategyKind::kOdyssey: {
-        auto model = std::make_unique<FleetSupplyModel>(node->aggregator.get());
-        node->model = model.get();
-        auto centralized = std::make_unique<CentralizedStrategy>(&sim_, std::move(model));
-        node->centralized = centralized.get();
-        strategy = std::move(centralized);
-        break;
-      }
-      case FleetStrategyKind::kLaissezFaire:
-        strategy = std::make_unique<LaissezFaireStrategy>();
-        break;
-      case FleetStrategyKind::kBlindOptimism:
-        strategy = std::make_unique<BlindOptimismStrategy>(node->modulator.get());
-        break;
-      case FleetStrategyKind::kCongestionManager: {
-        // Same sharded aggregation as odyssey, regrouped per server.
-        auto model = std::make_unique<FleetSupplyModel>(node->aggregator.get());
-        node->model = model.get();
-        auto cm = std::make_unique<CongestionManagerStrategy>(&sim_, std::move(model));
-        node->centralized = cm.get();
-        strategy = std::move(cm);
-        break;
-      }
-      case FleetStrategyKind::kAdmissionBroker: {
-        // Admission control composed over the fleet-aggregated estimator:
-        // the broker arbitrates registrations against cross-node supply.
-        auto model = std::make_unique<FleetSupplyModel>(node->aggregator.get());
-        node->model = model.get();
-        auto inner = std::make_unique<CentralizedStrategy>(&sim_, std::move(model));
-        node->centralized = inner.get();
-        strategy = std::make_unique<AdmissionBrokerStrategy>(&sim_, std::move(inner));
-        break;
-      }
-    }
-    node->client = std::make_unique<OdysseyClient>(&sim_, node->link.get(), std::move(strategy),
-                                                   kUpcallLatency);
-    if (node->model != nullptr) {
-      FleetSupplyModel* model = node->model;
-      const int servers = params_.servers;
-      node->client->set_connection_observer(
-          [model, servers](Endpoint* endpoint, const std::string& service) {
-            model->MapConnection(endpoint->id(), ServerGroupOf(service, servers));
-          });
-      node->aggregator->set_report_source(
-          [model, this] { return model->LocalReports(sim_.now()); });  // ody_lint: owned-capture
-    } else {
-      // Laissez-faire and blind optimism nodes still publish estimates so
-      // the discovery + convergence story covers every strategy: one report
-      // per server group, carrying the strategy's whole-link supply.
-      BandwidthStrategy* raw = &node->client->viceroy().strategy();
-      const int servers = params_.servers;
-      node->aggregator->set_report_source([raw, servers, this] {  // ody_lint: owned-capture
-        std::vector<FleetAggregator::LocalReport> reports;
-        if (!raw->HasEstimate()) {
-          return reports;
-        }
-        for (int s = 0; s < servers; ++s) {
-          FleetAggregator::LocalReport report;
-          report.server = static_cast<FleetServerId>(s);
-          report.supply_bps = raw->TotalSupply(sim_.now());
-          report.active = 1;
-          reports.push_back(report);
-        }
-        return reports;
-      });
-    }
-    node->client->InstallWarden(std::make_unique<FileWarden>(file_server_.get()));
-    node->client->InstallWarden(std::make_unique<TelemetryWarden>(telemetry_server_.get()));
-    node->client->set_fault_injector(node->injector.get());
-
-    node->oracle = std::make_unique<OracleSet>(node->scenario, &sim_, &node->client->viceroy(),
-                                               node->centralized, node->link.get());
+    std::vector<std::unique_ptr<Warden>> wardens;
+    wardens.push_back(std::make_unique<FileWarden>(file_server_.get()));
+    wardens.push_back(std::make_unique<TelemetryWarden>(telemetry_server_.get()));
+    NodeFeed feed;
+    feed.node = fleet_->AddNode(std::move(node), first, std::move(wardens));
 
     SplitMix64 mix(seed_ ^ (0x61707073ULL + static_cast<uint64_t>(index)));
     for (int a = 0; a < params_.apps_per_node; ++a) {
       AppState app;
-      app.id = node->client->RegisterApplication("fleet" + std::to_string(index) + "-" +
-                                                 std::to_string(a));
+      app.id = feed.node->client->RegisterApplication("fleet" + std::to_string(index) + "-" +
+                                                      std::to_string(a));
       app.server = a % params_.servers;
       app.endpoint =
-          node->client->OpenConnection(app.id, "fleet-s" + std::to_string(app.server));
+          feed.node->client->OpenConnection(app.id, "fleet-s" + std::to_string(app.server));
       app.weight = 0.5 + static_cast<double>(mix.Next() >> 11) * 0x1.0p-53;
-      node->apps.push_back(app);
+      feed.apps.push_back(app);
     }
-    nodes_.push_back(std::move(node));
+    feeds_.push_back(std::move(feed));
   }
 
   void Start() {
-    for (auto& node : nodes_) {
-      FleetRigNode* raw = node.get();
+    for (NodeFeed& feed : feeds_) {
+      FleetNode* node = feed.node;
       node->client->viceroy().upcalls().set_delivery_observer(
-          [raw](AppId app, uint64_t seq, RequestId request, ResourceId resource, double level,
-                Time posted_at) {
-            raw->oracle->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
+          [node](AppId app, uint64_t seq, RequestId request, ResourceId resource, double level,
+                 Time posted_at) {
+            node->oracle->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
           });
       node->modulator->Replay(node->waveform);
       node->aggregator->StopAt(params_.horizon);
       node->aggregator->Start();
-      for (AppState& app : node->apps) {
-        RegisterWindow(raw, &app,
+      for (AppState& app : feed.apps) {
+        RegisterWindow(node, &app,
                        node->client->CurrentLevel(app.id, ResourceId::kNetworkBandwidth));
       }
     }
-    OracleSet* lead = nodes_.front()->oracle.get();
-    sim_.set_step_observer([lead](Time when) { lead->OnStep(when); });  // ody_lint: owned-capture
-    // ody_lint: owned-capture
-    sim_.set_tie_observer([lead](Time when, uint64_t prev_seq, uint64_t seq) {
-      lead->OnTieBreak(when, prev_seq, seq);
-    });
     sim_.Post(kFeedPeriod, [this] { Feed(); });
     sim_.Post(kOraclePeriod, [this] { SampleOracles(); });
     // Fairness sampling skips the first quarter (cold estimators).
@@ -358,24 +189,7 @@ class FleetRig {
     sim_.Post(kReadPeriod, [this] { ReadSweep(); });
   }
 
-  void Finish() {
-    sim_.set_step_observer({});
-    sim_.set_tie_observer({});
-    const Time tail_start = params_.horizon - kConvergenceTail;
-    bool quiescent = tail_start > 0;
-    const Time end = params_.horizon + kDrainGrace;
-    for (const auto& node : nodes_) {
-      quiescent = quiescent && FaultPlanQuietAfter(node->plan, tail_start) &&
-                  WaveformLiveThroughout(node->waveform, tail_start, end);
-    }
-    for (auto& node : nodes_) {
-      node->client->viceroy().upcalls().set_delivery_observer({});
-      node->oracle->Finish();
-    }
-    fleet_oracle_->Finish(quiescent, kConvergenceTolerance);
-  }
-
-  void RegisterWindow(FleetRigNode* node, AppState* app, double level) {
+  void RegisterWindow(FleetNode* node, AppState* app, double level) {
     for (int attempt = 0; attempt < 4; ++attempt) {
       ResourceDescriptor descriptor;
       descriptor.resource = ResourceId::kNetworkBandwidth;
@@ -408,19 +222,19 @@ class FleetRig {
       return;
     }
     const double period_s = DurationToSeconds(kFeedPeriod);
-    for (auto& node : nodes_) {
+    for (NodeFeed& feed : feeds_) {
       const double rate =
-          node->waveform.BandwidthAt(now) / static_cast<double>(params_.apps_per_node);
+          feed.node->waveform.BandwidthAt(now) / static_cast<double>(params_.apps_per_node);
       int i = 0;
-      for (AppState& app : node->apps) {
+      for (AppState& app : feed.apps) {
         app.endpoint->log().RecordThroughput(now, rate * app.weight * period_s, kFeedPeriod);
-        if (static_cast<int>(node->tick % 10) == i % 10) {
+        if (static_cast<int>(feed.tick % 10) == i % 10) {
           app.endpoint->log().RecordRoundTrip(
               now, 10 * kMillisecond + static_cast<Duration>(i) * 100);
         }
         ++i;
       }
-      ++node->tick;
+      ++feed.tick;
     }
     sim_.Post(kFeedPeriod, [this] { Feed(); });
   }
@@ -432,9 +246,9 @@ class FleetRig {
     if (sim_.now() >= params_.horizon) {
       return;
     }
-    for (auto& node : nodes_) {
-      node->client->Read(node->apps.front().id, std::string(kOdysseyRoot) + "files/doc/0",
-                         [](Status, std::string) {});
+    for (const NodeFeed& feed : feeds_) {
+      feed.node->client->Read(feed.apps.front().id, std::string(kOdysseyRoot) + "files/doc/0",
+                              [](Status, std::string) {});
     }
     sim_.Post(kReadPeriod, [this] { ReadSweep(); });
   }
@@ -443,10 +257,7 @@ class FleetRig {
     if (sim_.now() > params_.horizon) {
       return;
     }
-    for (auto& node : nodes_) {
-      node->oracle->Sample();
-    }
-    fleet_oracle_->Sample();
+    fleet_->SampleOracles();
     sim_.Post(kOraclePeriod, [this] { SampleOracles(); });
   }
 
@@ -460,18 +271,18 @@ class FleetRig {
       return;
     }
     double fleet_nominal = 0.0;
-    for (const auto& node : nodes_) {
-      fleet_nominal += node->waveform.BandwidthAt(now);
+    for (const NodeFeed& feed : feeds_) {
+      fleet_nominal += feed.node->waveform.BandwidthAt(now);
     }
     const double server_capacity = fleet_nominal / static_cast<double>(params_.servers);
     for (int s = 0; s < params_.servers; ++s) {
       double sum = 0.0;
       double sum_sq = 0.0;
-      for (const auto& node : nodes_) {
+      for (const NodeFeed& feed : feeds_) {
         double claim = 0.0;
-        for (const AppState& app : node->apps) {
+        for (const AppState& app : feed.apps) {
           if (app.server == s) {
-            claim += node->client->CurrentLevel(app.id, ResourceId::kNetworkBandwidth);
+            claim += feed.node->client->CurrentLevel(app.id, ResourceId::kNetworkBandwidth);
           }
         }
         sum += claim;
@@ -479,7 +290,7 @@ class FleetRig {
       }
       auto& stats = fairness_[static_cast<size_t>(s)];
       if (sum_sq > 0.0) {
-        stats.jain_sum += (sum * sum) / (static_cast<double>(nodes_.size()) * sum_sq);
+        stats.jain_sum += (sum * sum) / (static_cast<double>(feeds_.size()) * sum_sq);
         ++stats.jain_samples;
       }
       if (server_capacity > 0.0) {
@@ -496,8 +307,8 @@ class FleetRig {
     double upcalls = 0.0;
     double latency_mean_sum = 0.0;
     double latency_max_ms = 0.0;
-    uint64_t violations = fleet_oracle_->violation_count();
-    for (const auto& node : nodes_) {
+    uint64_t violations = fleet_->oracle().violation_count();
+    for (const auto& node : fleet_->nodes()) {
       const UpcallDispatcher& dispatcher = node->client->viceroy().upcalls();
       upcalls += static_cast<double>(dispatcher.delivered_count());
       latency_mean_sum += dispatcher.latency_mean_us() / 1000.0;
@@ -509,12 +320,12 @@ class FleetRig {
         {"upcalls", upcalls, MetricDirection::kEither},
         {"windows_registered", static_cast<double>(windows_registered_),
          MetricDirection::kEither},
-        {"upcall_latency_mean_ms", latency_mean_sum / static_cast<double>(nodes_.size()),
+        {"upcall_latency_mean_ms", latency_mean_sum / static_cast<double>(feeds_.size()),
          MetricDirection::kLowerIsBetter},
         {"upcall_latency_max_ms", latency_max_ms, MetricDirection::kLowerIsBetter},
-        {"fleet_msgs", static_cast<double>(dispatcher_->messages_delivered()),
+        {"fleet_msgs", static_cast<double>(fleet_->dispatcher().messages_delivered()),
          MetricDirection::kEither},
-        {"agg_spread_pct", fleet_oracle_->final_spread_pct(), MetricDirection::kLowerIsBetter},
+        {"agg_spread_pct", fleet_->oracle().final_spread_pct(), MetricDirection::kLowerIsBetter},
         {"oracle_violations", static_cast<double>(violations), MetricDirection::kLowerIsBetter},
     };
     for (int s = 0; s < params_.servers; ++s) {
@@ -553,18 +364,12 @@ class FleetRig {
   Simulation sim_;
   std::unique_ptr<FileServer> file_server_;
   std::unique_ptr<TelemetryServer> telemetry_server_;
-  std::unique_ptr<FleetDispatcher> dispatcher_;
-  std::vector<std::unique_ptr<FleetRigNode>> nodes_;
-  std::unique_ptr<FleetOracleSet> fleet_oracle_;
+  std::unique_ptr<Fleet> fleet_;
+  std::vector<NodeFeed> feeds_;
   // Indexed by server group; the rig caps servers well below this.
   FairnessStats fairness_[8] = {};
   uint64_t windows_registered_ = 0;
 };
-
-TrialMetrics RunFleetTrial(const FleetParams& params, uint64_t seed, TraceRecorder* trace) {
-  FleetRig rig(params, seed, trace);
-  return rig.Run();
-}
 
 }  // namespace
 
@@ -577,19 +382,16 @@ void RegisterFleetScenarios(ScenarioRegistry* registry) {
 
   const auto add = [&scenario](const FleetParams& params) {
     const std::string name = "n" + std::to_string(params.nodes) + "_" +
-                             FleetStrategyName(params.strategy) + "_" +
+                             StrategyRegistry::Builtin().Find(params.strategy)->label + "_" +
                              (params.mobility ? "mob" : "fixed");
     scenario.variants.push_back(ScenarioVariant{
         name, [params](uint64_t seed, TraceRecorder* trace) {
-          return RunFleetTrial(params, seed, trace);
+          return FleetRig(params, seed, trace).Run();
         }});
   };
 
   for (const int nodes : {2, 8, 32, 128}) {
-    for (const FleetStrategyKind strategy :
-         {FleetStrategyKind::kOdyssey, FleetStrategyKind::kLaissezFaire,
-          FleetStrategyKind::kBlindOptimism, FleetStrategyKind::kCongestionManager,
-          FleetStrategyKind::kAdmissionBroker}) {
+    for (const std::string& strategy : StrategyRegistry::Builtin().Names()) {
       for (const bool mobility : {false, true}) {
         FleetParams params;
         params.nodes = nodes;

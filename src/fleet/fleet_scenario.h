@@ -2,14 +2,15 @@
 // stack behind its own waveform-modulated link — sharing M servers through
 // the fleet estimate-aggregation protocol, under all fuzzing oracles.
 //
-// Each variant crosses a fleet size (N in {2, 8, 32, 128}) with a
-// bandwidth-management strategy (odyssey = centralized arbitration against
-// the fleet-merged *server* supply, laissez = per-node laissez-faire,
-// blind = per-node blind optimism) and a waveform family (fixed steps or
-// motion-generated mobility traces).  The headline figures are the
-// per-server fairness (Jain index across nodes' claims) and overclaim
-// (summed claims over the server's capacity share): centralized fleet
-// arbitration keeps claims near the per-server fair share while the
+// Each variant crosses a fleet size (N in {2, 8, 32, 128}) with every
+// StrategyRegistry entry, named by its label (odyssey = centralized
+// arbitration against the fleet-merged *server* supply, laissez / blind =
+// per-node laissez-faire / blind optimism, cm / broker = congestion manager
+// / admission control over the fleet-merged supply) and a waveform family
+// (fixed steps or motion-generated mobility traces).  The headline figures
+// are the per-server fairness (Jain index across nodes' claims) and
+// overclaim (summed claims over the server's capacity share): centralized
+// fleet arbitration keeps claims near the per-server fair share while the
 // strategies that ignore their peers oversubscribe the shared servers.
 //
 // Like tier_scale this lives beside odyssey_check, keeping the OracleSet
@@ -23,7 +24,7 @@
 
 namespace odyssey {
 
-// Registers the "fleet_share" scenario (variants n<N>_<strategy>_<wave>).
+// Registers the "fleet_share" scenario (variants n<N>_<label>_<wave>).
 // Asserts that registration succeeds, like RegisterScaleScenarios.
 void RegisterFleetScenarios(ScenarioRegistry* registry);
 

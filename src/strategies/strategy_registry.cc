@@ -22,18 +22,18 @@ std::unique_ptr<CentralizedStrategy> MakeCentralized(StrategyContext&& ctx) {
 StrategyRegistry MakeBuiltin() {
   StrategyRegistry registry;
   registry.Register(
-      {"odyssey", "centralized supply model with per-connection fair shares (the paper)",
-       /*audited=*/true, /*admission=*/false,
+      {"odyssey", "odyssey",
+       "centralized supply model with per-connection fair shares (the paper)",
        [](StrategyContext&& ctx) -> std::unique_ptr<BandwidthStrategy> {
          return MakeCentralized(std::move(ctx));
        }});
-  registry.Register({"laissez-faire", "each connection estimates in isolation (Figure 14's over-estimator)",
-                     /*audited=*/false, /*admission=*/false,
+  registry.Register({"laissez-faire", "laissez",
+                     "each connection estimates in isolation (Figure 14's over-estimator)",
                      [](StrategyContext&& ctx) -> std::unique_ptr<BandwidthStrategy> {
                        return std::make_unique<LaissezFaireStrategy>(ctx.supply.estimator);
                      }});
-  registry.Register({"blind-optimism", "theoretical link bandwidth delivered at each transition",
-                     /*audited=*/false, /*admission=*/false,
+  registry.Register({"blind-optimism", "blind",
+                     "theoretical link bandwidth delivered at each transition",
                      [](StrategyContext&& ctx) -> std::unique_ptr<BandwidthStrategy> {
                        ODY_ASSERT(ctx.modulator != nullptr,
                                   "blind-optimism needs the rig's modulator");
@@ -41,9 +41,8 @@ StrategyRegistry MakeBuiltin() {
                                                                      ctx.supply.estimator);
                      }});
   registry.Register(
-      {"congestion-manager",
+      {"congestion-manager", "cm",
        "per-server shared congestion state, hierarchical server->app->connection allocation",
-       /*audited=*/true, /*admission=*/false,
        [](StrategyContext&& ctx) -> std::unique_ptr<BandwidthStrategy> {
          if (ctx.injected_model != nullptr) {
            return std::make_unique<CongestionManagerStrategy>(ctx.sim,
@@ -52,8 +51,8 @@ StrategyRegistry MakeBuiltin() {
          return std::make_unique<CongestionManagerStrategy>(ctx.sim, ctx.supply, ctx.supply_kind);
        }});
   registry.Register(
-      {"admission-broker", "QoS admission control (admit/degrade/reject) over centralized estimation",
-       /*audited=*/true, /*admission=*/true,
+      {"admission-broker", "broker",
+       "QoS admission control (admit/degrade/reject) over centralized estimation",
        [](StrategyContext&& ctx) -> std::unique_ptr<BandwidthStrategy> {
          Simulation* sim = ctx.sim;
          return std::make_unique<AdmissionBrokerStrategy>(sim, MakeCentralized(std::move(ctx)));

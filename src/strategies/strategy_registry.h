@@ -1,23 +1,25 @@
 // Name-indexed registry of bandwidth-management strategies (the "zoo").
 //
 // Every strategy the reproduction knows is registered here by name, so the
-// fuzzer (--strategy / the seed-drawn strategy dimension), the campaign
-// engine (tier_zoo), the fleet rig, and the conformance test kit all build
-// strategies the same way and discover new ones by adding one registry
-// line.  The builtin registry holds the paper's three policies plus the two
-// production strategies grown on top:
+// fuzzer (--strategy / the seed-drawn strategy dimension), both fleet rigs,
+// the strategy_zoo and fleet_share scenarios, and the conformance test kit
+// all build strategies the same way and discover new ones by adding one
+// registry line.  The builtin registry holds the paper's three policies
+// plus the two production strategies grown on top (variant label in []):
 //
-//   odyssey            — centralized supply model, per-connection shares
-//   laissez-faire      — isolated per-connection estimates
-//   blind-optimism     — theoretical link bandwidth at each transition
-//   congestion-manager — per-server shared congestion state, hierarchical
-//                        server -> app -> connection allocation
-//   admission-broker   — QoS admission control over centralized estimation
+//   odyssey [odyssey]         — centralized supply model, per-connection shares
+//   laissez-faire [laissez]   — isolated per-connection estimates
+//   blind-optimism [blind]    — theoretical link bandwidth at each transition
+//   congestion-manager [cm]   — per-server shared congestion state,
+//                               hierarchical server -> app -> connection
+//   admission-broker [broker] — QoS admission control over centralized estimation
 //
-// A factory receives a StrategyContext describing the rig it is being
-// built into; centralized-family strategies accept an injected supply
-// model there, which is how the fleet's sharded aggregation composes with
-// every member of the family (including admission control).
+// Capabilities are asked of the built strategy, through audit_surface() and
+// arbitration(), never read from its entry.  A factory receives a
+// StrategyContext describing the rig it is being built into;
+// centralized-family strategies consume an injected supply model there,
+// which is how the fleet's sharded aggregation composes with every member
+// of the family (including admission control).
 
 #ifndef SRC_STRATEGIES_STRATEGY_REGISTRY_H_
 #define SRC_STRATEGIES_STRATEGY_REGISTRY_H_
@@ -47,14 +49,10 @@ struct StrategyContext {
 
 struct StrategyInfo {
   std::string name;
+  // Short token naming the strategy's variants in the fleet_share and
+  // strategy_zoo scenarios ("n8_cm_fixed", "cm_supply").
+  std::string label;
   std::string summary;
-  // Exposes a CentralizedStrategy audit surface (audit_surface() non-null),
-  // so the supply and fair-share oracles can arm.  The conformance kit also
-  // keys its shared-supply assertions (fair-share floor, one-app
-  // equivalence to the seed strategy) off this capability.
-  bool audited = false;
-  // Implements ArbitrationStrategy (may reject or degrade registrations).
-  bool admission = false;
   std::function<std::unique_ptr<BandwidthStrategy>(StrategyContext&&)> factory;
 };
 

@@ -3,8 +3,9 @@
 // of arrival order), staleness weighting is monotone, the dispatcher's
 // delays and drops are deterministic, the FleetSupplyModel clamp respects
 // its documented bounds, the scenario generator's fleet dimension leaves
-// historical seeds untouched, and a whole fleet fuzz run is bit-identical
-// when repeated.
+// historical seeds untouched, the service -> server-group mapping is
+// pinned, a whole fleet fuzz run is bit-identical when repeated, and the
+// campaign rig runs every registered strategy clean and reproducibly.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +20,16 @@
 #include "src/fleet/fleet_dispatcher.h"
 #include "src/fleet/fleet_fuzz.h"
 #include "src/fleet/fleet_message.h"
+#include "src/fleet/fleet_node.h"
 #include "src/fleet/fleet_oracle.h"
+#include "src/fleet/fleet_scenario.h"
 #include "src/fleet/fleet_supply_model.h"
+#include "src/harness/scenario_registry.h"
 #include "src/net/fault_injector.h"
 #include "src/net/link.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
+#include "src/strategies/strategy_registry.h"
 #include "src/tracemod/replay_trace.h"
 
 namespace odyssey {
@@ -349,6 +354,35 @@ TEST(FleetScenarioTest, NodeWaveformsAreDeterministicAndBounded) {
 }
 
 // ---------------------------------------------------------------------------
+// Service -> server-group mapping.  A changed hash would silently regroup
+// every fleet fuzz run, so the warden services' groups are pinned.
+
+TEST(FleetNodeTest, ServerGroupOfIsPinned) {
+  // The campaign's explicit groups parse their suffix.
+  EXPECT_EQ(ServerGroupOf("fleet-s0", 2), 0u);
+  EXPECT_EQ(ServerGroupOf("fleet-s1", 2), 1u);
+  EXPECT_EQ(ServerGroupOf("fleet-s5", 3), 2u);
+  EXPECT_EQ(ServerGroupOf("fleet-s7", 8), 7u);
+  EXPECT_EQ(ServerGroupOf("fleet-s9", 8), 1u);
+
+  // Every service a fuzz warden opens hashes (FNV-1a 64); expected groups
+  // at 2, 3 and 8 servers.
+  struct Pin {
+    const char* service;
+    FleetServerId at2, at3, at8;
+  };
+  const Pin pins[] = {
+      {"video:default", 1, 1, 1}, {"distillation", 1, 1, 7}, {"janus", 0, 2, 4},
+      {"bitstream", 0, 2, 6},     {"file-server", 1, 0, 3},  {"telemetry:feed0", 0, 0, 0},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(ServerGroupOf(pin.service, 2), pin.at2) << pin.service;
+    EXPECT_EQ(ServerGroupOf(pin.service, 3), pin.at3) << pin.service;
+    EXPECT_EQ(ServerGroupOf(pin.service, 8), pin.at8) << pin.service;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Whole-run bit-identity and the quiescence gates.
 
 TEST(FleetFuzzTest, RunIsBitIdenticalWhenRepeated) {
@@ -374,6 +408,37 @@ TEST(FleetFuzzTest, RunIsBitIdenticalWhenRepeated) {
     EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
   }
   EXPECT_EQ(exercised, 3);
+}
+
+// The campaign rig: every registered strategy has fixed and mobility
+// variants, and its smallest fixed variant runs clean and reproducibly.
+TEST(FleetScenarioTest, EveryStrategyRunsCleanAndRepeatably) {
+  ScenarioRegistry registry;
+  RegisterFleetScenarios(&registry);
+  const Scenario* scenario = registry.Find("fleet_share");
+  ASSERT_NE(scenario, nullptr);
+  for (const std::string& strategy : StrategyRegistry::Builtin().Names()) {
+    const std::string& label = StrategyRegistry::Builtin().Find(strategy)->label;
+    EXPECT_NE(scenario->FindVariant("n2_" + label + "_mob"), nullptr) << strategy;
+    const ScenarioVariant* fixed = scenario->FindVariant("n2_" + label + "_fixed");
+    ASSERT_NE(fixed, nullptr) << strategy;
+    const TrialMetrics a = fixed->run(3, nullptr);
+    const TrialMetrics b = fixed->run(3, nullptr);
+    ASSERT_EQ(a.size(), b.size()) << strategy;
+    bool has_violation_metric = false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].name, b[i].name) << strategy;
+      if (a[i].name.rfind("wall_", 0) == 0) {
+        continue;  // machine-dependent
+      }
+      EXPECT_EQ(a[i].value, b[i].value) << strategy << " " << a[i].name;
+      if (a[i].name == "oracle_violations") {
+        has_violation_metric = true;
+        EXPECT_EQ(a[i].value, 0.0) << strategy;
+      }
+    }
+    EXPECT_TRUE(has_violation_metric) << strategy;
+  }
 }
 
 TEST(FleetOracleTest, QuiescenceHelpersGateTheConvergenceCheck) {

@@ -284,30 +284,43 @@ TEST(StrategyRegistryTest, BuiltinListsTheZooInRegistrationOrder) {
 
 TEST(StrategyRegistryTest, MetadataFlagsMatchTheZoo) {
   const StrategyRegistry& registry = StrategyRegistry::Builtin();
-  EXPECT_TRUE(registry.Find("odyssey")->audited);
-  EXPECT_FALSE(registry.Find("odyssey")->admission);
-  EXPECT_FALSE(registry.Find("laissez-faire")->audited);
-  EXPECT_FALSE(registry.Find("blind-optimism")->audited);
-  EXPECT_TRUE(registry.Find("congestion-manager")->audited);
-  EXPECT_TRUE(registry.Find("admission-broker")->audited);
-  EXPECT_TRUE(registry.Find("admission-broker")->admission);
+  EXPECT_EQ(registry.Find("odyssey")->label, "odyssey");
+  EXPECT_EQ(registry.Find("laissez-faire")->label, "laissez");
+  EXPECT_EQ(registry.Find("blind-optimism")->label, "blind");
+  EXPECT_EQ(registry.Find("congestion-manager")->label, "cm");
+  EXPECT_EQ(registry.Find("admission-broker")->label, "broker");
+
 }
 
 TEST(StrategyRegistryTest, CreateBuildsEveryRegisteredStrategy) {
+  // Capabilities live on the built object: the centralized family exposes
+  // an audit surface, and only the broker arbitrates registrations.
+  struct Expected {
+    std::string name;
+    bool audit_surface;
+    bool arbitrates;
+  };
+  const std::vector<Expected> expected = {
+      {"odyssey", true, false},
+      {"laissez-faire", false, false},
+      {"blind-optimism", false, false},
+      {"congestion-manager", true, false},
+      {"admission-broker", true, true},
+  };
+  ASSERT_EQ(StrategyRegistry::Builtin().Names().size(), expected.size());
   Simulation sim(3);
   Link link(&sim, 120.0 * kKb, 10500);
   Modulator modulator(&sim, &link);
-  for (const std::string& name : StrategyRegistry::Builtin().Names()) {
+  for (const Expected& entry : expected) {
     StrategyContext context;
     context.sim = &sim;
     context.modulator = &modulator;
     const std::unique_ptr<BandwidthStrategy> strategy =
-        StrategyRegistry::Builtin().Create(name, std::move(context));
-    ASSERT_NE(strategy, nullptr) << name;
-    EXPECT_EQ(strategy->name(), name);
-    const StrategyInfo* info = StrategyRegistry::Builtin().Find(name);
-    EXPECT_EQ(strategy->audit_surface() != nullptr, info->audited) << name;
-    EXPECT_EQ(strategy->arbitration() != nullptr, info->admission) << name;
+        StrategyRegistry::Builtin().Create(entry.name, std::move(context));
+    ASSERT_NE(strategy, nullptr) << entry.name;
+    EXPECT_EQ(strategy->name(), entry.name);
+    EXPECT_EQ(strategy->audit_surface() != nullptr, entry.audit_surface) << entry.name;
+    EXPECT_EQ(strategy->arbitration() != nullptr, entry.arbitrates) << entry.name;
   }
 }
 

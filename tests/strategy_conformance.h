@@ -232,9 +232,11 @@ class ConformanceRig {
   Simulation sim_;
   Link link_;
   Modulator modulator_;
+  // Declared before the viceroy so they outlive it: the strategy's
+  // destructor unsubscribes from every attached endpoint's log.
+  std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::unique_ptr<Viceroy> viceroy_;
   BandwidthStrategy* strategy_ = nullptr;
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::map<AppId, uint64_t> upcalls_by_app_;
 };
 

@@ -1,7 +1,9 @@
 // The strategy-conformance suite: every strategy in the builtin registry,
 // through the same kit (strategy_conformance.h), under the same assertions.
 //
-// A strategy earns its registry entry by passing this suite unmodified:
+// A strategy earns its registry entry by passing this suite unmodified.
+// Audited means the built strategy exposes an audit surface
+// (audit_surface() non-null), which is what arms the supply oracles:
 //   * the shared workload runs clean under the full oracle set (for audited
 //     strategies that includes the fair-share floor and supply audits),
 //   * reruns are bit-identical (every upcall, every sampled double),
@@ -35,6 +37,8 @@ class StrategyConformanceTest : public ::testing::TestWithParam<std::string> {
     EXPECT_NE(info, nullptr);
     return *info;
   }
+
+  bool Audited() const { return ConformanceRig(GetParam()).strategy().audit_surface() != nullptr; }
 };
 
 // Gtest test names cannot contain '-'.
@@ -85,7 +89,7 @@ TEST_P(StrategyConformanceTest, RerunsAreBitIdentical) {
 }
 
 TEST_P(StrategyConformanceTest, DegenerateInputMatchesSeedStrategy) {
-  if (!Info().audited) {
+  if (!Audited()) {
     GTEST_SKIP() << GetParam() << " defines its own isolated estimates; equivalence to the "
                  << "centralized arbiter is not part of its contract";
   }
@@ -106,12 +110,12 @@ TEST_P(StrategyConformanceTest, DegenerateInputMatchesSeedStrategy) {
 }
 
 TEST_P(StrategyConformanceTest, FairShareFloorForAdmittedFlows) {
-  if (!Info().audited) {
-    GTEST_SKIP() << GetParam() << " runs un-audited: no shared supply to divide";
-  }
   // Four apps, one flow each, identical traffic: every admitted flow must
   // keep at least (roughly) its fair share of the shared estimate.
   ConformanceRig rig(GetParam());
+  if (rig.strategy().audit_surface() == nullptr) {
+    GTEST_SKIP() << GetParam() << " runs un-audited: no shared supply to divide";
+  }
   std::vector<AppId> apps;
   for (int i = 0; i < 4; ++i) {
     apps.push_back(rig.AddApp("app" + std::to_string(i), "server" + std::to_string(i) + ":0"));
@@ -152,15 +156,22 @@ TEST_P(StrategyConformanceTest, UpcallDeliveredWithoutCancel) {
 TEST_P(StrategyConformanceTest, RegistryMetadataMatchesBehavior) {
   ConformanceRig rig(GetParam());
   EXPECT_EQ(rig.strategy().name(), Info().name);
-  EXPECT_EQ(rig.strategy().audit_surface() != nullptr, Info().audited);
-  EXPECT_EQ(rig.strategy().arbitration() != nullptr, Info().admission);
+  EXPECT_FALSE(Info().summary.empty());
+  // The label names this strategy's scenario variants, so it must be
+  // non-empty and no other entry may share it.
+  ASSERT_FALSE(Info().label.empty());
+  for (const std::string& other : StrategyRegistry::Builtin().Names()) {
+    if (other != GetParam()) {
+      EXPECT_NE(StrategyRegistry::Builtin().Find(other)->label, Info().label) << other;
+    }
+  }
 }
 
 TEST_P(StrategyConformanceTest, RejectRegistersNothingAndDeliversNoUpcalls) {
-  if (!Info().admission) {
+  ConformanceRig rig(GetParam());
+  if (rig.strategy().arbitration() == nullptr) {
     GTEST_SKIP() << GetParam() << " does not admission-control";
   }
-  ConformanceRig rig(GetParam());
   const AppId greedy = rig.AddApp("greedy", "server:0");
   const AppId late = rig.AddApp("late", "server:1");
   rig.Stimulate(100.0 * 1024.0);
