@@ -85,7 +85,7 @@ void RunPageSection() {
     std::vector<double> low_s;
     for (int trial = 0; trial < kPaperTrials; ++trial) {
       for (const double bandwidth : {kHighBandwidth, kLowBandwidth}) {
-        ExperimentRig rig(static_cast<uint64_t>(trial + 1), StrategyKind::kOdyssey);
+        ExperimentRig rig(static_cast<uint64_t>(trial + 1), "odyssey");
         rig.sim().set_trace(g_trace_session->ClaimRecorderOnce());
         rig.distillation_server().PublishPage("http://origin/guide.html", 6.0 * kKb,
                                               {22.0 * kKb, 11.0 * kKb, 44.0 * kKb});
@@ -133,7 +133,7 @@ void RunVocabularySection() {
     std::vector<double> achieved;
     int vocabulary = 0;
     for (int trial = 0; trial < kPaperTrials; ++trial) {
-      ExperimentRig rig(static_cast<uint64_t>(trial + 1), StrategyKind::kOdyssey);
+      ExperimentRig rig(static_cast<uint64_t>(trial + 1), "odyssey");
       rig.sim().set_trace(g_trace_session->ClaimRecorderOnce());
       const AppId app = rig.client().RegisterApplication("speech");
       rig.Replay(MakeConstant(kLowBandwidth, 5 * kMinute), /*prime=*/false);
@@ -175,7 +175,7 @@ void RunResourceSection() {
   Table table({"trial", "MB moved", "battery left min", "money left cents",
                "battery upcall", "money upcall"});
   for (int trial = 0; trial < kPaperTrials; ++trial) {
-    ExperimentRig rig(static_cast<uint64_t>(trial + 1), StrategyKind::kOdyssey);
+    ExperimentRig rig(static_cast<uint64_t>(trial + 1), "odyssey");
     rig.sim().set_trace(g_trace_session->ClaimRecorderOnce());
     BatteryModel::Config battery_config;
     battery_config.capacity_minutes = 60.0;
@@ -242,7 +242,7 @@ void RunTelemetrySection() {
     std::vector<double> staleness;
     std::vector<double> lag;
     for (int trial = 0; trial < kPaperTrials; ++trial) {
-      ExperimentRig rig(static_cast<uint64_t>(trial + 1), StrategyKind::kOdyssey);
+      ExperimentRig rig(static_cast<uint64_t>(trial + 1), "odyssey");
       rig.sim().set_trace(g_trace_session->ClaimRecorderOnce());
       TelemetryServer telemetry(&rig.sim());
       telemetry.CreateFeed("stocks/ACME", 100 * kMillisecond, 100.0, 0.05);

@@ -9,6 +9,7 @@
 // speech seconds — mean (stddev) of five trials.
 
 #include <iostream>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/metrics/scenarios.h"
@@ -27,7 +28,7 @@ struct StrategyResult {
   std::vector<double> speech_seconds;
 };
 
-StrategyResult RunStrategy(StrategyKind strategy) {
+StrategyResult RunStrategy(const char* strategy) {
   StrategyResult result;
   for (int trial = 0; trial < kPaperTrials; ++trial) {
     const ConcurrentTrialResult outcome =
@@ -61,10 +62,13 @@ int main(int argc, char** argv) {
 
   Table table({"Strategy", "Video drops", "Video fidelity", "Web s", "Web fidelity",
                "Speech s"});
-  for (const StrategyKind strategy :
-       {StrategyKind::kOdyssey, StrategyKind::kLaissezFaire, StrategyKind::kBlindOptimism}) {
+  // StrategyRegistry name, display name.
+  const std::pair<const char*, const char*> strategies[] = {{"odyssey", "Odyssey"},
+                                                            {"laissez-faire", "Laissez-Faire"},
+                                                            {"blind-optimism", "Blind-Optimism"}};
+  for (const auto& [strategy, display] : strategies) {
     const StrategyResult result = RunStrategy(strategy);
-    table.AddRow({StrategyKindName(strategy), MeanStd(result.video_drops, 1),
+    table.AddRow({display, MeanStd(result.video_drops, 1),
                   MeanStd(result.video_fidelity, 2), MeanStd(result.web_seconds, 2),
                   MeanStd(result.web_fidelity, 2), MeanStd(result.speech_seconds, 2)});
   }

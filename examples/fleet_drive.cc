@@ -5,32 +5,30 @@
 // view of it go stale, the survivor's per-client share widen, and the
 // views re-converge once B is back on the air.
 //
-// The example prints one line per second — each node's merged server view,
-// the clamp it implies, and what its application is actually granted — plus
-// every adaptation upcall.  Pass --trace-out=<path> to export a
-// chrome://tracing-viewable trace of the whole run.
+// Both nodes are built through the same Fleet as the tier_fleet campaign,
+// with every node and fleet oracle armed.  The example prints one line per
+// second — each node's merged server view, the clamp it implies, and what
+// its application is actually granted — plus every adaptation upcall, and
+// ends with the oracles' violation count; it exits 1 if any fired.  Pass
+// --trace-out=<path> to export a chrome://tracing-viewable trace of the
+// whole run.
 //
 //   $ ./fleet_drive
 //   $ ./fleet_drive --trace-out=fleet.json
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/check/tracking_window.h"
 #include "src/core/object_namespace.h"
-#include "src/core/odyssey_client.h"
 #include "src/core/resource.h"
-#include "src/fleet/fleet_aggregator.h"
-#include "src/fleet/fleet_dispatcher.h"
-#include "src/fleet/fleet_supply_model.h"
-#include "src/metrics/experiment.h"
-#include "src/net/fault_injector.h"
-#include "src/net/link.h"
-#include "src/net/modulator.h"
+#include "src/fleet/fleet_node.h"
 #include "src/servers/file_server.h"
-#include "src/strategies/centralized.h"
 #include "src/trace/trace_session.h"
 #include "src/tracemod/replay_trace.h"
 #include "src/wardens/file_warden.h"
@@ -40,39 +38,18 @@ using namespace odyssey;
 namespace {
 
 constexpr Duration kHorizon = 12 * kSecond;
+constexpr Duration kDrainGrace = 2 * kSecond;
 constexpr Duration kFeedPeriod = 100 * kMillisecond;
+constexpr Duration kOraclePeriod = 100 * kMillisecond;
 
-// One client node: its link, its aggregator, its fleet-arbitrating
-// strategy, and one adaptive application holding a window of tolerance.
-struct DriveNode {
+// A node's one adaptive application, holding a tracking window.
+struct Viewer {
   const char* tag = "?";
-  ReplayTrace waveform;
-  std::unique_ptr<Link> link;
-  std::unique_ptr<Modulator> modulator;
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<FleetAggregator> aggregator;
-  FleetSupplyModel* model = nullptr;  // owned by the strategy
-  std::unique_ptr<OdysseyClient> client;
-  AppId app = 0;
+  TrackedApp app;
   Endpoint* endpoint = nullptr;
+  std::unique_ptr<WindowTracker> windows;
   uint64_t tick = 0;
 };
-
-void RegisterWindow(Simulation* sim, DriveNode* node, double level) {
-  ResourceDescriptor descriptor;
-  descriptor.resource = ResourceId::kNetworkBandwidth;
-  descriptor.lower = level * 0.7;
-  descriptor.upper = std::max(level * 1.3, descriptor.lower + 1.0);
-  descriptor.handler = [sim, node](RequestId, ResourceId, double new_level) {
-    std::printf("%6.1fs  %s: upcall -- level now %5.0f KB/s, re-registering window\n",
-                DurationToSeconds(sim->now()), node->tag, new_level / 1024.0);
-    RegisterWindow(sim, node, new_level);
-  };
-  const RequestResult result = node->client->Request(node->app, descriptor);
-  if (!result.status_ok) {
-    RegisterWindow(sim, node, result.current_level);
-  }
-}
 
 }  // namespace
 
@@ -85,62 +62,49 @@ int main(int argc, char** argv) {
 
   FileServer server(&sim.rng());
   server.Publish("doc/0", 32.0 * 1024.0);
-  FleetDispatcher dispatcher(&sim);
+  // One server group: every connection either node opens maps to the
+  // shared server.
+  Fleet fleet(&sim, kSeed, "odyssey", /*servers=*/1);
 
-  std::vector<std::unique_ptr<DriveNode>> nodes;
+  Viewer viewers[2];
   for (int i = 0; i < 2; ++i) {
-    auto node = std::make_unique<DriveNode>();
-    node->tag = (i == 0) ? "nodeA" : "nodeB";
+    auto node = std::make_unique<FleetNode>();
     // Node A holds a steady 160 KB/s; node B's 96 KB/s link dies for two
     // seconds mid-run ([4s, 6s)), taking its fleet traffic with it.
     if (i == 0) {
       node->waveform.Append(kHorizon, 160.0 * 1024.0, 10 * kMillisecond);
     } else {
       node->waveform.Append(kHorizon, 96.0 * 1024.0, 15 * kMillisecond);
+      node->plan.WithSeed(7).WithOutage(4 * kSecond, 2 * kSecond);
     }
+    node->scenario = MirrorScenario(node->waveform, kHorizon, kSeed);
     const TraceSegment first = node->waveform.At(0);
-    node->link = std::make_unique<Link>(&sim, first.bandwidth_bps, first.latency);
-    node->modulator = std::make_unique<Modulator>(&sim, node->link.get());
-    node->injector = std::make_unique<FaultInjector>(&sim, node->link.get());
-    if (i == 1) {
-      FaultPlan plan;
-      plan.WithSeed(7).WithOutage(4 * kSecond, 2 * kSecond);
-      node->injector->Arm(plan);
-    }
-    node->aggregator = std::make_unique<FleetAggregator>(&sim, &dispatcher,
-                                                         static_cast<FleetNodeId>(i), kSeed);
+    std::vector<std::unique_ptr<Warden>> wardens;
+    wardens.push_back(std::make_unique<FileWarden>(&server));
+    FleetNode* built = fleet.AddNode(std::move(node), first, std::move(wardens));
 
-    auto model = std::make_unique<FleetSupplyModel>(node->aggregator.get());
-    node->model = model.get();
-    node->client = std::make_unique<OdysseyClient>(
-        &sim, node->link.get(),
-        std::make_unique<CentralizedStrategy>(&sim, std::move(model)), kUpcallLatency);
-
-    // Every connection the client opens is bound to its server group; both
-    // nodes' apps land on the single shared server (group 0).
-    FleetSupplyModel* raw_model = node->model;
-    node->client->set_connection_observer(
-        [raw_model](Endpoint* endpoint, const std::string&) {
-          raw_model->MapConnection(endpoint->id(), 0);
-        });
-    node->aggregator->set_report_source(  // ody_lint: owned-capture
-        [raw_model, &sim] { return raw_model->LocalReports(sim.now()); });
-
-    node->client->InstallWarden(std::make_unique<FileWarden>(&server));
-    node->client->set_fault_injector(node->injector.get());
-
-    node->app = node->client->RegisterApplication(std::string("viewer-") + node->tag);
-    node->endpoint = node->client->OpenConnection(node->app, "fleet-s0");
-    nodes.push_back(std::move(node));
+    Viewer& viewer = viewers[i];
+    viewer.tag = i == 0 ? "nodeA" : "nodeB";
+    viewer.app.id = built->client->RegisterApplication(std::string("viewer-") + viewer.tag);
+    viewer.endpoint = built->client->OpenConnection(viewer.app.id, "fleet-s0");
+    viewer.windows =
+        std::make_unique<WindowTracker>(&built->client->viceroy(), built->oracle.get());
   }
+  fleet.Connect();
 
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    FleetAggregator* aggregator = nodes[i]->aggregator.get();
-    dispatcher.RegisterNode(static_cast<FleetNodeId>(i), &nodes[i]->waveform,
-                            nodes[i]->injector.get(),
-                            [aggregator](const FleetMessage& message) {  // ody_lint: owned-capture
-                              aggregator->OnMessage(message);
-                            });
+  // The narration of each upcall rides the delivery observer, beside the
+  // oracle's audit of it.
+  for (size_t i = 0; i < fleet.nodes().size(); ++i) {
+    FleetNode* node = fleet.nodes()[i].get();
+    const char* tag = viewers[i].tag;
+    Simulation* clock = &sim;
+    node->client->viceroy().upcalls().set_delivery_observer(
+        [node, tag, clock](AppId app, uint64_t seq, RequestId request, ResourceId resource,
+                           double level, Time posted_at) {
+          std::printf("%6.1fs  %s: upcall -- level now %5.0f KB/s, re-registering window\n",
+                      DurationToSeconds(clock->now()), tag, level / 1024.0);
+          node->oracle->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
+        });
   }
 
   std::printf("fleet_drive: 2 clients, 1 shared server; nodeB outage [4s, 6s)\n\n");
@@ -151,14 +115,16 @@ int main(int argc, char** argv) {
     if (sim.now() >= kHorizon) {
       return;
     }
-    for (auto& node : nodes) {
-      const double rate = node->waveform.BandwidthAt(sim.now());
-      node->endpoint->log().RecordThroughput(sim.now(), rate * DurationToSeconds(kFeedPeriod),
-                                             kFeedPeriod);
-      if (node->tick % 10 == 0) {
-        node->endpoint->log().RecordRoundTrip(sim.now(), node->waveform.At(sim.now()).latency);
+    for (size_t i = 0; i < fleet.nodes().size(); ++i) {
+      const ReplayTrace& waveform = fleet.nodes()[i]->waveform;
+      Viewer& viewer = viewers[i];
+      const double rate = waveform.BandwidthAt(sim.now());
+      viewer.endpoint->log().RecordThroughput(sim.now(), rate * DurationToSeconds(kFeedPeriod),
+                                              kFeedPeriod);
+      if (viewer.tick % 10 == 0) {
+        viewer.endpoint->log().RecordRoundTrip(sim.now(), waveform.At(sim.now()).latency);
       }
-      ++node->tick;
+      ++viewer.tick;
     }
     sim.Post(kFeedPeriod, feed);
   };
@@ -169,9 +135,10 @@ int main(int argc, char** argv) {
     if (sim.now() >= kHorizon) {
       return;
     }
-    for (auto& node : nodes) {
-      node->client->Read(node->app, std::string(kOdysseyRoot) + "files/doc/0",
-                         [](Status, std::string) {});
+    for (size_t i = 0; i < fleet.nodes().size(); ++i) {
+      fleet.nodes()[i]->client->Read(viewers[i].app.id,
+                                     std::string(kOdysseyRoot) + "files/doc/0",
+                                     [](Status, std::string) {});
     }
     sim.Post(1 * kSecond, sweep);
   };
@@ -180,19 +147,22 @@ int main(int argc, char** argv) {
   // per-client cap the clamp derives from it.
   std::function<void()> report = [&] {
     const Time now = sim.now();
-    for (auto& node : nodes) {
-      const FleetAggregator::ServerView view = node->aggregator->ViewOf(0, now);
-      const double cap = node->model->ServerCapFor(0, now);
-      const double level = node->client->CurrentLevel(node->app, ResourceId::kNetworkBandwidth);
+    for (size_t i = 0; i < fleet.nodes().size(); ++i) {
+      const FleetNode& node = *fleet.nodes()[i];
+      const Viewer& viewer = viewers[i];
+      const FleetAggregator::ServerView view = node.aggregator->ViewOf(0, now);
+      const double cap = node.model->ServerCapFor(0, now);
+      const double level =
+          node.client->CurrentLevel(viewer.app.id, ResourceId::kNetworkBandwidth);
       if (view.valid) {
         std::printf(
             "%6.1fs  %s: server view %5.0f KB/s from %d node(s), %d active -> cap %5.0f KB/s, "
             "app granted %5.0f KB/s\n",
-            DurationToSeconds(now), node->tag, view.supply_bps / 1024.0, view.reporting,
+            DurationToSeconds(now), viewer.tag, view.supply_bps / 1024.0, view.reporting,
             view.active_clients, cap / 1024.0, level / 1024.0);
       } else {
         std::printf("%6.1fs  %s: no server view yet, app granted %5.0f KB/s\n",
-                    DurationToSeconds(now), node->tag, level / 1024.0);
+                    DurationToSeconds(now), viewer.tag, level / 1024.0);
       }
     }
     if (now < kHorizon) {
@@ -200,38 +170,63 @@ int main(int argc, char** argv) {
     }
   };
 
+  std::function<void()> sample = [&] {
+    fleet.SampleOracles();
+    if (sim.now() < kHorizon) {
+      sim.Post(kOraclePeriod, sample);
+    }
+  };
+
   sim.PostAt(4 * kSecond, [] { std::printf("\n   --- nodeB enters its outage ---\n\n"); });
   sim.PostAt(6 * kSecond, [] { std::printf("\n   --- nodeB back on the air ---\n\n"); });
 
-  for (auto& node : nodes) {
-    node->modulator->Replay(node->waveform);
-    node->aggregator->StopAt(kHorizon);
-    node->aggregator->Start();
-    RegisterWindow(&sim, node.get(),
-                   node->client->CurrentLevel(node->app, ResourceId::kNetworkBandwidth));
+  for (size_t i = 0; i < fleet.nodes().size(); ++i) {
+    FleetNode& node = *fleet.nodes()[i];
+    node.modulator->Replay(node.waveform);
+    node.aggregator->StopAt(kHorizon);
+    node.aggregator->Start();
+    viewers[i].windows->Register(
+        &viewers[i].app,
+        node.client->CurrentLevel(viewers[i].app.id, ResourceId::kNetworkBandwidth));
   }
   sim.Post(kFeedPeriod, feed);
   sim.Post(1 * kSecond, sweep);
   sim.Post(1 * kSecond, report);
+  sim.Post(kOraclePeriod, sample);
   sim.RunUntil(kHorizon);
 
-  const FleetAggregator::ServerView a = nodes[0]->aggregator->ViewOf(0, sim.now());
-  const FleetAggregator::ServerView b = nodes[1]->aggregator->ViewOf(0, sim.now());
+  const FleetAggregator::ServerView a = fleet.nodes()[0]->aggregator->ViewOf(0, sim.now());
+  const FleetAggregator::ServerView b = fleet.nodes()[1]->aggregator->ViewOf(0, sim.now());
   const double hi = std::max(a.supply_bps, b.supply_bps);
   const double spread = hi > 0.0 ? (hi - std::min(a.supply_bps, b.supply_bps)) / hi : 0.0;
+
+  // The drain tail: queued upcalls deliver before the oracles' final audit.
+  sim.RunUntil(kHorizon + kDrainGrace);
+  fleet.Finish(kHorizon, kHorizon + kDrainGrace);
+  uint64_t violations = fleet.oracle().violation_count();
+  std::string details = FormatViolations(fleet.oracle().violations());
+  for (const auto& node : fleet.nodes()) {
+    violations += node->oracle->violation_count();
+    details += FormatViolations(node->oracle->violations());
+  }
+
+  const FleetDispatcher& dispatcher = fleet.dispatcher();
   std::printf("\n--- drive complete ---\n");
   std::printf("fleet messages: %llu sent, %llu delivered, %llu dropped\n",
               static_cast<unsigned long long>(dispatcher.messages_sent()),
               static_cast<unsigned long long>(dispatcher.messages_delivered()),
               static_cast<unsigned long long>(dispatcher.messages_dropped()));
   std::printf("reports broadcast: nodeA %llu, nodeB %llu\n",
-              static_cast<unsigned long long>(nodes[0]->aggregator->reports_broadcast()),
-              static_cast<unsigned long long>(nodes[1]->aggregator->reports_broadcast()));
+              static_cast<unsigned long long>(fleet.nodes()[0]->aggregator->reports_broadcast()),
+              static_cast<unsigned long long>(fleet.nodes()[1]->aggregator->reports_broadcast()));
   std::printf("final view spread: %.2f%% (views re-converged after the outage)\n",
               spread * 100.0);
+  std::printf("oracle violations: %llu\n%s", static_cast<unsigned long long>(violations),
+              details.c_str());
   std::printf(
       "\nEach node bounded its own claim by the fleet's merged estimate of\n"
       "the shared server -- the per-server fair share the tier_fleet\n"
       "campaign's oracles audit (DESIGN.md SS15).\n");
-  return trace_session.ExportOrWarn() ? 0 : 1;
+  const bool exported = trace_session.ExportOrWarn();
+  return exported && violations == 0 ? 0 : 1;
 }

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   // One mobile client whose link replays a Step-Down waveform: 120 KB/s for
   // 30 s, then 40 KB/s.  ExperimentRig bundles the simulation, the link,
   // the viceroy (centralized strategy), the wardens, and the servers.
-  ExperimentRig rig(/*seed=*/1, StrategyKind::kOdyssey);
+  ExperimentRig rig(/*seed=*/1, "odyssey");
   rig.sim().set_trace(trace_session.recorder());
   rig.Replay(MakeStepDown(), /*prime=*/false);
 

@@ -1,6 +1,6 @@
-// The per-application fuzz driver and the scenario->rig translation
-// helpers, shared between the single-node runner (fuzz_runner.cc) and the
-// fleet runner (src/fleet/fleet_fuzz.cc).
+// The per-application fuzz driver, the fuzz rig's servers and the
+// scenario->rig translation helpers, shared between the single-node runner
+// (fuzz_runner.cc) and the fleet runner (src/fleet/fleet_fuzz.cc).
 //
 // A FuzzDriver drives one fuzzed application: registers it, executes its op
 // schedule at the scheduled virtual times, and keeps upcall traffic flowing
@@ -11,13 +11,18 @@
 #ifndef SRC_CHECK_FUZZ_DRIVER_H_
 #define SRC_CHECK_FUZZ_DRIVER_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/check/fuzz_runner.h"
 #include "src/check/fuzz_scenario.h"
 #include "src/check/oracles.h"
 #include "src/core/odyssey_client.h"
+#include "src/core/warden.h"
+#include "src/metrics/experiment.h"
 #include "src/net/fault_injector.h"
+#include "src/servers/file_server.h"
+#include "src/servers/telemetry_server.h"
 #include "src/tracemod/replay_trace.h"
 
 namespace odyssey {
@@ -25,6 +30,22 @@ namespace odyssey {
 // Published objects every scenario can address (variant selects among them).
 inline constexpr int kFuzzFiles = 4;
 inline constexpr char kFuzzFeed[] = "feed0";
+
+// Every server a fuzzed app can reach: the experiment farm, the kFuzzFiles
+// documents and the kFuzzFeed telemetry feed.  Construction draws session
+// jitter and schedules the feed, so each runner builds it at one fixed
+// point of its rig.
+struct FuzzServers {
+  explicit FuzzServers(Simulation* sim);
+
+  // The six wardens, in install order: video, web, speech, bitstream, file,
+  // telemetry.
+  std::vector<std::unique_ptr<Warden>> Wardens();
+
+  ServerFarm farm;
+  FileServer files;
+  TelemetryServer telemetry;
+};
 
 // The scenario's waveform as a replayable modulator trace.
 ReplayTrace BuildTrace(const FuzzScenario& scenario);

@@ -6,23 +6,14 @@
 #include <vector>
 
 #include "src/check/fuzz_driver.h"
-#include "src/core/contract.h"
 #include "src/core/odyssey_client.h"
 #include "src/metrics/experiment.h"
 #include "src/net/fault_injector.h"
 #include "src/net/modulator.h"
 #include "src/servers/calibration.h"
-#include "src/servers/file_server.h"
-#include "src/servers/telemetry_server.h"
 #include "src/strategies/centralized.h"
 #include "src/strategies/strategy_registry.h"
 #include "src/tracemod/replay_trace.h"
-#include "src/wardens/bitstream_warden.h"
-#include "src/wardens/file_warden.h"
-#include "src/wardens/speech_warden.h"
-#include "src/wardens/telemetry_warden.h"
-#include "src/wardens/video_warden.h"
-#include "src/wardens/web_warden.h"
 
 namespace odyssey {
 namespace {
@@ -86,19 +77,7 @@ FuzzRunResult RunFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions
   Modulator modulator(&sim, &link);
   FaultInjector injector(&sim, &link);
 
-  VideoServer video_server(&sim.rng());
-  const Status added =
-      video_server.AddMovie(VideoServer::MakeDefaultMovie(kDefaultMovie, kVideoFramesPerTrial));
-  ODY_ASSERT(added.ok(), "fuzz rig failed to seed the video catalog");
-  DistillationServer distillation_server(&sim.rng());
-  distillation_server.PublishImage(kTestImageUrl, kWebImageBytes);
-  JanusServer janus_server(&sim.rng());
-  FileServer file_server(&sim.rng());
-  for (int i = 0; i < kFuzzFiles; ++i) {
-    file_server.Publish("doc/" + std::to_string(i), (8.0 + 16.0 * i) * 1024.0);
-  }
-  TelemetryServer telemetry_server(&sim);
-  telemetry_server.CreateFeed(kFuzzFeed, 200 * kMillisecond, 100.0, 5.0);
+  FuzzServers servers(&sim);
 
   // The strategy comes from the registry so the fuzz dimension and the
   // conformance kit cover exactly what production scenarios can select.
@@ -118,12 +97,9 @@ FuzzRunResult RunFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions
   if (options.reference_stack) {
     client.viceroy().set_reevaluate_mode(ReevaluateMode::kFullScan);
   }
-  client.InstallWarden(std::make_unique<VideoWarden>(&video_server));
-  client.InstallWarden(std::make_unique<WebWarden>(&distillation_server));
-  client.InstallWarden(std::make_unique<SpeechWarden>(&janus_server));
-  client.InstallWarden(std::make_unique<BitstreamWarden>());
-  client.InstallWarden(std::make_unique<FileWarden>(&file_server));
-  client.InstallWarden(std::make_unique<TelemetryWarden>(&telemetry_server));
+  for (std::unique_ptr<Warden>& warden : servers.Wardens()) {
+    client.InstallWarden(std::move(warden));
+  }
   client.set_retry_policy(RetryPolicy::Default());
   client.set_fault_injector(&injector);
   injector.Arm(BuildFaultPlan(scenario));

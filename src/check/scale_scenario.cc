@@ -11,6 +11,7 @@
 
 #include "src/check/fuzz_scenario.h"
 #include "src/check/oracles.h"
+#include "src/check/tracking_window.h"
 #include "src/core/contract.h"
 #include "src/core/resource.h"
 #include "src/core/viceroy.h"
@@ -78,12 +79,13 @@ class ScaleRig {
         scenario_(SyntheticScenario(params, seed)),
         sim_(seed),
         link_(&sim_, scenario_.segments.front().bandwidth_bps, 10 * kMillisecond),
-        viceroy_(&sim_, MakeStrategy(&sim_, params), kUpcallLatency) {
+        viceroy_(&sim_, MakeStrategy(&sim_, params), kUpcallLatency),
+        strategy_(viceroy_.strategy().audit_surface()),
+        oracle_(scenario_, &sim_, &viceroy_, strategy_, &link_),
+        windows_(&viceroy_, &oracle_) {
     sim_.set_trace(trace);
-    strategy_ = static_cast<CentralizedStrategy*>(&viceroy_.strategy());
     viceroy_.set_reevaluate_mode(params.mode);
-    oracle_ = std::make_unique<OracleSet>(scenario_, &sim_, &viceroy_, strategy_, &link_);
-    oracle_->set_max_audited_connections(params.max_audited_connections);
+    oracle_.set_max_audited_connections(params.max_audited_connections);
   }
 
   TrialMetrics Run() {
@@ -92,11 +94,11 @@ class ScaleRig {
     viceroy_.upcalls().set_delivery_observer(
         [this](AppId app, uint64_t seq, RequestId request, ResourceId resource, double level,
                Time posted_at) {
-          oracle_->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
+          oracle_.OnUpcallDelivered(app, seq, request, resource, level, posted_at);
         });
-    sim_.set_step_observer([this](Time when) { oracle_->OnStep(when); });
+    sim_.set_step_observer([this](Time when) { oracle_.OnStep(when); });
     sim_.set_tie_observer([this](Time when, uint64_t prev_seq, uint64_t seq) {
-      oracle_->OnTieBreak(when, prev_seq, seq);
+      oracle_.OnTieBreak(when, prev_seq, seq);
     });
     sim_.Post(params_.feed_period, [this] { Feed(); });
     sim_.Post(kOraclePeriod, [this] { SampleOracle(); });
@@ -105,17 +107,12 @@ class ScaleRig {
     sim_.set_step_observer({});
     sim_.set_tie_observer({});
     viceroy_.upcalls().set_delivery_observer({});
-    oracle_->Finish();
+    oracle_.Finish();
     const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
     return Metrics(wall.count());
   }
 
  private:
-  struct AppState {
-    AppId id = 0;
-    RequestId request = 0;  // current registration; 0 = none
-  };
-
   static std::unique_ptr<BandwidthStrategy> MakeStrategy(Simulation* sim,
                                                          const ScaleParams& params) {
     return std::make_unique<CentralizedStrategy>(sim, SupplyModelConfig{}, params.kind);
@@ -126,7 +123,7 @@ class ScaleRig {
     apps_.reserve(params_.apps);
     endpoints_.reserve(params_.apps);
     for (int i = 0; i < params_.apps; ++i) {
-      AppState app;
+      TrackedApp app;
       app.id = viceroy_.RegisterApplication("scale" + std::to_string(i));
       endpoints_.push_back(std::make_unique<Endpoint>(&sim_, &link_, "server"));
       viceroy_.AttachConnection(app.id, endpoints_.back().get());
@@ -144,36 +141,8 @@ class ScaleRig {
     for (int i = 0; i < hot; ++i) {
       weights_.push_back(rng.Uniform(0.5, 1.5));
     }
-    for (AppState& app : apps_) {
-      RegisterWindow(&app, viceroy_.CurrentLevel(app.id, ResourceId::kNetworkBandwidth));
-    }
-  }
-
-  // Registers a [0.7x, 1.3x] window around |level| for |app|.  A level that
-  // moved between upcall post and delivery can make the first attempt
-  // out-of-bounds; the retry re-centers on the reported current level, which
-  // by construction the new window contains.
-  void RegisterWindow(AppState* app, double level) {
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      ResourceDescriptor descriptor;
-      descriptor.resource = ResourceId::kNetworkBandwidth;
-      descriptor.lower = level * 0.7;
-      descriptor.upper = std::max(level * 1.3, descriptor.lower + 1.0);
-      descriptor.handler = [this, app](RequestId, ResourceId resource, double new_level) {
-        if (resource != ResourceId::kNetworkBandwidth) {
-          return;
-        }
-        app->request = 0;  // the delivered upcall consumed the registration
-        RegisterWindow(app, new_level);
-      };
-      const RequestResult result = viceroy_.Request(app->id, descriptor);
-      if (result.ok()) {
-        app->request = result.id;
-        ++windows_registered_;
-        oracle_->OnWindowRegistered(app->id, result.id, descriptor.lower, descriptor.upper);
-        return;
-      }
-      level = result.current_level;
+    for (TrackedApp& app : apps_) {
+      windows_.Register(&app, viceroy_.CurrentLevel(app.id, ResourceId::kNetworkBandwidth));
     }
   }
 
@@ -213,7 +182,7 @@ class ScaleRig {
     if (sim_.now() > params_.horizon) {
       return;
     }
-    oracle_->Sample();
+    oracle_.Sample();
     sim_.Post(kOraclePeriod, [this] { SampleOracle(); });
   }
 
@@ -227,15 +196,15 @@ class ScaleRig {
     }
     const int sweep = std::min<int>(params_.cancel_sweep, static_cast<int>(apps_.size()));
     for (int i = 0; i < sweep; ++i) {
-      AppState& app = apps_[cancel_cursor_++ % apps_.size()];
+      TrackedApp& app = apps_[cancel_cursor_++ % apps_.size()];
       if (app.request == 0) {
         continue;
       }
       const RequestId cancelled = app.request;
       if (viceroy_.Cancel(cancelled).ok()) {
-        oracle_->OnWindowCancelled(cancelled);
+        oracle_.OnWindowCancelled(cancelled);
         app.request = 0;
-        RegisterWindow(&app, viceroy_.CurrentLevel(app.id, ResourceId::kNetworkBandwidth));
+        windows_.Register(&app, viceroy_.CurrentLevel(app.id, ResourceId::kNetworkBandwidth));
       }
     }
     sim_.Post(kCancelSweepPeriod, [this] { CancelSweep(); });
@@ -247,7 +216,7 @@ class ScaleRig {
     return TrialMetrics{
         {"sim_events", events, MetricDirection::kEither},
         {"upcalls", static_cast<double>(upcalls.delivered_count()), MetricDirection::kEither},
-        {"windows_registered", static_cast<double>(windows_registered_),
+        {"windows_registered", static_cast<double>(windows_.registered()),
          MetricDirection::kEither},
         {"upcall_latency_mean_ms", upcalls.latency_mean_us() / 1000.0,
          MetricDirection::kLowerIsBetter},
@@ -255,7 +224,7 @@ class ScaleRig {
          MetricDirection::kLowerIsBetter},
         {"model_scan_ops", static_cast<double>(strategy_->supply_model().scan_ops()),
          MetricDirection::kLowerIsBetter},
-        {"oracle_violations", static_cast<double>(oracle_->violation_count()),
+        {"oracle_violations", static_cast<double>(oracle_.violation_count()),
          MetricDirection::kLowerIsBetter},
         // wall_* metrics depend on the machine and are stripped by
         // `ody_bench run --strip-wall-out` before CI's byte comparison.
@@ -275,12 +244,12 @@ class ScaleRig {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::vector<std::unique_ptr<Endpoint>> extra_endpoints_;
   Viceroy viceroy_;
-  CentralizedStrategy* strategy_ = nullptr;
-  std::unique_ptr<OracleSet> oracle_;
-  std::vector<AppState> apps_;
+  CentralizedStrategy* const strategy_;
+  OracleSet oracle_;
+  WindowTracker windows_;
+  std::vector<TrackedApp> apps_;
   std::vector<double> weights_;
   uint64_t tick_ = 0;
-  uint64_t windows_registered_ = 0;
   size_t cancel_cursor_ = 0;
 };
 

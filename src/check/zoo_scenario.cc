@@ -6,6 +6,7 @@
 
 #include "src/check/fuzz_runner.h"
 #include "src/check/fuzz_scenario.h"
+#include "src/check/tracking_window.h"
 #include "src/core/contract.h"
 #include "src/mobility/radio_environment.h"
 #include "src/mobility/waveform_source.h"
@@ -25,14 +26,14 @@ enum class ZooShape { kSupply, kDemand, kConcurrent, kMobility };
 constexpr const char* kShapeNames[] = {"supply", "demand", "concurrent", "mob"};
 
 // A window registration op.  The paper's applications hold windows of
-// tolerance around their current level; these fractions mirror the [0.7x,
-// 1.3x] bands the agility experiments use.
+// tolerance around their current level; these fractions are the tracking
+// window's bands.
 FuzzOp RequestOp(Time at) {
   FuzzOp op;
   op.at = at;
   op.kind = FuzzOpKind::kRequest;
-  op.window_lo_frac = 0.7;
-  op.window_hi_frac = 1.3;
+  op.window_lo_frac = WindowTracker::kLowerFactor;
+  op.window_hi_frac = WindowTracker::kUpperFactor;
   return op;
 }
 

@@ -10,15 +10,7 @@
 #include "src/fleet/fleet_node.h"
 #include "src/metrics/experiment.h"
 #include "src/servers/calibration.h"
-#include "src/servers/file_server.h"
-#include "src/servers/telemetry_server.h"
 #include "src/sim/random.h"
-#include "src/wardens/bitstream_warden.h"
-#include "src/wardens/file_warden.h"
-#include "src/wardens/speech_warden.h"
-#include "src/wardens/telemetry_warden.h"
-#include "src/wardens/video_warden.h"
-#include "src/wardens/web_warden.h"
 
 namespace odyssey {
 
@@ -46,20 +38,8 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
     sim.set_trace(options.trace);
   }
 
-  // One shared server farm, exactly the single-node runner's catalog.
-  VideoServer video_server(&sim.rng());
-  const Status added =
-      video_server.AddMovie(VideoServer::MakeDefaultMovie(kDefaultMovie, kVideoFramesPerTrial));
-  ODY_ASSERT(added.ok(), "fleet fuzz rig failed to seed the video catalog");
-  DistillationServer distillation_server(&sim.rng());
-  distillation_server.PublishImage(kTestImageUrl, kWebImageBytes);
-  JanusServer janus_server(&sim.rng());
-  FileServer file_server(&sim.rng());
-  for (int i = 0; i < kFuzzFiles; ++i) {
-    file_server.Publish("doc/" + std::to_string(i), (8.0 + 16.0 * i) * 1024.0);
-  }
-  TelemetryServer telemetry_server(&sim);
-  telemetry_server.CreateFeed(kFuzzFeed, 200 * kMillisecond, 100.0, 5.0);
+  // One shared set of servers, exactly the single-node runner's.
+  FuzzServers servers(&sim);
 
   // The node's strategy comes from the registry (the scenario's strategy
   // dimension).
@@ -77,16 +57,9 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
                                   ? FuzzSegment{kSecond, kHighBandwidth, kOneWayLatency}
                                   : node->scenario.segments.front();
 
-    std::vector<std::unique_ptr<Warden>> wardens;
-    wardens.push_back(std::make_unique<VideoWarden>(&video_server));
-    wardens.push_back(std::make_unique<WebWarden>(&distillation_server));
-    wardens.push_back(std::make_unique<SpeechWarden>(&janus_server));
-    wardens.push_back(std::make_unique<BitstreamWarden>());
-    wardens.push_back(std::make_unique<FileWarden>(&file_server));
-    wardens.push_back(std::make_unique<TelemetryWarden>(&telemetry_server));
     FleetNode* built = fleet.AddNode(
         std::move(node), TraceSegment{first.duration, first.bandwidth_bps, first.latency},
-        std::move(wardens));
+        servers.Wardens());
     built->client->set_retry_policy(RetryPolicy::Default());
     built->oracle->set_max_audited_connections(options.max_audited_connections);
   }

@@ -33,6 +33,16 @@ FleetServerId ServerGroupOf(const std::string& service, int servers) {
   return static_cast<FleetServerId>(h % static_cast<uint64_t>(servers));
 }
 
+FuzzScenario MirrorScenario(const ReplayTrace& waveform, Duration horizon, uint64_t seed) {
+  FuzzScenario scenario;
+  scenario.seed = seed;
+  scenario.horizon = horizon;
+  for (const TraceSegment& segment : waveform.segments()) {
+    scenario.segments.push_back(FuzzSegment{segment.duration, segment.bandwidth_bps, segment.latency});
+  }
+  return scenario;
+}
+
 Fleet::Fleet(Simulation* sim, uint64_t seed, std::string strategy, int servers)
     : sim_(sim), seed_(seed), strategy_(std::move(strategy)), servers_(servers), dispatcher_(sim) {
   ODY_ASSERT(servers >= 1, "a fleet needs at least one server group");

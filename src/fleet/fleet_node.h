@@ -1,5 +1,6 @@
 // The per-node fleet stack, shared by the tier_fleet campaign
-// (fleet_scenario.cc) and the multi-node fuzz runner (fleet_fuzz.cc).
+// (fleet_scenario.cc), the multi-node fuzz runner (fleet_fuzz.cc) and the
+// fleet_drive example.
 //
 // A fleet node is a full Odyssey client with its own OracleSet plus a
 // FleetAggregator on the fleet's shared bus.  Its strategy is built by
@@ -39,6 +40,11 @@ namespace odyssey {
 // service hashes with FNV-1a 64 (std::hash is implementation-defined and
 // would break cross-platform reproducibility).
 FleetServerId ServerGroupOf(const std::string& service, int servers);
+
+// The FuzzScenario for a node's OracleSet when the node replays |waveform|:
+// its segments mirror the waveform, so the byte-conservation bound is the
+// true capacity integral of that node's link.
+FuzzScenario MirrorScenario(const ReplayTrace& waveform, Duration horizon, uint64_t seed);
 
 // One client node.  Declaration order is destruction order in reverse: the
 // oracle goes first, then the client (which detaches every endpoint from

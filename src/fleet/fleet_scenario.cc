@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/check/fuzz_scenario.h"
+#include "src/check/tracking_window.h"
 #include "src/core/contract.h"
 #include "src/core/resource.h"
 #include "src/fleet/fleet_node.h"
@@ -71,30 +72,16 @@ ReplayTrace NodeWaveform(const FleetParams& params, uint64_t seed, int node) {
   return trace;
 }
 
-// The FuzzScenario handed to each node's OracleSet: segments mirror the
-// node's waveform so the byte-conservation bound is the true capacity
-// integral of that node's link.
-FuzzScenario MirrorScenario(const ReplayTrace& waveform, Duration horizon, uint64_t seed) {
-  FuzzScenario scenario;
-  scenario.seed = seed;
-  scenario.horizon = horizon;
-  for (const TraceSegment& segment : waveform.segments()) {
-    scenario.segments.push_back(FuzzSegment{segment.duration, segment.bandwidth_bps, segment.latency});
-  }
-  return scenario;
-}
-
-struct AppState {
-  AppId id = 0;
-  RequestId request = 0;  // current registration; 0 = none
-  int server = 0;         // server group this app's connection maps to
+struct AppState : TrackedApp {
+  int server = 0;  // server group this app's connection maps to
   Endpoint* endpoint = nullptr;
-  double weight = 1.0;    // synthetic-feed share of the node waveform
+  double weight = 1.0;  // synthetic-feed share of the node waveform
 };
 
 // The campaign's per-node application feed, beside the shared node stack.
 struct NodeFeed {
   FleetNode* node = nullptr;
+  std::unique_ptr<WindowTracker> windows;
   std::vector<AppState> apps;
   uint64_t tick = 0;
 };
@@ -151,6 +138,8 @@ class FleetRig {
     wardens.push_back(std::make_unique<TelemetryWarden>(telemetry_server_.get()));
     NodeFeed feed;
     feed.node = fleet_->AddNode(std::move(node), first, std::move(wardens));
+    feed.windows = std::make_unique<WindowTracker>(&feed.node->client->viceroy(),
+                                                   feed.node->oracle.get());
 
     SplitMix64 mix(seed_ ^ (0x61707073ULL + static_cast<uint64_t>(index)));
     for (int a = 0; a < params_.apps_per_node; ++a) {
@@ -178,8 +167,8 @@ class FleetRig {
       node->aggregator->StopAt(params_.horizon);
       node->aggregator->Start();
       for (AppState& app : feed.apps) {
-        RegisterWindow(node, &app,
-                       node->client->CurrentLevel(app.id, ResourceId::kNetworkBandwidth));
+        feed.windows->Register(&app,
+                               node->client->CurrentLevel(app.id, ResourceId::kNetworkBandwidth));
       }
     }
     sim_.Post(kFeedPeriod, [this] { Feed(); });
@@ -187,30 +176,6 @@ class FleetRig {
     // Fairness sampling skips the first quarter (cold estimators).
     sim_.PostAt(params_.horizon / 4, [this] { SampleFairness(); });
     sim_.Post(kReadPeriod, [this] { ReadSweep(); });
-  }
-
-  void RegisterWindow(FleetNode* node, AppState* app, double level) {
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      ResourceDescriptor descriptor;
-      descriptor.resource = ResourceId::kNetworkBandwidth;
-      descriptor.lower = level * 0.7;
-      descriptor.upper = std::max(level * 1.3, descriptor.lower + 1.0);
-      descriptor.handler = [this, node, app](RequestId, ResourceId resource, double new_level) {
-        if (resource != ResourceId::kNetworkBandwidth) {
-          return;
-        }
-        app->request = 0;  // the delivered upcall consumed the registration
-        RegisterWindow(node, app, new_level);
-      };
-      const RequestResult result = node->client->Request(app->id, descriptor);
-      if (result.ok()) {
-        app->request = result.id;
-        ++windows_registered_;
-        node->oracle->OnWindowRegistered(app->id, result.id, descriptor.lower, descriptor.upper);
-        return;
-      }
-      level = result.current_level;
-    }
   }
 
   // Synthetic passive observations, as in the scale rig: each app's
@@ -308,6 +273,10 @@ class FleetRig {
     double latency_mean_sum = 0.0;
     double latency_max_ms = 0.0;
     uint64_t violations = fleet_->oracle().violation_count();
+    uint64_t windows_registered = 0;
+    for (const NodeFeed& feed : feeds_) {
+      windows_registered += feed.windows->registered();
+    }
     for (const auto& node : fleet_->nodes()) {
       const UpcallDispatcher& dispatcher = node->client->viceroy().upcalls();
       upcalls += static_cast<double>(dispatcher.delivered_count());
@@ -318,7 +287,7 @@ class FleetRig {
     TrialMetrics metrics{
         {"sim_events", events, MetricDirection::kEither},
         {"upcalls", upcalls, MetricDirection::kEither},
-        {"windows_registered", static_cast<double>(windows_registered_),
+        {"windows_registered", static_cast<double>(windows_registered),
          MetricDirection::kEither},
         {"upcall_latency_mean_ms", latency_mean_sum / static_cast<double>(feeds_.size()),
          MetricDirection::kLowerIsBetter},
@@ -368,7 +337,6 @@ class FleetRig {
   std::vector<NodeFeed> feeds_;
   // Indexed by server group; the rig caps servers well below this.
   FairnessStats fairness_[8] = {};
-  uint64_t windows_registered_ = 0;
 };
 
 }  // namespace
@@ -413,12 +381,11 @@ CampaignSpec FleetCampaign() {
       "fleet sharing: per-server fairness, overclaim and aggregation convergence for N in "
       "{2, 8, 32, 128} nodes under centralized, laissez-faire and blind-optimism management";
   const auto sweep = [&spec](int nodes, int trials) {
+    const std::string count = std::to_string(nodes);
     for (const char* strategy : {"odyssey", "laissez", "blind"}) {
       for (const char* wave : {"fixed", "mob"}) {
-        spec.sweeps.push_back(SweepSpec{
-            "fleet_share",
-            {"n" + std::to_string(nodes) + "_" + std::string(strategy) + "_" + wave},
-            trials});
+        spec.sweeps.push_back(
+            SweepSpec{"fleet_share", {"n" + count + "_" + strategy + "_" + wave}, trials});
       }
     }
   };

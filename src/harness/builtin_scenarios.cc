@@ -206,10 +206,11 @@ void RegisterConcurrent(ScenarioRegistry* registry) {
   scenario.name = "fig14_concurrent";
   scenario.description =
       "Figure 14: video+web+speech over the urban trace per resource strategy";
-  const std::pair<const char*, StrategyKind> strategies[] = {
-      {"odyssey", StrategyKind::kOdyssey},
-      {"laissez_faire", StrategyKind::kLaissezFaire},
-      {"blind_optimism", StrategyKind::kBlindOptimism}};
+  // Variant name, StrategyRegistry name.
+  const std::pair<const char*, const char*> strategies[] = {
+      {"odyssey", "odyssey"},
+      {"laissez_faire", "laissez-faire"},
+      {"blind_optimism", "blind-optimism"}};
   for (const auto& [name, strategy] : strategies) {
     scenario.variants.push_back(
         {name, [strategy = strategy](uint64_t seed, TraceRecorder* trace) {

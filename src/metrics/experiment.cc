@@ -4,73 +4,41 @@
 
 #include "src/core/contract.h"
 #include "src/servers/calibration.h"
+#include "src/strategies/strategy_registry.h"
 
 namespace odyssey {
 
-const char* StrategyKindName(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kOdyssey:
-      return "Odyssey";
-    case StrategyKind::kLaissezFaire:
-      return "Laissez-Faire";
-    case StrategyKind::kBlindOptimism:
-      return "Blind-Optimism";
-    case StrategyKind::kCongestionManager:
-      return "Congestion-Manager";
-    case StrategyKind::kAdmissionBroker:
-      return "Admission-Broker";
-  }
-  return "Unknown";
+ServerFarm::ServerFarm(Rng* rng) : video(rng), distillation(rng), janus(rng) {
+  // The farm is freshly constructed, so the catalog cannot already hold the
+  // default movie; a failure here would invalidate every trial.
+  const Status added =
+      video.AddMovie(VideoServer::MakeDefaultMovie(kDefaultMovie, kVideoFramesPerTrial));
+  ODY_ASSERT(added.ok(), "server farm failed to seed the video catalog");
+  distillation.PublishImage(kTestImageUrl, kWebImageBytes);
 }
 
-ExperimentRig::ExperimentRig(uint64_t seed, StrategyKind strategy)
+std::vector<std::unique_ptr<Warden>> ServerFarm::Wardens() {
+  std::vector<std::unique_ptr<Warden>> wardens;
+  wardens.push_back(std::make_unique<VideoWarden>(&video));
+  wardens.push_back(std::make_unique<WebWarden>(&distillation));
+  wardens.push_back(std::make_unique<SpeechWarden>(&janus));
+  return wardens;
+}
+
+ExperimentRig::ExperimentRig(uint64_t seed, const std::string& strategy)
     : sim_(seed),
       link_(&sim_, kHighBandwidth, kOneWayLatency),
       modulator_(&sim_, &link_),
-      strategy_kind_(strategy),
-      video_server_(&sim_.rng()),
-      distillation_server_(&sim_.rng()) ,
-      janus_server_(&sim_.rng()) {
-  std::unique_ptr<BandwidthStrategy> bandwidth_strategy;
-  switch (strategy) {
-    case StrategyKind::kOdyssey: {
-      auto centralized = std::make_unique<CentralizedStrategy>(&sim_);
-      centralized_ = centralized.get();
-      bandwidth_strategy = std::move(centralized);
-      break;
-    }
-    case StrategyKind::kLaissezFaire:
-      bandwidth_strategy = std::make_unique<LaissezFaireStrategy>();
-      break;
-    case StrategyKind::kBlindOptimism:
-      bandwidth_strategy = std::make_unique<BlindOptimismStrategy>(&modulator_);
-      break;
-    case StrategyKind::kCongestionManager: {
-      auto cm = std::make_unique<CongestionManagerStrategy>(&sim_);
-      centralized_ = cm.get();
-      bandwidth_strategy = std::move(cm);
-      break;
-    }
-    case StrategyKind::kAdmissionBroker: {
-      auto inner = std::make_unique<CentralizedStrategy>(&sim_);
-      centralized_ = inner.get();
-      bandwidth_strategy = std::make_unique<AdmissionBrokerStrategy>(&sim_, std::move(inner));
-      break;
-    }
+      farm_(&sim_.rng()) {
+  StrategyContext context;
+  context.sim = &sim_;
+  context.modulator = &modulator_;
+  client_ = std::make_unique<OdysseyClient>(
+      &sim_, &link_, StrategyRegistry::Builtin().Create(strategy, std::move(context)),
+      kUpcallLatency);
+  for (std::unique_ptr<Warden>& warden : farm_.Wardens()) {
+    client_->InstallWarden(std::move(warden));
   }
-  client_ = std::make_unique<OdysseyClient>(&sim_, &link_, std::move(bandwidth_strategy),
-                                            kUpcallLatency);
-
-  // The rig is freshly constructed, so the catalog cannot already hold the
-  // default movie; a failure here would invalidate every trial.
-  const Status added =
-      video_server_.AddMovie(VideoServer::MakeDefaultMovie(kDefaultMovie, kVideoFramesPerTrial));
-  ODY_ASSERT(added.ok(), "experiment rig failed to seed the video catalog");
-  distillation_server_.PublishImage(kTestImageUrl, kWebImageBytes);
-
-  client_->InstallWarden(std::make_unique<VideoWarden>(&video_server_));
-  client_->InstallWarden(std::make_unique<WebWarden>(&distillation_server_));
-  client_->InstallWarden(std::make_unique<SpeechWarden>(&janus_server_));
   client_->InstallWarden(std::make_unique<BitstreamWarden>());
 }
 

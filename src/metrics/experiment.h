@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/odyssey_client.h"
 #include "src/net/link.h"
@@ -16,11 +17,6 @@
 #include "src/servers/janus_server.h"
 #include "src/servers/video_server.h"
 #include "src/sim/simulation.h"
-#include "src/strategies/admission_broker.h"
-#include "src/strategies/blind_optimism.h"
-#include "src/strategies/centralized.h"
-#include "src/strategies/congestion_manager.h"
-#include "src/strategies/laissez_faire.h"
 #include "src/tracemod/waveforms.h"
 #include "src/wardens/bitstream_warden.h"
 #include "src/wardens/speech_warden.h"
@@ -29,22 +25,24 @@
 
 namespace odyssey {
 
-// The resource-management strategies the experiment rig can install: the
-// three compared in §6.2.3 plus the two zoo strategies grown on top
-// (DESIGN.md §16).
-enum class StrategyKind {
-  kOdyssey,            // centralized (the real system)
-  kLaissezFaire,       // per-log isolation
-  kBlindOptimism,      // theoretical bandwidth at transitions
-  kCongestionManager,  // per-server shared congestion state
-  kAdmissionBroker,    // QoS admission control over centralized
-};
-
-const char* StrategyKindName(StrategyKind kind);
-
 // The default test movie and image the workloads use.
 inline constexpr char kDefaultMovie[] = "default";
 inline constexpr char kTestImageUrl[] = "http://origin/test-image.jpg";
+
+// The modeled servers of §6.1.3 — video, distillation and Janus — holding
+// the default movie and test image.  Each server draws its session jitter
+// from |rng| as it is constructed, so where a rig builds its farm is part
+// of the rig's random stream.
+struct ServerFarm {
+  explicit ServerFarm(Rng* rng);
+
+  // One warden per server, in install order: video, web, speech.
+  std::vector<std::unique_ptr<Warden>> Wardens();
+
+  VideoServer video;
+  DistillationServer distillation;
+  JanusServer janus;
+};
 
 // Cost of delivering an upcall into an application (signal handler plus
 // library dispatch), per the paper's measured upcall propagation latency
@@ -53,10 +51,10 @@ inline constexpr Duration kUpcallLatency = 550;  // 0.55 ms
 
 class ExperimentRig {
  public:
-  // Builds the full client stack with the given trial |seed| and
-  // |strategy|.  The link starts at the high bandwidth until a trace is
-  // replayed.
-  ExperimentRig(uint64_t seed, StrategyKind strategy);
+  // Builds the full client stack with the given trial |seed| and the
+  // StrategyRegistry entry named |strategy| ("odyssey", "laissez-faire",
+  // ...).  The link starts at the high bandwidth until a trace is replayed.
+  ExperimentRig(uint64_t seed, const std::string& strategy);
 
   ExperimentRig(const ExperimentRig&) = delete;
   ExperimentRig& operator=(const ExperimentRig&) = delete;
@@ -70,26 +68,21 @@ class ExperimentRig {
   Link& link() { return link_; }
   Modulator& modulator() { return modulator_; }
   OdysseyClient& client() { return *client_; }
-  VideoServer& video_server() { return video_server_; }
-  DistillationServer& distillation_server() { return distillation_server_; }
-  JanusServer& janus_server() { return janus_server_; }
-  StrategyKind strategy_kind() const { return strategy_kind_; }
+  VideoServer& video_server() { return farm_.video; }
+  DistillationServer& distillation_server() { return farm_.distillation; }
+  JanusServer& janus_server() { return farm_.janus; }
 
-  // The centralized-family audit surface, if the rig runs one (for share
-  // probes in the agility experiments); null otherwise.  For the admission
-  // broker this is the inner estimator.
-  CentralizedStrategy* centralized() { return centralized_; }
+  // The installed strategy's audit surface (for share probes in the
+  // agility experiments); null for isolated-estimate strategies.  For the
+  // admission broker this is the inner estimator.
+  CentralizedStrategy* centralized() { return client_->viceroy().strategy().audit_surface(); }
 
  private:
   Simulation sim_;
   Link link_;
   Modulator modulator_;
-  StrategyKind strategy_kind_;
-  CentralizedStrategy* centralized_ = nullptr;
   std::unique_ptr<OdysseyClient> client_;
-  VideoServer video_server_;
-  DistillationServer distillation_server_;
-  JanusServer janus_server_;
+  ServerFarm farm_;
 };
 
 }  // namespace odyssey

@@ -17,6 +17,7 @@
 #include "src/metrics/trial.h"
 #include "src/servers/calibration.h"
 #include "src/servers/file_server.h"
+#include "src/strategies/centralized.h"
 #include "src/trace/trace_macros.h"
 #include "src/trace/trace_recorder.h"
 
@@ -68,7 +69,7 @@ void StartAdaptingWhenEstimated(OdysseyClient* client, AppId app) {
 
 AgilityTrialResult RunSupplyAgilityTrial(Waveform waveform, uint64_t seed,
                                          TraceRecorder* trace) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   BitstreamApp app(&rig.client(), "bitstream");
   const Time measure = rig.Replay(MakeWaveform(waveform));
@@ -93,7 +94,7 @@ AgilityTrialResult RunSupplyAgilityTrial(Waveform waveform, uint64_t seed,
 
 MobilityTrialResult RunMobilityTrackingTrial(const ReplayTrace& replay, uint64_t seed,
                                              TraceRecorder* trace) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   BitstreamApp app(&rig.client(), "bitstream");
   const Time measure = rig.Replay(replay);
@@ -142,7 +143,7 @@ DemandTrialResult RunDemandAgilityTrial(double utilization, uint64_t seed,
   constexpr Duration kSamplePeriod = 100 * kMillisecond;
   constexpr Duration kObservation = 60 * kSecond;
 
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   BitstreamApp first(&rig.client(), "bitstream-1");
   BitstreamApp second(&rig.client(), "bitstream-2");
@@ -178,7 +179,7 @@ DemandTrialResult RunDemandAgilityTrial(double utilization, uint64_t seed,
 
 VideoTrialResult RunVideoTrial(Waveform waveform, int fixed_track, uint64_t seed,
                                TraceRecorder* trace) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   VideoPlayerOptions options;
   options.fixed_track = fixed_track;
@@ -197,7 +198,7 @@ VideoTrialResult RunVideoTrial(Waveform waveform, int fixed_track, uint64_t seed
 
 WebTrialResult RunWebTrial(const ReplayTrace& replay, int fixed_level, bool prime,
                            uint64_t seed, TraceRecorder* trace) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   WebBrowserOptions options;
   options.fixed_level = fixed_level;
@@ -215,7 +216,7 @@ WebTrialResult RunWebTrial(const ReplayTrace& replay, int fixed_level, bool prim
 
 double RunSpeechTrialSeconds(Waveform waveform, SpeechMode mode, uint64_t seed,
                              TraceRecorder* trace) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   SpeechFrontEndOptions options;
   options.mode = mode;
@@ -227,7 +228,7 @@ double RunSpeechTrialSeconds(Waveform waveform, SpeechMode mode, uint64_t seed,
   return frontend.MeanSecondsBetween(measure, measure + kWaveformLength);
 }
 
-ConcurrentTrialResult RunConcurrentTrial(StrategyKind strategy, uint64_t seed,
+ConcurrentTrialResult RunConcurrentTrial(const std::string& strategy, uint64_t seed,
                                          TraceRecorder* trace) {
   ExperimentRig rig(seed, strategy);
   rig.sim().set_trace(trace);
@@ -314,17 +315,10 @@ FairshareTrialResult RunFairshareAblationTrial(const SupplyModelConfig& config, 
   Modulator modulator(&sim, &link);
   OdysseyClient client(&sim, &link, std::make_unique<CentralizedStrategy>(&sim, config));
 
-  Rng* rng = &sim.rng();
-  VideoServer video_server(rng);
-  DistillationServer distillation(rng);
-  JanusServer janus(rng);
-  const Status added =
-      video_server.AddMovie(VideoServer::MakeDefaultMovie(kDefaultMovie, kVideoFramesPerTrial));
-  ODY_ASSERT(added.ok(), "fresh video server rejected the default movie");
-  distillation.PublishImage(kTestImageUrl, kWebImageBytes);
-  client.InstallWarden(std::make_unique<VideoWarden>(&video_server));
-  client.InstallWarden(std::make_unique<WebWarden>(&distillation));
-  client.InstallWarden(std::make_unique<SpeechWarden>(&janus));
+  ServerFarm farm(&sim.rng());
+  for (std::unique_ptr<Warden>& warden : farm.Wardens()) {
+    client.InstallWarden(std::move(warden));
+  }
 
   VideoPlayerOptions video_options;
   video_options.frames_to_play = 4000;
@@ -359,7 +353,7 @@ FairshareTrialResult RunFairshareAblationTrial(const SupplyModelConfig& config, 
 FileConsistencyTrialResult RunFileConsistencyTrial(FileConsistency level, uint64_t seed,
                                                    TraceRecorder* trace) {
   constexpr double kKb = 1024.0;
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   FileServer file_server(&rig.sim().rng());
   CacheManager cache(&rig.client().viceroy(), 1024.0);

@@ -20,6 +20,7 @@
 #define SRC_METRICS_SCENARIOS_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/estimator/supply_model.h"
 #include "src/metrics/experiment.h"
@@ -106,7 +107,7 @@ struct ConcurrentTrialResult {
   double speech_seconds = 0.0;
 };
 
-ConcurrentTrialResult RunConcurrentTrial(StrategyKind strategy, uint64_t seed,
+ConcurrentTrialResult RunConcurrentTrial(const std::string& strategy, uint64_t seed,
                                          TraceRecorder* trace = nullptr);
 
 // --- Ablation: estimator design choices ---

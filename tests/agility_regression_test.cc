@@ -16,6 +16,7 @@
 #include "src/apps/bitstream_app.h"
 #include "src/metrics/experiment.h"
 #include "src/rpc/endpoint.h"
+#include "src/strategies/centralized.h"
 #include "src/tracemod/waveforms.h"
 
 namespace odyssey {
@@ -31,7 +32,7 @@ struct Sample {
 using Series = std::vector<Sample>;
 
 Series RunTrial(Waveform waveform, uint64_t seed) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.client().set_retry_policy(RetryPolicy::Default());
   BitstreamApp app(&rig.client(), "bitstream");
   const Time measure = rig.Replay(MakeWaveform(waveform));
@@ -184,7 +185,7 @@ TEST(AgilityRegressionTest, RetryMachineryDoesNotMoveCleanEstimates) {
   // fire, so the estimate matches a run with the policy disabled.
   Series with_policy = RunTrial(Waveform::kStepDown, 3);
 
-  ExperimentRig rig(3, StrategyKind::kOdyssey);
+  ExperimentRig rig(3, "odyssey");
   BitstreamApp app(&rig.client(), "bitstream");
   const Time measure = rig.Replay(MakeWaveform(Waveform::kStepDown));
   app.Start();

@@ -7,6 +7,7 @@
 #include "src/apps/video_player.h"
 #include "src/apps/web_browser.h"
 #include "src/metrics/experiment.h"
+#include "src/strategies/centralized.h"
 
 namespace odyssey {
 namespace {
@@ -16,7 +17,7 @@ constexpr double kKb = 1024.0;
 // --- Video player ---
 
 TEST(VideoPlayerTest, Jpeg99PlaysCleanlyAtHighBandwidth) {
-  ExperimentRig rig(1, StrategyKind::kOdyssey);
+  ExperimentRig rig(1, "odyssey");
   VideoPlayerOptions options;
   options.fixed_track = 0;
   options.frames_to_play = 300;
@@ -32,7 +33,7 @@ TEST(VideoPlayerTest, Jpeg99PlaysCleanlyAtHighBandwidth) {
 }
 
 TEST(VideoPlayerTest, Jpeg50PlaysCleanlyAtLowBandwidth) {
-  ExperimentRig rig(1, StrategyKind::kOdyssey);
+  ExperimentRig rig(1, "odyssey");
   VideoPlayerOptions options;
   options.fixed_track = 1;
   options.frames_to_play = 300;
@@ -45,7 +46,7 @@ TEST(VideoPlayerTest, Jpeg50PlaysCleanlyAtLowBandwidth) {
 }
 
 TEST(VideoPlayerTest, Jpeg99DropsHeavilyAtLowBandwidth) {
-  ExperimentRig rig(1, StrategyKind::kOdyssey);
+  ExperimentRig rig(1, "odyssey");
   VideoPlayerOptions options;
   options.fixed_track = 0;
   options.frames_to_play = 300;
@@ -58,7 +59,7 @@ TEST(VideoPlayerTest, Jpeg99DropsHeavilyAtLowBandwidth) {
 }
 
 TEST(VideoPlayerTest, AdaptiveConvergesToJpeg99AtHighBandwidth) {
-  ExperimentRig rig(2, StrategyKind::kOdyssey);
+  ExperimentRig rig(2, "odyssey");
   VideoPlayerOptions options;
   options.frames_to_play = 300;
   VideoPlayer player(&rig.client(), options);
@@ -71,7 +72,7 @@ TEST(VideoPlayerTest, AdaptiveConvergesToJpeg99AtHighBandwidth) {
 }
 
 TEST(VideoPlayerTest, AdaptiveDowngradesOnStepDown) {
-  ExperimentRig rig(3, StrategyKind::kOdyssey);
+  ExperimentRig rig(3, "odyssey");
   VideoPlayerOptions options;
   options.frames_to_play = 900;
   VideoPlayer player(&rig.client(), options);
@@ -89,7 +90,7 @@ TEST(VideoPlayerTest, AdaptiveDowngradesOnStepDown) {
 }
 
 TEST(VideoPlayerTest, AdaptiveUpgradesOnStepUp) {
-  ExperimentRig rig(4, StrategyKind::kOdyssey);
+  ExperimentRig rig(4, "odyssey");
   VideoPlayerOptions options;
   options.frames_to_play = 900;
   VideoPlayer player(&rig.client(), options);
@@ -105,7 +106,7 @@ TEST(VideoPlayerTest, AdaptiveUpgradesOnStepUp) {
 TEST(VideoPlayerTest, AdaptiveStaysOnJpeg50ThroughImpulseUp) {
   // Paper: "For Impulse-Up, Odyssey shows only JPEG(50) frames" — the two
   // second excursion to high bandwidth is not worth chasing far.
-  ExperimentRig rig(6, StrategyKind::kOdyssey);
+  ExperimentRig rig(6, "odyssey");
   VideoPlayerOptions options;
   options.frames_to_play = 900;
   VideoPlayer player(&rig.client(), options);
@@ -120,7 +121,7 @@ TEST(VideoPlayerTest, AdaptiveStaysOnJpeg50ThroughImpulseUp) {
 
 TEST(VideoPlayerTest, AdaptiveNearFullFidelityThroughImpulseDown) {
   // Paper: "for Impulse-Down almost all JPEG(99) frames".
-  ExperimentRig rig(7, StrategyKind::kOdyssey);
+  ExperimentRig rig(7, "odyssey");
   VideoPlayerOptions options;
   options.frames_to_play = 900;
   VideoPlayer player(&rig.client(), options);
@@ -135,7 +136,7 @@ TEST(WebBrowserTest, ImpulseUpBrieflyFoolsTheBrowser) {
   // quality images for a brief period by the impulse's transient increase
   // in bandwidth" — fidelity rises above JPEG(50)'s 0.5 but stays far from
   // full quality.
-  ExperimentRig rig(6, StrategyKind::kOdyssey);
+  ExperimentRig rig(6, "odyssey");
   WebBrowser browser(&rig.client(), WebBrowserOptions{});
   const Time measure = rig.Replay(MakeImpulseUp());
   browser.Start();
@@ -149,7 +150,7 @@ TEST(WebBrowserTest, ImpulseUpBrieflyFoolsTheBrowser) {
 TEST(SpeechFrontEndTest, RemoteStrategySlowerOnStepWaveforms) {
   // Paper Figure 12: always-remote pays ~0.1s more than hybrid on the Step
   // waveforms.
-  ExperimentRig rig(6, StrategyKind::kOdyssey);
+  ExperimentRig rig(6, "odyssey");
   SpeechFrontEndOptions options;
   options.mode = SpeechMode::kAlwaysRemote;
   SpeechFrontEnd remote(&rig.client(), options);
@@ -157,7 +158,7 @@ TEST(SpeechFrontEndTest, RemoteStrategySlowerOnStepWaveforms) {
   remote.Start();
   rig.sim().RunUntil(measure + kWaveformLength);
   remote.Stop();
-  ExperimentRig rig2(6, StrategyKind::kOdyssey);
+  ExperimentRig rig2(6, "odyssey");
   SpeechFrontEndOptions hybrid_options;
   hybrid_options.mode = SpeechMode::kAlwaysHybrid;
   SpeechFrontEnd hybrid(&rig2.client(), hybrid_options);
@@ -170,7 +171,7 @@ TEST(SpeechFrontEndTest, RemoteStrategySlowerOnStepWaveforms) {
 }
 
 TEST(VideoPlayerTest, FidelityAveragesDisplayedFramesOnly) {
-  ExperimentRig rig(5, StrategyKind::kOdyssey);
+  ExperimentRig rig(5, "odyssey");
   VideoPlayerOptions options;
   options.fixed_track = 0;
   options.frames_to_play = 100;
@@ -186,7 +187,7 @@ TEST(VideoPlayerTest, FidelityAveragesDisplayedFramesOnly) {
 // --- Web browser ---
 
 TEST(WebBrowserTest, FullQualityMeetsGoalOnEthernet) {
-  ExperimentRig rig(1, StrategyKind::kOdyssey);
+  ExperimentRig rig(1, "odyssey");
   WebBrowserOptions options;
   options.fixed_level = 0;
   WebBrowser browser(&rig.client(), options);
@@ -200,7 +201,7 @@ TEST(WebBrowserTest, FullQualityMeetsGoalOnEthernet) {
 }
 
 TEST(WebBrowserTest, FullQualityMissesGoalAtLowBandwidth) {
-  ExperimentRig rig(2, StrategyKind::kOdyssey);
+  ExperimentRig rig(2, "odyssey");
   WebBrowserOptions options;
   options.fixed_level = 0;
   WebBrowser browser(&rig.client(), options);
@@ -213,7 +214,7 @@ TEST(WebBrowserTest, FullQualityMissesGoalAtLowBandwidth) {
 
 TEST(WebBrowserTest, AdaptiveMeetsGoalAtBothBandwidths) {
   for (const double bandwidth : {kHighBandwidth, kLowBandwidth}) {
-    ExperimentRig rig(3, StrategyKind::kOdyssey);
+    ExperimentRig rig(3, "odyssey");
     WebBrowser browser(&rig.client(), WebBrowserOptions{});
     const Time measure = rig.Replay(MakeConstant(bandwidth, 2 * kMinute));
     browser.Start();
@@ -226,7 +227,7 @@ TEST(WebBrowserTest, AdaptiveMeetsGoalAtBothBandwidths) {
 }
 
 TEST(WebBrowserTest, AdaptivePicksFullQualityAtHighBandwidth) {
-  ExperimentRig rig(4, StrategyKind::kOdyssey);
+  ExperimentRig rig(4, "odyssey");
   WebBrowser browser(&rig.client(), WebBrowserOptions{});
   const Time measure = rig.Replay(MakeConstant(kHighBandwidth, 2 * kMinute));
   browser.Start();
@@ -237,7 +238,7 @@ TEST(WebBrowserTest, AdaptivePicksFullQualityAtHighBandwidth) {
 
 TEST(WebBrowserTest, AdaptiveDegradesToJpeg50AtLowBandwidth) {
   // §6.2.2: "At low bandwidth JPEG(50) is the best possible."
-  ExperimentRig rig(5, StrategyKind::kOdyssey);
+  ExperimentRig rig(5, "odyssey");
   WebBrowser browser(&rig.client(), WebBrowserOptions{});
   const Time measure = rig.Replay(MakeConstant(kLowBandwidth, 2 * kMinute));
   browser.Start();
@@ -260,7 +261,7 @@ TEST(WebBrowserTest, PredictTimeMonotoneInBandwidth) {
 // --- Speech front end ---
 
 TEST(SpeechFrontEndTest, HybridFasterThanRemoteAtLowBandwidth) {
-  ExperimentRig rig(1, StrategyKind::kOdyssey);
+  ExperimentRig rig(1, "odyssey");
   SpeechFrontEndOptions hybrid_options;
   hybrid_options.mode = SpeechMode::kAlwaysHybrid;
   SpeechFrontEnd hybrid(&rig.client(), hybrid_options);
@@ -269,7 +270,7 @@ TEST(SpeechFrontEndTest, HybridFasterThanRemoteAtLowBandwidth) {
   rig.sim().RunUntil(kMinute);
   hybrid.Stop();
 
-  ExperimentRig rig2(1, StrategyKind::kOdyssey);
+  ExperimentRig rig2(1, "odyssey");
   SpeechFrontEndOptions remote_options;
   remote_options.mode = SpeechMode::kAlwaysRemote;
   SpeechFrontEnd remote(&rig2.client(), remote_options);
@@ -288,7 +289,7 @@ TEST(SpeechFrontEndTest, HybridFasterThanRemoteAtLowBandwidth) {
 TEST(SpeechFrontEndTest, AdaptiveMatchesAlwaysHybrid) {
   // Figure 12: "Odyssey duplicates the always-hybrid strategy" at the
   // reference bandwidths.
-  ExperimentRig rig(2, StrategyKind::kOdyssey);
+  ExperimentRig rig(2, "odyssey");
   SpeechFrontEnd adaptive(&rig.client(), SpeechFrontEndOptions{});
   const Time measure = rig.Replay(MakeConstant(kHighBandwidth, 5 * kMinute));
   adaptive.Start();
@@ -311,7 +312,7 @@ TEST(SpeechFrontEndTest, AdaptiveMatchesAlwaysHybrid) {
 // --- Bitstream app ---
 
 TEST(BitstreamAppTest, StartExposesConnection) {
-  ExperimentRig rig(1, StrategyKind::kOdyssey);
+  ExperimentRig rig(1, "odyssey");
   BitstreamApp app(&rig.client(), "bitstream-1");
   rig.Replay(MakeConstant(kHighBandwidth, kMinute), /*prime=*/false);
   app.Start();
@@ -324,7 +325,7 @@ TEST(BitstreamAppTest, StartExposesConnection) {
 }
 
 TEST(BitstreamAppTest, DrivesSupplyEstimateToLinkRate) {
-  ExperimentRig rig(2, StrategyKind::kOdyssey);
+  ExperimentRig rig(2, "odyssey");
   BitstreamApp app(&rig.client(), "bitstream-1");
   rig.Replay(MakeConstant(kHighBandwidth, kMinute), /*prime=*/false);
   app.Start();

@@ -15,11 +15,13 @@
 #include "src/check/fuzz_scenario.h"
 #include "src/check/oracles.h"
 #include "src/check/shrink.h"
+#include "src/check/tracking_window.h"
 #include "src/core/resource.h"
 #include "src/core/viceroy.h"
 #include "src/net/link.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
+#include "src/strategies/arbitration_strategy.h"
 #include "src/strategies/centralized.h"
 
 namespace odyssey {
@@ -340,6 +342,130 @@ TEST_F(OracleSetTest, RecordingCapStoresBoundedButCountsAll) {
   EXPECT_GT(oracles_->violation_count(), oracles_->violations().size());
   EXPECT_LE(oracles_->violations().size(),
             2 * OracleSet::kMaxRecordedPerOracle);  // duplicate + unknown-request
+}
+
+// --- The shared tracking window ---
+
+// A strategy whose level is set by hand, and which refuses every bandwidth
+// window while |reject| is set.  Counts its admission decisions (one per
+// registration attempt that passes the level check).
+class ScriptedStrategy : public ArbitrationStrategy {
+ public:
+  std::string name() const override { return "scripted"; }
+  void AttachConnection(AppId, Endpoint*) override {}
+  void DetachConnection(Endpoint*) override {}
+  double AvailabilityFor(AppId, Time) const override { return level; }
+  bool HasEstimate() const override { return true; }
+  double TotalSupply(Time) const override { return level; }
+  Duration SmoothedRttFor(AppId) const override { return 0; }
+  AdmissionDecision DecideAdmission(AppId, const ResourceDescriptor&, Time) override {
+    ++decisions;
+    AdmissionDecision decision;
+    if (reject) {
+      decision.verdict = AdmissionVerdict::kRejected;
+    }
+    return decision;
+  }
+
+  // Moves the level and lets the viceroy re-evaluate its windows.
+  void MoveTo(double to) {
+    level = to;
+    NotifyChanged();
+  }
+
+  double level = 100.0 * 1024;
+  bool reject = false;
+  int decisions = 0;
+};
+
+class WindowTrackerTest : public testing::Test {
+ protected:
+  WindowTrackerTest() {
+    scenario_.horizon = 10 * kSecond;
+    scenario_.segments = {FuzzSegment{10 * kSecond, 120.0 * 1024, 10 * kMillisecond}};
+    auto strategy = std::make_unique<ScriptedStrategy>();
+    strategy_ = strategy.get();
+    viceroy_ = std::make_unique<Viceroy>(&sim_, std::move(strategy), kMillisecond);
+    link_ = std::make_unique<Link>(&sim_, 120.0 * 1024, 10 * kMillisecond);
+    oracles_ =
+        std::make_unique<OracleSet>(scenario_, &sim_, viceroy_.get(), nullptr, link_.get());
+    viceroy_->upcalls().set_delivery_observer(
+        [this](AppId app, uint64_t seq, RequestId request, ResourceId resource, double level,
+               Time posted_at) {
+          oracles_->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
+        });
+    tracker_ = std::make_unique<WindowTracker>(viceroy_.get(), oracles_.get());
+    app_.id = viceroy_->RegisterApplication("tracker");
+  }
+
+  // Moves the level, then lets any upcall it causes deliver.
+  void MoveAndSettle(double to) {
+    strategy_->MoveTo(to);
+    sim_.RunUntil(sim_.now() + kSecond);
+  }
+
+  FuzzScenario scenario_;
+  Simulation sim_;
+  ScriptedStrategy* strategy_ = nullptr;
+  std::unique_ptr<Viceroy> viceroy_;
+  std::unique_ptr<Link> link_;
+  std::unique_ptr<OracleSet> oracles_;
+  std::unique_ptr<WindowTracker> tracker_;
+  TrackedApp app_;
+};
+
+TEST_F(WindowTrackerTest, MovedLevelRecentresOnTheReportedLevel) {
+  // The caller's level is stale: the first attempt is out of bounds, and the
+  // retry centres on the 100 KB/s the viceroy reported.
+  tracker_->Register(&app_, 10.0 * 1024);
+  ASSERT_NE(app_.request, 0u);
+  EXPECT_EQ(tracker_->registered(), 1u);
+  EXPECT_EQ(strategy_->decisions, 1);
+  const RequestId held = app_.request;
+  // Inside [70, 130] KB/s: no upcall.
+  MoveAndSettle(125.0 * 1024);
+  EXPECT_EQ(viceroy_->upcalls().delivered_count(), 0u);
+  EXPECT_EQ(app_.request, held);
+  // Past 130 KB/s: the window fires.
+  MoveAndSettle(135.0 * 1024);
+  EXPECT_EQ(viceroy_->upcalls().delivered_count(), 1u);
+}
+
+TEST_F(WindowTrackerTest, DeliveredUpcallClearsTheRegistrationAndRegistersAgain) {
+  tracker_->Register(&app_, strategy_->level);
+  const RequestId first = app_.request;
+  ASSERT_NE(first, 0u);
+  MoveAndSettle(300.0 * 1024);
+  EXPECT_EQ(viceroy_->upcalls().delivered_count(), 1u);
+  EXPECT_NE(app_.request, 0u);
+  EXPECT_NE(app_.request, first);
+  EXPECT_EQ(tracker_->registered(), 2u);
+  // With registration refused, the consumed window leaves the app with none.
+  strategy_->reject = true;
+  MoveAndSettle(30.0 * 1024);
+  EXPECT_EQ(viceroy_->upcalls().delivered_count(), 2u);
+  EXPECT_EQ(app_.request, 0u);
+  EXPECT_EQ(tracker_->registered(), 2u);
+}
+
+TEST_F(WindowTrackerTest, GivesUpAfterFourAttempts) {
+  strategy_->reject = true;
+  tracker_->Register(&app_, strategy_->level);
+  EXPECT_EQ(strategy_->decisions, WindowTracker::kMaxAttempts);
+  EXPECT_EQ(WindowTracker::kMaxAttempts, 4);
+  EXPECT_EQ(app_.request, 0u);
+  EXPECT_EQ(tracker_->registered(), 0u);
+}
+
+TEST_F(WindowTrackerTest, EveryRegistrationReachesTheOracle) {
+  tracker_->Register(&app_, 1.0 * 1024);
+  for (const double kbps : {300.0, 40.0, 90.0, 20.0, 500.0}) {
+    MoveAndSettle(kbps * 1024);
+  }
+  EXPECT_EQ(viceroy_->upcalls().delivered_count(), 5u);
+  EXPECT_EQ(tracker_->registered(), 6u);
+  oracles_->Finish();
+  EXPECT_EQ(oracles_->violation_count(), 0u) << FormatViolations(oracles_->violations());
 }
 
 // --- Shrinker ---

@@ -25,6 +25,7 @@
 #include "src/net/link.h"
 #include "src/rpc/endpoint.h"
 #include "src/sim/simulation.h"
+#include "src/strategies/centralized.h"
 
 namespace odyssey {
 namespace {
@@ -425,7 +426,7 @@ struct ScenarioResult {
 };
 
 ScenarioResult RunScenario(FaultKind kind, Workload workload, uint64_t seed) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.client().set_retry_policy(RetryPolicy::Default());
   FaultInjector injector(&rig.sim(), &rig.link());
   rig.client().set_fault_injector(&injector);
@@ -579,7 +580,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- End-to-end total loss through the full stack ------------------------
 
 TEST(TotalLossTest, WebBrowserDegradesInsteadOfHanging) {
-  ExperimentRig rig(1, StrategyKind::kOdyssey);
+  ExperimentRig rig(1, "odyssey");
   rig.client().set_retry_policy(RetryPolicy::Default());
   FaultInjector injector(&rig.sim(), &rig.link());
   rig.client().set_fault_injector(&injector);

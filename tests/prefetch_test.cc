@@ -15,7 +15,7 @@ constexpr double kKb = 1024.0;
 
 class PrefetchTest : public ::testing::Test {
  protected:
-  PrefetchTest() : rig_(1, StrategyKind::kOdyssey), file_server_(&rig_.sim().rng()) {
+  PrefetchTest() : rig_(1, "odyssey"), file_server_(&rig_.sim().rng()) {
     for (int i = 0; i < 12; ++i) {
       route_.push_back("areas/sector-" + std::to_string(i));
       file_server_.Publish(route_.back(), 64.0 * kKb);

@@ -2,6 +2,7 @@
 // spaces, exercised with parameterized gtest suites.
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "src/net/link.h"
 #include "src/rpc/endpoint.h"
 #include "src/sim/simulation.h"
+#include "src/strategies/centralized.h"
 
 namespace odyssey {
 namespace {
@@ -108,7 +110,7 @@ class EstimatorConvergence : public ::testing::TestWithParam<double> {};
 
 TEST_P(EstimatorConvergence, BitstreamDrivesEstimateToLinkRate) {
   const double rate = GetParam();
-  ExperimentRig rig(3, StrategyKind::kOdyssey);
+  ExperimentRig rig(3, "odyssey");
   BitstreamApp app(&rig.client(), "bitstream");
   rig.Replay(MakeConstant(rate, 2 * kMinute), /*prime=*/false);
   app.Start();
@@ -293,16 +295,17 @@ class VideoSustainability : public ::testing::TestWithParam<std::tuple<int, doub
 TEST_P(VideoSustainability, TrackWithinBudgetPlaysCleanly) {
   const int track = std::get<0>(GetParam());
   const double headroom = std::get<1>(GetParam());
-  ExperimentRig rig(4, StrategyKind::kOdyssey);
+  ExperimentRig rig(4, "odyssey");
 
   // Give the link exactly the track's requirement times the headroom.
-  MovieMeta movie = VideoServer::MakeDefaultMovie("m", 300);
+  const std::string movie_name = "m";
+  MovieMeta movie = VideoServer::MakeDefaultMovie(movie_name, 300);
   const double required =
       VideoWarden::RequiredBandwidth(movie.tracks[track].frame_bytes, movie.fps);
   ASSERT_TRUE(rig.video_server().AddMovie(std::move(movie)).ok());
 
   VideoPlayerOptions options;
-  options.movie = "m";
+  options.movie = movie_name;
   options.fixed_track = track;
   options.frames_to_play = 300;
   VideoPlayer player(&rig.client(), options);
@@ -359,7 +362,7 @@ class StackDeterminism : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StackDeterminism, IdenticalSeedsIdenticalEstimates) {
   const auto run = [&](uint64_t seed) {
-    ExperimentRig rig(seed, StrategyKind::kOdyssey);
+    ExperimentRig rig(seed, "odyssey");
     BitstreamApp app(&rig.client(), "bitstream");
     rig.Replay(MakeStepDown());
     app.Start();

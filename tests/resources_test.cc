@@ -10,6 +10,7 @@
 #include "src/core/tsop_codec.h"
 #include "src/metrics/experiment.h"
 #include "src/servers/file_server.h"
+#include "src/strategies/laissez_faire.h"
 #include "src/wardens/file_warden.h"
 
 namespace odyssey {
@@ -22,7 +23,7 @@ constexpr double kMb = 1024.0 * 1024.0;
 
 class BatteryTest : public ::testing::Test {
  protected:
-  BatteryTest() : rig_(1, StrategyKind::kOdyssey) {
+  BatteryTest() : rig_(1, "odyssey") {
     app_ = rig_.client().RegisterApplication("app");
   }
 
@@ -88,7 +89,7 @@ TEST_F(BatteryTest, ExhaustsAtZeroAndStops) {
 // --- Money ---
 
 TEST(MoneyTest, ChargesPerMegabyte) {
-  ExperimentRig rig(1, StrategyKind::kOdyssey);
+  ExperimentRig rig(1, "odyssey");
   const AppId app = rig.client().RegisterApplication("app");
   MoneyMeter::Config config;
   config.budget_cents = 100.0;
@@ -106,7 +107,7 @@ TEST(MoneyTest, ChargesPerMegabyte) {
 }
 
 TEST(MoneyTest, BudgetExhaustionFiresUpcall) {
-  ExperimentRig rig(2, StrategyKind::kOdyssey);
+  ExperimentRig rig(2, "odyssey");
   const AppId app = rig.client().RegisterApplication("app");
   MoneyMeter::Config config;
   config.budget_cents = 5.0;
@@ -128,7 +129,7 @@ TEST(MoneyTest, BudgetExhaustionFiresUpcall) {
 }
 
 TEST(MoneyTest, TariffChangeTakesEffect) {
-  ExperimentRig rig(3, StrategyKind::kOdyssey);
+  ExperimentRig rig(3, "odyssey");
   MoneyMeter::Config config;
   config.budget_cents = 1000.0;
   config.cents_per_mb = 0.0;  // free WaveLAN
@@ -184,7 +185,7 @@ TEST(CacheManagerTest, PressureFiresUpcall) {
 class FileWardenTest : public ::testing::Test {
  protected:
   FileWardenTest()
-      : rig_(1, StrategyKind::kOdyssey),
+      : rig_(1, "odyssey"),
         file_server_(&rig_.sim().rng()),
         cache_(&rig_.client().viceroy(), 64.0) {
     file_server_.Publish("etc/motd", 8.0 * kKb);

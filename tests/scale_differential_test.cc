@@ -185,7 +185,8 @@ class StrategyPair {
  public:
   StrategyPair() {
     for (int i = 0; i < 6; ++i) {
-      endpoints_.push_back(std::make_unique<Endpoint>(&sim_, &link_, "s" + std::to_string(i)));
+      const std::string index = std::to_string(i);
+      endpoints_.push_back(std::make_unique<Endpoint>(&sim_, &link_, "s" + index));
     }
   }
 

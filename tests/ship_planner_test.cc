@@ -123,7 +123,7 @@ TEST(SpeechVocabularyTest, VocabularyFidelitiesStrictlyDecrease) {
 }
 
 TEST(SpeechVocabularyTest, EndToEndGoalDrivenRecognition) {
-  ExperimentRig rig(1, StrategyKind::kOdyssey);
+  ExperimentRig rig(1, "odyssey");
   const AppId app = rig.client().RegisterApplication("speech");
   rig.Replay(MakeConstant(kHighBandwidth, 5 * kMinute), /*prime=*/false);
 

@@ -60,7 +60,7 @@ TEST(TelemetryServerTest, ErrorsOnUnknownFeed) {
 
 class TelemetryWardenTest : public ::testing::Test {
  protected:
-  TelemetryWardenTest() : rig_(1, StrategyKind::kOdyssey), server_(&rig_.sim()) {
+  TelemetryWardenTest() : rig_(1, "odyssey"), server_(&rig_.sim()) {
     server_.CreateFeed("stocks/ACME", 100 * kMillisecond, 100.0, 0.2);
     warden_ = static_cast<TelemetryWarden*>(
         rig_.client().InstallWarden(std::make_unique<TelemetryWarden>(&server_)));
@@ -167,7 +167,7 @@ TEST_F(TelemetryWardenTest, BadRequestsRejected) {
 
 class FilterAppTest : public ::testing::Test {
  protected:
-  FilterAppTest() : rig_(1, StrategyKind::kOdyssey), server_(&rig_.sim()) {
+  FilterAppTest() : rig_(1, "odyssey"), server_(&rig_.sim()) {
     server_.CreateFeed("stocks/ACME", 100 * kMillisecond, 100.0, 0.05);
     warden_ = static_cast<TelemetryWarden*>(
         rig_.client().InstallWarden(std::make_unique<TelemetryWarden>(&server_)));
@@ -202,7 +202,7 @@ TEST_F(FilterAppTest, DigestLevelDetectsLater) {
   const Duration live_lag = live.alerts()[0].detection_lag();
 
   // Same scenario at the digest level, in a fresh world.
-  ExperimentRig rig2(1, StrategyKind::kOdyssey);
+  ExperimentRig rig2(1, "odyssey");
   TelemetryServer server2(&rig2.sim());
   server2.CreateFeed("stocks/ACME", 100 * kMillisecond, 100.0, 0.05);
   auto* warden2 = static_cast<TelemetryWarden*>(

@@ -24,7 +24,7 @@ std::string BitstreamPath() { return std::string(kOdysseyRoot) + "bitstream/stre
 
 class WardenTest : public ::testing::Test {
  protected:
-  WardenTest() : rig_(1, StrategyKind::kOdyssey) {
+  WardenTest() : rig_(1, "odyssey") {
     app_ = rig_.client().RegisterApplication("test-app");
     rig_.Replay(MakeConstant(kHighBandwidth, 10 * kMinute), /*prime=*/false);
   }

@@ -15,7 +15,7 @@ constexpr char kPageUrl[] = "http://origin/guide.html";
 
 class WebPageTest : public ::testing::Test {
  protected:
-  WebPageTest() : rig_(1, StrategyKind::kOdyssey) {
+  WebPageTest() : rig_(1, "odyssey") {
     // A local-guide page: 6 KB of markup plus three inline images.
     rig_.distillation_server().PublishPage(kPageUrl, 6.0 * kKb,
                                            {22.0 * kKb, 11.0 * kKb, 44.0 * kKb});
