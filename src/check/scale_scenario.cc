@@ -302,20 +302,4 @@ void RegisterScaleScenarios(ScenarioRegistry* registry) {
   ODY_ASSERT(status.ok(), "scale scenario registration failed");
 }
 
-CampaignSpec ScaleCampaign() {
-  CampaignSpec spec;
-  spec.name = "tier_scale";
-  spec.description =
-      "hot-core scaling: events/sec, upcall latency and oracle cleanliness at N in "
-      "{100, 1k, 10k, 100k}, plus the naive reference rate at 10k";
-  spec.sweeps = {
-      SweepSpec{"scale_core", {"n100"}, 3},
-      SweepSpec{"scale_core", {"n1k"}, 2},
-      SweepSpec{"scale_core", {"n10k"}, 1},
-      SweepSpec{"scale_core", {"n100k"}, 1},
-      SweepSpec{"scale_core", {"n10k_naive"}, 1},
-  };
-  return spec;
-}
-
 }  // namespace odyssey

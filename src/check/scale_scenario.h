@@ -19,7 +19,6 @@
 #ifndef SRC_CHECK_SCALE_SCENARIO_H_
 #define SRC_CHECK_SCALE_SCENARIO_H_
 
-#include "src/harness/campaign.h"
 #include "src/harness/scenario_registry.h"
 
 namespace odyssey {
@@ -28,12 +27,6 @@ namespace odyssey {
 // n10k_naive).  Asserts that registration succeeds, like
 // RegisterBuiltinScenarios.
 void RegisterScaleScenarios(ScenarioRegistry* registry);
-
-// The tier_scale campaign spec.  Declared here instead of in
-// BuiltinCampaigns() because its scenario lives in odyssey_check: callers
-// that can run it (ody_bench, the scale tests) append it to the built-in
-// list after registering the scale scenarios.
-CampaignSpec ScaleCampaign();
 
 }  // namespace odyssey
 

@@ -213,25 +213,4 @@ void RegisterZooScenarios(ScenarioRegistry* registry) {
   ODY_ASSERT(status.ok(), "zoo scenario registration failed");
 }
 
-CampaignSpec ZooCampaign() {
-  CampaignSpec spec;
-  spec.name = "tier_zoo";
-  spec.description =
-      "strategy zoo: the paper's supply, demand and concurrency comparisons plus mobility "
-      "and eight-node fleet cells, swept across every registered strategy";
-  // Every strategy_zoo variant (an empty list sweeps all of them, so a new
-  // strategy row joins the campaign without touching this spec).
-  spec.sweeps.push_back(SweepSpec{"strategy_zoo", {}, 3});
-  // The sharded rig, one n8 pair per registry entry: admission control and
-  // shared congestion state must compose with cross-node estimate
-  // aggregation, not just the local model.
-  for (const std::string& strategy : StrategyRegistry::Builtin().Names()) {
-    const std::string& label = StrategyRegistry::Builtin().Find(strategy)->label;
-    for (const char* wave : {"fixed", "mob"}) {
-      spec.sweeps.push_back(SweepSpec{"fleet_share", {"n8_" + label + "_" + wave}, 2});
-    }
-  }
-  return spec;
-}
-
 }  // namespace odyssey

@@ -19,7 +19,6 @@
 #ifndef SRC_CHECK_ZOO_SCENARIO_H_
 #define SRC_CHECK_ZOO_SCENARIO_H_
 
-#include "src/harness/campaign.h"
 #include "src/harness/scenario_registry.h"
 
 namespace odyssey {
@@ -30,13 +29,6 @@ namespace odyssey {
 // blind, cm, broker).  Asserts that registration succeeds, like
 // RegisterBuiltinScenarios.
 void RegisterZooScenarios(ScenarioRegistry* registry);
-
-// The tier_zoo campaign spec: every strategy_zoo variant plus the
-// eight-node fleet_share cells of each strategy, so admission control and
-// shared congestion state are exercised both single-node and sharded.
-// Like ScaleCampaign, declared here because its scenarios live in
-// odyssey_check/odyssey_fleet; ody_bench appends it after registering them.
-CampaignSpec ZooCampaign();
 
 }  // namespace odyssey
 

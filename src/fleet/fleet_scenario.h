@@ -19,7 +19,6 @@
 #ifndef SRC_FLEET_FLEET_SCENARIO_H_
 #define SRC_FLEET_FLEET_SCENARIO_H_
 
-#include "src/harness/campaign.h"
 #include "src/harness/scenario_registry.h"
 
 namespace odyssey {
@@ -27,11 +26,6 @@ namespace odyssey {
 // Registers the "fleet_share" scenario (variants n<N>_<label>_<wave>).
 // Asserts that registration succeeds, like RegisterScaleScenarios.
 void RegisterFleetScenarios(ScenarioRegistry* registry);
-
-// The tier_fleet campaign spec.  Callers that can run it (ody_bench, the
-// fleet tests) append it to the built-in list after registering the fleet
-// scenarios.
-CampaignSpec FleetCampaign();
 
 }  // namespace odyssey
 

@@ -1,11 +1,14 @@
 #include "src/harness/bench_artifact.h"
 
-#include <cerrno>
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 #include <map>
+#include <sstream>
 #include <utility>
 
+#include "src/harness/decimal.h"
+#include "src/metrics/table.h"
 #include "src/trace/trace_json.h"
 
 namespace odyssey {
@@ -184,15 +187,11 @@ Status ParseArtifact(const std::string& text, BenchArtifact* artifact) {
   artifact->schema_version = BenchArtifact::kSchemaVersion;
   artifact->campaign = campaign->string_value();
   artifact->description = description->string_value();
-  errno = 0;
-  char* end = nullptr;
   const std::string& seed_text = seed->string_value();
-  const unsigned long long parsed_seed = std::strtoull(seed_text.c_str(), &end, 10);
-  if (seed_text.empty() || end != seed_text.c_str() + seed_text.size() || errno == ERANGE) {
+  if (!ParseDecimalU64(seed_text, &artifact->campaign_seed)) {
     return InvalidArgumentError("artifact campaign_seed \"" + seed_text +
                                 "\" is not a decimal uint64");
   }
-  artifact->campaign_seed = static_cast<uint64_t>(parsed_seed);
   artifact->trials = static_cast<uint64_t>(trials->number_value());
 
   artifact->metrics.clear();
@@ -248,6 +247,54 @@ Status ParseArtifact(const std::string& text, BenchArtifact* artifact) {
     artifact->metrics.push_back(std::move(summary));
   }
   return OkStatus();
+}
+
+std::string ArtifactToTables(const BenchArtifact& artifact) {
+  struct ScenarioTable {
+    std::string scenario;
+    std::vector<std::string> variants;
+    std::vector<std::string> metrics;
+    std::map<std::pair<std::string, std::string>, std::string> cells;  // (variant, metric)
+  };
+  const auto append_once = [](std::vector<std::string>* names, const std::string& name) {
+    if (std::find(names->begin(), names->end(), name) == names->end()) {
+      names->push_back(name);
+    }
+  };
+  std::vector<ScenarioTable> tables;
+  for (const MetricSummary& summary : artifact.metrics) {
+    auto table = std::find_if(tables.begin(), tables.end(), [&](const ScenarioTable& t) {
+      return t.scenario == summary.scenario;
+    });
+    if (table == tables.end()) {
+      table = tables.insert(tables.end(), ScenarioTable{summary.scenario, {}, {}, {}});
+    }
+    append_once(&table->variants, summary.variant);
+    append_once(&table->metrics, summary.metric);
+    char cell[64];
+    std::snprintf(cell, sizeof(cell), "%.2f (%.2f)", summary.stats.mean, summary.stats.stddev);
+    table->cells[{summary.variant, summary.metric}] = cell;
+  }
+
+  std::ostringstream out;
+  out << "campaign " << artifact.campaign << ", seed " << artifact.campaign_seed << ", "
+      << artifact.trials << " trials\n";
+  for (const ScenarioTable& scenario : tables) {
+    std::vector<std::string> header = {"variant"};
+    header.insert(header.end(), scenario.metrics.begin(), scenario.metrics.end());
+    Table table(std::move(header));
+    for (const std::string& variant : scenario.variants) {
+      std::vector<std::string> row = {variant};
+      for (const std::string& metric : scenario.metrics) {
+        const auto cell = scenario.cells.find({variant, metric});
+        row.push_back(cell == scenario.cells.end() ? "-" : cell->second);
+      }
+      table.AddRow(std::move(row));
+    }
+    out << "\n" << scenario.scenario << "\n";
+    table.Print(out);
+  }
+  return out.str();
 }
 
 ComparisonReport CompareArtifacts(const BenchArtifact& baseline, const BenchArtifact& current,

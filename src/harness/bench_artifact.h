@@ -6,9 +6,10 @@
 // serializes with hand-ordered keys and canonical number formatting so the
 // bytes are a pure function of the campaign spec and seeds — the
 // jobs-invariance guarantee is checked at this layer, by byte-comparing
-// artifacts.  ParseArtifact reads one back (trace_json), and
-// CompareArtifacts applies a direction-aware tolerance to every metric mean,
-// which `ody_bench compare` turns into a CI exit code.
+// artifacts.  ParseArtifact reads one back (trace_json), ArtifactToTables
+// renders it for people, and CompareArtifacts applies a direction-aware
+// tolerance to every metric mean, which `ody_bench compare` turns into a CI
+// exit code.
 
 #ifndef SRC_HARNESS_BENCH_ARTIFACT_H_
 #define SRC_HARNESS_BENCH_ARTIFACT_H_
@@ -63,6 +64,13 @@ std::string ArtifactToJson(const BenchArtifact& artifact);
 // kInvalidArgument on malformed JSON, a missing field, or an unsupported
 // schema version.
 Status ParseArtifact(const std::string& text, BenchArtifact* artifact);
+
+// Renders |artifact| as plain-text tables, the paper's presentation: a
+// campaign line, then one table per scenario in artifact order, one row per
+// variant and one column per metric (both in order of first appearance).
+// Each cell is "mean (stddev)" at two decimals, or "-" where the variant
+// does not report that metric.
+std::string ArtifactToTables(const BenchArtifact& artifact);
 
 // One metric's comparison verdict.
 struct ComparisonRow {

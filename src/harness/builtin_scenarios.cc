@@ -8,6 +8,7 @@
 #include "src/harness/mobility_scenarios.h"
 #include "src/metrics/scenarios.h"
 #include "src/rpc/endpoint.h"
+#include "src/wardens/telemetry_warden.h"
 
 namespace odyssey {
 namespace {
@@ -355,6 +356,106 @@ void RegisterFileConsistency(ScenarioRegistry* registry) {
   Add(registry, std::move(scenario));
 }
 
+// --- Extension: full-page Web adaptation ---
+
+void RegisterPageFetch(ScenarioRegistry* registry) {
+  Scenario scenario;
+  scenario.name = "ext_page_fetch";
+  scenario.description =
+      "Extension: page bytes and fetch seconds at 120 and 40 KB/s per Web fidelity level";
+  const std::pair<const char*, int> levels[] = {
+      {"full", 0}, {"jpeg50", 1}, {"jpeg25", 2}, {"jpeg5", 3}};
+  for (const auto& [name, level] : levels) {
+    scenario.variants.push_back({name, [level = level](uint64_t seed, TraceRecorder* trace) {
+                                   const PageFetchTrialResult result =
+                                       RunPageFetchTrial(level, seed, trace);
+                                   return TrialMetrics{
+                                       {"page_kb", result.page_kb, MetricDirection::kEither},
+                                       {"fetch_s_120kbps", result.high_s,
+                                        MetricDirection::kLowerIsBetter},
+                                       {"fetch_s_40kbps", result.low_s,
+                                        MetricDirection::kLowerIsBetter},
+                                   };
+                                 }});
+  }
+  Add(registry, std::move(scenario));
+}
+
+// --- Extension: recognition-fidelity levels ---
+
+void RegisterVocabulary(ScenarioRegistry* registry) {
+  Scenario scenario;
+  scenario.name = "ext_vocabulary";
+  scenario.description =
+      "Extension: vocabulary (0 full, 1 medium, 2 tiny), fidelity and seconds per latency goal";
+  const std::pair<const char*, double> goals[] = {{"goal_none", 0.0},
+                                                  {"goal_1000ms", 1.0},
+                                                  {"goal_750ms", 0.75},
+                                                  {"goal_500ms", 0.5},
+                                                  {"goal_300ms", 0.3}};
+  for (const auto& [name, goal] : goals) {
+    scenario.variants.push_back({name, [goal = goal](uint64_t seed, TraceRecorder* trace) {
+                                   const VocabularyTrialResult result =
+                                       RunVocabularyTrial(goal, seed, trace);
+                                   return TrialMetrics{
+                                       {"vocabulary", static_cast<double>(result.vocabulary),
+                                        MetricDirection::kEither},
+                                       {"fidelity", result.fidelity,
+                                        MetricDirection::kHigherIsBetter},
+                                       {"seconds", result.seconds,
+                                        MetricDirection::kLowerIsBetter},
+                                   };
+                                 }});
+  }
+  Add(registry, std::move(scenario));
+}
+
+// --- Extension: battery and money on the urban walk ---
+
+void RegisterUrbanResources(ScenarioRegistry* registry) {
+  Scenario scenario;
+  scenario.name = "ext_urban_resources";
+  scenario.description =
+      "Extension: battery and money left after the urban walk, and whether each window fired";
+  scenario.variants.push_back({"urban_walk", [](uint64_t seed, TraceRecorder* trace) {
+                                 const UrbanResourcesTrialResult result =
+                                     RunUrbanResourcesTrial(seed, trace);
+                                 return TrialMetrics{
+                                     {"mb_moved", result.mb_moved, MetricDirection::kEither},
+                                     {"battery_left_min", result.battery_left_min,
+                                      MetricDirection::kHigherIsBetter},
+                                     {"money_left_cents", result.money_left_cents,
+                                      MetricDirection::kHigherIsBetter},
+                                     {"battery_upcall", result.battery_upcall ? 1.0 : 0.0,
+                                      MetricDirection::kEither},
+                                     {"money_upcall", result.money_upcall ? 1.0 : 0.0,
+                                      MetricDirection::kEither},
+                                 };
+                               }});
+  Add(registry, std::move(scenario));
+}
+
+// --- Extension: telemetry delivery levels ---
+
+void RegisterTelemetry(ScenarioRegistry* registry) {
+  Scenario scenario;
+  scenario.name = "ext_telemetry";
+  scenario.description =
+      "Extension: samples/min, staleness and alert lag (-1: none fired) per delivery level";
+  for (int level = 0; level < 3; ++level) {
+    scenario.variants.push_back(
+        {kTelemetryLevels[level].name, [level](uint64_t seed, TraceRecorder* trace) {
+           const TelemetryTrialResult result = RunTelemetryTrial(level, seed, trace);
+           return TrialMetrics{
+               {"samples_per_min", result.samples_per_min, MetricDirection::kHigherIsBetter},
+               {"staleness_ms", result.staleness_ms, MetricDirection::kLowerIsBetter},
+               {"alert_lag_s", result.alert_lag_s, MetricDirection::kLowerIsBetter},
+           };
+         }});
+  }
+  Add(registry, std::move(scenario));
+}
+
 }  // namespace
 
 void RegisterBuiltinScenarios(ScenarioRegistry* registry) {
@@ -368,6 +469,10 @@ void RegisterBuiltinScenarios(ScenarioRegistry* registry) {
   RegisterFairshareAblation(registry);
   RegisterFileConsistency(registry);
   RegisterMobilityScenarios(registry);
+  RegisterPageFetch(registry);
+  RegisterVocabulary(registry);
+  RegisterUrbanResources(registry);
+  RegisterTelemetry(registry);
 }
 
 }  // namespace odyssey

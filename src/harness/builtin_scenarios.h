@@ -1,10 +1,10 @@
 // Registration of the built-in scenarios: one registry entry per figure
 // and ablation of the evaluation, with one variant per cell of its grid.
 //
-// The nine bench binaries and the campaign runner draw on the same
-// single-trial bodies in src/metrics/scenarios.h; registering them here
-// makes every cell addressable by (scenario, variant) name so campaigns
-// can sweep them and BENCH_*.json artifacts can gate regressions on them.
+// The single-trial bodies live in src/metrics/scenarios.h; registering them
+// here makes every cell addressable by (scenario, variant) name so
+// campaigns can sweep them, BENCH_*.json artifacts can gate regressions on
+// them, and `ody_bench table` can print them as the paper's tables.
 
 #ifndef SRC_HARNESS_BUILTIN_SCENARIOS_H_
 #define SRC_HARNESS_BUILTIN_SCENARIOS_H_

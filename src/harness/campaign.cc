@@ -1,6 +1,5 @@
 #include "src/harness/campaign.h"
 
-#include "src/metrics/trial.h"
 #include "src/sim/random.h"
 
 namespace odyssey {
@@ -14,91 +13,6 @@ uint64_t DeriveTrialSeed(uint64_t campaign_seed, uint64_t trial_index) {
   constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
   SplitMix64 at(campaign_seed + trial_index * kGamma);
   return at.Next();
-}
-
-std::vector<CampaignSpec> BuiltinCampaigns() {
-  std::vector<CampaignSpec> campaigns;
-
-  // The CI gate: the Figure 8 and Figure 14 grids at 64 seeds each —
-  // enough samples for stable p95/p99, small enough to run on every push.
-  CampaignSpec tier1;
-  tier1.name = "tier1";
-  tier1.description = "Fig-8 and Fig-14 grids at 64 seeds (the CI regression gate)";
-  tier1.sweeps = {
-      {"fig08_supply_agility", {}, 64},
-      {"fig14_concurrent", {}, 64},
-  };
-  campaigns.push_back(tier1);
-
-  // A seconds-long sanity campaign for tests and quick local checks.
-  CampaignSpec smoke;
-  smoke.name = "smoke";
-  smoke.description = "four fast supply-agility trials (CLI and harness self-checks)";
-  smoke.sweeps = {
-      {"fig08_supply_agility", {"step_up", "step_down"}, 2},
-  };
-  campaigns.push_back(smoke);
-
-  CampaignSpec agility;
-  agility.name = "agility";
-  agility.description = "Figures 8 and 9: supply and demand estimation agility";
-  agility.sweeps = {
-      {"fig08_supply_agility", {}, kPaperTrials},
-      {"fig09_demand_agility", {}, kPaperTrials},
-  };
-  campaigns.push_back(agility);
-
-  CampaignSpec apps;
-  apps.name = "apps";
-  apps.description = "Figures 10-12: video, Web, and speech application grids";
-  apps.sweeps = {
-      {"fig10_video", {}, kPaperTrials},
-      {"fig11_web", {}, kPaperTrials},
-      {"fig12_speech", {}, kPaperTrials},
-  };
-  campaigns.push_back(apps);
-
-  CampaignSpec ablations;
-  ablations.name = "ablations";
-  ablations.description = "estimator and fair-share ablations plus the file extension";
-  ablations.sweeps = {
-      {"ablation_estimator", {}, kPaperTrials},
-      {"ablation_fairshare", {}, kPaperTrials},
-      {"ext_file_consistency", {}, kPaperTrials},
-  };
-  campaigns.push_back(ablations);
-
-  // The mobility gate: every motion -> signal -> bandwidth cell at three
-  // trials (per-trial cost is a 2-minute simulated drive, so this stays in
-  // CI budget while covering all four models and all three layouts).
-  CampaignSpec mobility;
-  mobility.name = "tier_mobility";
-  mobility.description = "mobility tracking and Web grids (the mobility CI gate)";
-  mobility.sweeps = {
-      {"mobility_track", {}, 3},
-      {"mobility_web", {}, 3},
-  };
-  campaigns.push_back(mobility);
-
-  CampaignSpec full;
-  full.name = "full";
-  full.description = "every scenario and variant at the paper's five trials";
-  full.sweeps = {
-      {"fig08_supply_agility", {}, kPaperTrials},
-      {"fig09_demand_agility", {}, kPaperTrials},
-      {"fig10_video", {}, kPaperTrials},
-      {"fig11_web", {}, kPaperTrials},
-      {"fig12_speech", {}, kPaperTrials},
-      {"fig14_concurrent", {}, kPaperTrials},
-      {"ablation_estimator", {}, kPaperTrials},
-      {"ablation_fairshare", {}, kPaperTrials},
-      {"ext_file_consistency", {}, kPaperTrials},
-      {"mobility_track", {}, kPaperTrials},
-      {"mobility_web", {}, kPaperTrials},
-  };
-  campaigns.push_back(full);
-
-  return campaigns;
 }
 
 const CampaignSpec* FindCampaign(const std::vector<CampaignSpec>& campaigns,

@@ -44,9 +44,6 @@ struct CampaignSpec {
   static constexpr uint64_t kDefaultCampaignSeed = 1997;  // the paper's year
 };
 
-// The built-in campaigns (tier1, smoke, agility, apps, ablations, full).
-std::vector<CampaignSpec> BuiltinCampaigns();
-
 // Campaign lookup by name; null when absent.
 const CampaignSpec* FindCampaign(const std::vector<CampaignSpec>& campaigns,
                                  const std::string& name);

@@ -8,10 +8,11 @@
 // the campaign runner may execute any set of variant trials concurrently
 // and the result depends only on the seeds, never on scheduling.
 //
-// The registry is an ordinary value type, not a singleton: the campaign
-// runner, the ody_bench CLI, and the tests each build one and populate it
-// with RegisterBuiltinScenarios (builtin_scenarios.h), keeping the harness
-// free of global mutable state.
+// The registry is an ordinary value type, not a singleton: the ody_bench
+// CLI and the tests each build one and populate it with
+// RegisterAllScenarios (src/catalog/catalog.h) or one family's Register*
+// function such as RegisterBuiltinScenarios (builtin_scenarios.h), keeping
+// the harness free of global mutable state.
 
 #ifndef SRC_HARNESS_SCENARIO_REGISTRY_H_
 #define SRC_HARNESS_SCENARIO_REGISTRY_H_

@@ -7,19 +7,24 @@
 #include <utility>
 
 #include "src/apps/bitstream_app.h"
+#include "src/apps/filter_app.h"
 #include "src/apps/speech_frontend.h"
 #include "src/apps/video_player.h"
 #include "src/apps/web_browser.h"
+#include "src/core/battery_model.h"
 #include "src/core/cache_manager.h"
 #include "src/core/contract.h"
+#include "src/core/money_meter.h"
 #include "src/core/tsop_codec.h"
 #include "src/metrics/experiment.h"
 #include "src/metrics/trial.h"
 #include "src/servers/calibration.h"
 #include "src/servers/file_server.h"
+#include "src/servers/telemetry_server.h"
 #include "src/strategies/centralized.h"
 #include "src/trace/trace_macros.h"
 #include "src/trace/trace_recorder.h"
+#include "src/wardens/telemetry_warden.h"
 
 namespace odyssey {
 namespace {
@@ -414,6 +419,145 @@ FileConsistencyTrialResult RunFileConsistencyTrial(FileConsistency level, uint64
   result.mean_read_ms = reads == 0 ? 0.0 : read_ms_sum / reads;
   result.stale_pct = reads == 0 ? 0.0 : 100.0 * stats.stale_serves / reads;
   result.fidelity = reads == 0 ? 0.0 : fidelity_sum / reads;
+  return result;
+}
+
+PageFetchTrialResult RunPageFetchTrial(int level, uint64_t seed, TraceRecorder* trace) {
+  constexpr double kKb = 1024.0;
+  PageFetchTrialResult result;
+  for (const double bandwidth : {kHighBandwidth, kLowBandwidth}) {
+    ExperimentRig rig(seed, "odyssey");
+    rig.sim().set_trace(bandwidth == kHighBandwidth ? trace : nullptr);
+    rig.distillation_server().PublishPage("http://origin/guide.html", 6.0 * kKb,
+                                          {22.0 * kKb, 11.0 * kKb, 44.0 * kKb});
+    const AppId app = rig.client().RegisterApplication("browser");
+    rig.Replay(MakeConstant(bandwidth, 5 * kMinute), /*prime=*/false);
+    const std::string path = std::string(kOdysseyRoot) + "web/page";
+    rig.client().Tsop(app, path, kWebOpenPage, "http://origin/guide.html",
+                      [](Status, std::string) {});
+    rig.client().Tsop(app, path, kWebSetFidelity, PackStruct(WebSetFidelityRequest{level}),
+                      [](Status, std::string) {});
+    const Time start = rig.sim().now();
+    Time end = start;
+    WebPageFetchReply reply;
+    // ody_lint: owned-capture
+    rig.client().Tsop(app, path, kWebFetchPage, "", [&](Status status, std::string out) {
+      if (!status.ok() || !UnpackStruct(out, &reply)) {
+        reply = WebPageFetchReply{};
+      }
+      end = rig.sim().now();
+    });
+    rig.sim().RunUntil(start + kMinute);
+    if (bandwidth == kHighBandwidth) {
+      result.high_s = DurationToSeconds(end - start);
+      result.page_kb = (reply.html_bytes + reply.image_bytes) / kKb;
+    } else {
+      result.low_s = DurationToSeconds(end - start);
+    }
+  }
+  return result;
+}
+
+VocabularyTrialResult RunVocabularyTrial(double goal_s, uint64_t seed, TraceRecorder* trace) {
+  ExperimentRig rig(seed, "odyssey");
+  rig.sim().set_trace(trace);
+  const AppId app = rig.client().RegisterApplication("speech");
+  rig.Replay(MakeConstant(kLowBandwidth, 5 * kMinute), /*prime=*/false);
+  const std::string path = std::string(kOdysseyRoot) + "speech/janus";
+  // Warm the estimator, then the measured recognition.
+  rig.client().Tsop(app, path, kSpeechRecognize, PackStruct(SpeechUtterance{kSpeechRawBytes, 0.0}),
+                    [](Status, std::string) {});
+  rig.sim().RunUntil(rig.sim().now() + 10 * kSecond);
+  const Time start = rig.sim().now();
+  Time end = start;
+  SpeechResult recognized;
+  rig.client().Tsop(app, path, kSpeechRecognize,
+                    PackStruct(SpeechUtterance{kSpeechRawBytes, goal_s}),
+                    [&](Status status, std::string out) {  // ody_lint: owned-capture
+                      if (!status.ok() || !UnpackStruct(out, &recognized)) {
+                        recognized = SpeechResult{};
+                      }
+                      end = rig.sim().now();
+                    });
+  rig.sim().RunUntil(start + 30 * kSecond);
+  return {recognized.vocabulary, recognized.fidelity, DurationToSeconds(end - start)};
+}
+
+UrbanResourcesTrialResult RunUrbanResourcesTrial(uint64_t seed, TraceRecorder* trace) {
+  ExperimentRig rig(seed, "odyssey");
+  rig.sim().set_trace(trace);
+  BatteryModel::Config battery_config;
+  battery_config.capacity_minutes = 60.0;
+  battery_config.network_minutes_per_mb = 0.1;
+  BatteryModel battery(&rig.sim(), &rig.client().viceroy(), &rig.link(), battery_config);
+  MoneyMeter::Config money_config;
+  money_config.budget_cents = 50.0;
+  money_config.cents_per_mb = 0.6;
+  MoneyMeter money(&rig.sim(), &rig.client().viceroy(), &rig.link(), money_config);
+
+  VideoPlayerOptions video_options;
+  video_options.frames_to_play = 10000;
+  VideoPlayer video(&rig.client(), video_options);
+  WebBrowser web(&rig.client(), WebBrowserOptions{});
+  SpeechFrontEnd speech(&rig.client(), SpeechFrontEndOptions{});
+
+  UrbanResourcesTrialResult result;
+  const AppId monitor = rig.client().RegisterApplication("resource-monitor");
+  ResourceDescriptor battery_window;
+  battery_window.resource = ResourceId::kBatteryPower;
+  battery_window.lower = 45.0;
+  // ody_lint: owned-capture
+  battery_window.handler = [&](RequestId, ResourceId, double) { result.battery_upcall = true; };
+  ResourceDescriptor money_window;
+  money_window.resource = ResourceId::kMoney;
+  money_window.lower = 30.0;
+  // ody_lint: owned-capture
+  money_window.handler = [&](RequestId, ResourceId, double) { result.money_upcall = true; };
+
+  const Time measure = rig.Replay(MakeUrbanScenario());
+  battery.Start();
+  money.Start();
+  // Both resources start inside their windows (full battery, full budget);
+  // a rejected request here would silently disable the warned-upcall path.
+  const RequestResult battery_request = rig.client().Request(monitor, battery_window);
+  ODY_ASSERT(battery_request.ok(), "battery already outside its window at registration");
+  const RequestResult money_request = rig.client().Request(monitor, money_window);
+  ODY_ASSERT(money_request.ok(), "money already outside its window at registration");
+  video.Start();
+  web.Start();
+  speech.Start();
+  rig.sim().RunUntil(measure + 15 * kMinute);
+
+  result.mb_moved = rig.link().bytes_delivered() / (1024.0 * 1024.0);
+  result.battery_left_min = battery.remaining_minutes();
+  result.money_left_cents = money.remaining_cents();
+  return result;
+}
+
+TelemetryTrialResult RunTelemetryTrial(int level, uint64_t seed, TraceRecorder* trace) {
+  ExperimentRig rig(seed, "odyssey");
+  rig.sim().set_trace(trace);
+  TelemetryServer telemetry(&rig.sim());
+  telemetry.CreateFeed("stocks/ACME", 100 * kMillisecond, 100.0, 0.05);
+  auto* warden = static_cast<TelemetryWarden*>(
+      rig.client().InstallWarden(std::make_unique<TelemetryWarden>(&telemetry)));
+  FilterApp filter(&rig.client(), warden, FilterAppOptions{"stocks/ACME", 5.0, level});
+  rig.Replay(MakeConstant(kHighBandwidth, 10 * kMinute), /*prime=*/false);
+  filter.Start();
+  rig.sim().ScheduleAt(kMinute, [&telemetry] {  // ody_lint: owned-capture
+    const Status injected = telemetry.InjectEvent("stocks/ACME", 25.0);
+    ODY_ASSERT(injected.ok(), "event injected into an unknown feed");
+  });
+  rig.sim().RunUntil(2 * kMinute);
+  filter.Stop();
+  rig.sim().RunUntil(2 * kMinute + kSecond);
+
+  TelemetryTrialResult result;
+  result.samples_per_min = filter.final_stats().samples_delivered / 2.0;
+  result.staleness_ms = filter.final_stats().mean_staleness_ms;
+  if (!filter.alerts().empty()) {
+    result.alert_lag_s = DurationToSeconds(filter.alerts()[0].detection_lag());
+  }
   return result;
 }
 

@@ -2,14 +2,13 @@
 // ablation in the evaluation.
 //
 // Each function runs ONE trial — one cell of a figure's grid at one seed —
-// and returns plain numbers.  They live here rather than in the bench
-// binaries so that three consumers run the exact same event sequence: the
-// figure benches (which loop over kPaperTrials and print tables), the
-// campaign harness in src/harness (which fans trials across a worker pool
-// and aggregates them into BENCH_*.json artifacts), and the golden-trace /
-// agility regression tests.  Every trial is shared-nothing: it builds its
-// own Simulation from |seed|, touches no global state, and is safe to run
-// concurrently with any other trial.
+// and returns plain numbers.  Two consumers run the exact same event
+// sequence: the campaign harness in src/harness (which registers each body
+// as a scenario variant, fans trials across a worker pool and aggregates
+// them into BENCH_*.json artifacts that `ody_bench table` prints), and the
+// golden-trace / agility regression tests.  Every trial is shared-nothing:
+// it builds its own Simulation from |seed|, touches no global state, and is
+// safe to run concurrently with any other trial.
 //
 // The Figure-8 trial additionally adds an adaptive consumer on top of the
 // raw bitstream workload: it holds a window of tolerance around the
@@ -152,6 +151,62 @@ struct FileConsistencyTrialResult {
 
 FileConsistencyTrialResult RunFileConsistencyTrial(FileConsistency level, uint64_t seed,
                                                    TraceRecorder* trace = nullptr);
+
+// --- Extension: full-page Web adaptation ---
+
+// One page-fetch trial: a 6 KB page with three inline images fetched once
+// at Web fidelity |level| (0 = full quality .. 3 = JPEG(5)), on a fresh rig
+// at each reference bandwidth.  Only the 120 KB/s fetch is traced.
+struct PageFetchTrialResult {
+  double page_kb = 0.0;  // markup + images delivered (the 120 KB/s fetch)
+  double high_s = 0.0;   // fetch seconds at 120 KB/s
+  double low_s = 0.0;    // fetch seconds at 40 KB/s
+};
+
+PageFetchTrialResult RunPageFetchTrial(int level, uint64_t seed, TraceRecorder* trace = nullptr);
+
+// --- Extension: recognition-fidelity (vocabulary) levels ---
+
+// One vocabulary trial at 40 KB/s: a warm-up recognition, then one with
+// latency goal |goal_s| (<= 0: no goal).  Reports the vocabulary the warden
+// picked (an index into kSpeechVocabularies), its fidelity and the
+// recognition seconds.
+struct VocabularyTrialResult {
+  int vocabulary = 0;
+  double fidelity = 0.0;
+  double seconds = 0.0;
+};
+
+VocabularyTrialResult RunVocabularyTrial(double goal_s, uint64_t seed,
+                                         TraceRecorder* trace = nullptr);
+
+// --- Extension: battery and money across the urban walk ---
+
+// One urban-resources trial: video + web + speech over the Figure 13 walk
+// with a 60-minute battery and a 50-cent budget, and a monitor holding
+// windows on both (battery lower bound 45 min, money 30 cents).
+struct UrbanResourcesTrialResult {
+  double mb_moved = 0.0;
+  double battery_left_min = 0.0;
+  double money_left_cents = 0.0;
+  bool battery_upcall = false;
+  bool money_upcall = false;
+};
+
+UrbanResourcesTrialResult RunUrbanResourcesTrial(uint64_t seed, TraceRecorder* trace = nullptr);
+
+// --- Extension: telemetry delivery levels ---
+
+// One telemetry trial: a background filter watches a 10 Hz feed for two
+// minutes at delivery |level| (an index into kTelemetryLevels), with one
+// alert-worthy event injected at t = 1 min.
+struct TelemetryTrialResult {
+  double samples_per_min = 0.0;
+  double staleness_ms = 0.0;
+  double alert_lag_s = -1.0;  // -1 when no alert fired
+};
+
+TelemetryTrialResult RunTelemetryTrial(int level, uint64_t seed, TraceRecorder* trace = nullptr);
 
 // --- Mobility: motion-generated waveform tracking ---
 

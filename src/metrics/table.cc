@@ -29,7 +29,9 @@ void Table::Print(std::ostream& os) const {
     for (size_t i = 0; i < row.size(); ++i) {
       os << (i == 0 ? "" : "  ");
       os << row[i];
-      os << std::string(widths[i] - row[i].size(), ' ');
+      if (i + 1 < row.size()) {  // no trailing whitespace after the last column
+        os << std::string(widths[i] - row[i].size(), ' ');
+      }
     }
     os << "\n";
   };

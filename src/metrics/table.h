@@ -1,4 +1,4 @@
-// Plain-text table formatting for the benchmark harnesses, matching the
+// Plain-text table formatting for `ody_bench table`, matching the
 // row/column structure of the paper's figures.
 
 #ifndef SRC_METRICS_TABLE_H_

@@ -2,20 +2,6 @@
 
 namespace odyssey {
 
-const char* WebFidelityName(WebFidelity level) {
-  switch (level) {
-    case WebFidelity::kFullQuality:
-      return "Full Quality";
-    case WebFidelity::kJpeg50:
-      return "JPEG(50)";
-    case WebFidelity::kJpeg25:
-      return "JPEG(25)";
-    case WebFidelity::kJpeg5:
-      return "JPEG(5)";
-  }
-  return "Unknown";
-}
-
 double WebFidelityScore(WebFidelity level) {
   switch (level) {
     case WebFidelity::kFullQuality:

@@ -35,8 +35,6 @@ inline constexpr WebFidelity kAllWebFidelities[] = {
     WebFidelity::kJpeg5,
 };
 
-// Human-readable level name ("Full Quality", "JPEG(50)", ...).
-const char* WebFidelityName(WebFidelity level);
 // The fidelity score the evaluation assigns this level.
 double WebFidelityScore(WebFidelity level);
 

@@ -1,4 +1,4 @@
-// Command-line plumbing for opt-in tracing in benches and examples.
+// Command-line plumbing for opt-in tracing in the examples and ody_bench.
 //
 // TraceSession owns a TraceRecorder when the user asked for one
 // (`--trace-out=<path>`) and exports it on Export().  When the flag is
@@ -12,7 +12,6 @@
 #ifndef SRC_TRACE_TRACE_SESSION_H_
 #define SRC_TRACE_TRACE_SESSION_H_
 
-#include <atomic>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -57,28 +56,6 @@ class TraceSession {
   TraceRecorder* recorder() { return recorder_.get(); }
   const std::string& path() const { return path_; }
 
-  // Hands the recorder to the first caller only, so a harness that runs many
-  // trials exports one coherent timeline (the first trial that asked) rather
-  // than overlaying every trial's virtual clock.  Thread-safe: trials may
-  // race to claim from worker threads and exactly one wins.  Returns null
-  // when tracing is off or the recorder was already claimed.  (Deterministic
-  // drivers — the campaign runner — should instead designate one trial and
-  // claim once on its behalf, so the exported timeline does not depend on
-  // which worker got there first.)
-  TraceRecorder* ClaimRecorderOnce() {
-    // acq_rel: the winning exchange must publish (release) whatever the
-    // claimer wrote before claiming, and a loser must observe (acquire) the
-    // winner's prior writes before deciding not to record.  In the current
-    // single-designated-claimer campaign flow relaxed would suffice, but
-    // the method's contract allows racing worker threads, so it keeps the
-    // ordering its contract promises rather than the weakest one today's
-    // callers need.
-    if (recorder_ == nullptr || claimed_.exchange(true, std::memory_order_acq_rel)) {
-      return nullptr;
-    }
-    return recorder_.get();
-  }
-
   // Writes the trace to path().  No-op success when tracing is disabled.
   [[nodiscard]] bool Export(std::string* error) {
     if (recorder_ == nullptr) {
@@ -107,7 +84,6 @@ class TraceSession {
  private:
   std::string path_;
   std::unique_ptr<TraceRecorder> recorder_;
-  std::atomic<bool> claimed_{false};
 };
 
 }  // namespace odyssey

@@ -7,20 +7,6 @@
 
 namespace odyssey {
 
-const char* FileConsistencyName(FileConsistency level) {
-  switch (level) {
-    case FileConsistency::kStrict:
-      return "Strict";
-    case FileConsistency::kPeriodic:
-      return "Periodic";
-    case FileConsistency::kOptimistic:
-      return "Optimistic";
-    case FileConsistency::kAdaptive:
-      return "Odyssey";
-  }
-  return "Unknown";
-}
-
 double FileConsistencyFidelity(FileConsistency level) {
   switch (level) {
     case FileConsistency::kStrict:

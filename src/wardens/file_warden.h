@@ -51,7 +51,6 @@ enum class FileConsistency : int {
   kAdaptive = 3,  // warden picks from the bandwidth estimate
 };
 
-const char* FileConsistencyName(FileConsistency level);
 double FileConsistencyFidelity(FileConsistency level);
 
 struct FileSetConsistencyRequest {

@@ -1,6 +1,6 @@
 // Tests for odycampaign: the scenario registry, seed derivation, campaign
-// expansion, the worker pool, jobs-invariance of artifacts, and the
-// regression gate.
+// expansion, the worker pool, jobs-invariance of artifacts, the table
+// renderer, the strict decimal parser, and the regression gate.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "src/catalog/catalog.h"
 #include "src/core/sync.h"
 #include "src/harness/bench_artifact.h"
 #include "src/harness/builtin_scenarios.h"
 #include "src/harness/campaign.h"
 #include "src/harness/campaign_runner.h"
+#include "src/harness/decimal.h"
 #include "src/harness/scenario_registry.h"
 #include "src/harness/worker_pool.h"
 #include "src/sim/random.h"
@@ -101,7 +103,7 @@ TEST(ScenarioRegistryTest, FindVariant) {
 TEST(ScenarioRegistryTest, BuiltinsRegisterCleanly) {
   ScenarioRegistry registry;
   RegisterBuiltinScenarios(&registry);
-  EXPECT_EQ(registry.size(), 11u);  // one per figure/ablation/extension + mobility pair
+  EXPECT_EQ(registry.size(), 15u);  // one per figure/ablation/extension + mobility pair
   for (const std::string& name : registry.scenario_names()) {
     const Scenario* scenario = registry.Find(name);
     ASSERT_NE(scenario, nullptr);
@@ -181,16 +183,52 @@ TEST(ExpandCampaignTest, RejectsUnknownNamesAndBadCounts) {
   EXPECT_EQ(ExpandCampaign(no_trials, registry, &plan).code(), StatusCode::kInvalidArgument);
 }
 
+// Every campaign against the full registry: covers tier_scale, tier_fleet,
+// tier_zoo and the extension sweeps as well as the figure campaigns.
 TEST(ExpandCampaignTest, BuiltinCampaignsAllExpand) {
   ScenarioRegistry registry;
-  RegisterBuiltinScenarios(&registry);
-  for (const CampaignSpec& campaign : BuiltinCampaigns()) {
+  RegisterAllScenarios(&registry);
+  const std::vector<CampaignSpec> campaigns = AllCampaigns();
+  std::vector<std::string> names;
+  for (const CampaignSpec& campaign : campaigns) {
     std::vector<PlannedTrial> plan;
-    EXPECT_TRUE(ExpandCampaign(campaign, registry, &plan).ok()) << campaign.name;
+    const Status status = ExpandCampaign(campaign, registry, &plan);
+    EXPECT_TRUE(status.ok()) << campaign.name << ": " << status.ToString();
     EXPECT_FALSE(plan.empty()) << campaign.name;
+    names.push_back(campaign.name);
   }
-  EXPECT_NE(FindCampaign(BuiltinCampaigns(), "tier1"), nullptr);
-  EXPECT_EQ(FindCampaign(BuiltinCampaigns(), "nope"), nullptr);
+  EXPECT_EQ(names, (std::vector<std::string>{"tier1", "smoke", "agility", "apps", "ablations",
+                                             "tier_mobility", "full", "tier_scale", "tier_fleet",
+                                             "tier_zoo"}));
+  EXPECT_NE(FindCampaign(campaigns, "tier1"), nullptr);
+  EXPECT_EQ(FindCampaign(campaigns, "nope"), nullptr);
+}
+
+// The extension scenarios follow the aggregator's schema rule: one seed
+// twice gives equal metrics, and two seeds give the same metric names in
+// the same order (the telemetry variants included, whether or not an alert
+// fires, through alert_lag_s's -1 sentinel).
+TEST(ExtensionScenarioTest, DeterministicWithAFixedSchema) {
+  ScenarioRegistry registry;
+  RegisterBuiltinScenarios(&registry);
+  for (const char* name : {"ext_page_fetch", "ext_vocabulary", "ext_urban_resources",
+                           "ext_telemetry"}) {
+    const Scenario* scenario = registry.Find(name);
+    ASSERT_NE(scenario, nullptr) << name;
+    for (const ScenarioVariant& variant : scenario->variants) {
+      const TrialMetrics a = variant.run(7, nullptr);
+      const TrialMetrics b = variant.run(7, nullptr);
+      const TrialMetrics c = variant.run(8, nullptr);
+      ASSERT_FALSE(a.empty()) << name << "/" << variant.name;
+      ASSERT_EQ(a.size(), b.size()) << name << "/" << variant.name;
+      ASSERT_EQ(a.size(), c.size()) << name << "/" << variant.name;
+      for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].name, b[i].name) << name << "/" << variant.name;
+        EXPECT_EQ(a[i].value, b[i].value) << name << "/" << variant.name << " " << a[i].name;
+        EXPECT_EQ(a[i].name, c[i].name) << name << "/" << variant.name;
+      }
+    }
+  }
 }
 
 // --- Worker pool ---
@@ -416,6 +454,76 @@ TEST(BenchArtifactTest, ParseRejectsGarbage) {
   wrong_version.replace(at, std::string("\"schema_version\": 1").size(),
                         "\"schema_version\": 2");
   EXPECT_EQ(ParseArtifact(wrong_version, &artifact).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BenchArtifactTest, TablesRenderOneRowPerVariantAndDashForMissingMetrics) {
+  BenchArtifact artifact;
+  artifact.campaign = "demo";
+  artifact.campaign_seed = 3;
+  artifact.trials = 10;
+  const auto summary = [](const char* scenario, const char* variant, const char* metric,
+                          double mean, double stddev) {
+    MetricSummary out;
+    out.scenario = scenario;
+    out.variant = variant;
+    out.metric = metric;
+    out.stats.mean = mean;
+    out.stats.stddev = stddev;
+    return out;
+  };
+  artifact.metrics = {
+      summary("first", "up", "settle_s", 0.7, 0.0),
+      summary("first", "impulse", "settle_s", 1.234, 0.056),
+      summary("first", "impulse", "tail_s", 4.1, 0.02),
+      summary("second", "only", "drops", 189.4, 327.5),
+  };
+  EXPECT_EQ(ArtifactToTables(artifact),
+            "campaign demo, seed 3, 10 trials\n"
+            "\n"
+            "first\n"
+            "variant  settle_s     tail_s\n"
+            "---------------------------------\n"
+            "up       0.70 (0.00)  -\n"
+            "impulse  1.23 (0.06)  4.10 (0.02)\n"
+            "\n"
+            "second\n"
+            "variant  drops\n"
+            "------------------------\n"
+            "only     189.40 (327.50)\n");
+}
+
+// --- Decimal parsing ---
+
+TEST(ParseDecimalU64Test, AcceptsOnlyDigitsWithinUint64) {
+  struct Case {
+    const char* text;
+    bool ok;
+    uint64_t value;
+  };
+  const Case cases[] = {
+      {"", false, 0},
+      {"-1", false, 0},
+      {"+1", false, 0},
+      {" 7", false, 0},
+      {"7 ", false, 0},
+      {"0", true, 0},
+      {"18446744073709551615", true, 18446744073709551615ull},
+      {"18446744073709551616", false, 0},
+  };
+  for (const Case& c : cases) {
+    uint64_t value = 12345;
+    EXPECT_EQ(ParseDecimalU64(c.text, &value), c.ok) << "\"" << c.text << "\"";
+    EXPECT_EQ(value, c.ok ? c.value : 12345u) << "\"" << c.text << "\"";
+  }
+}
+
+TEST(BenchArtifactTest, ParseRejectsSignedCampaignSeed) {
+  std::string json = ArtifactToJson(MakeToyArtifact());
+  const size_t at = json.find("\"campaign_seed\": \"42\"");
+  ASSERT_NE(at, std::string::npos);
+  json.replace(at, std::string("\"campaign_seed\": \"42\"").size(), "\"campaign_seed\": \"-1\"");
+  BenchArtifact artifact;
+  EXPECT_EQ(ParseArtifact(json, &artifact).code(), StatusCode::kInvalidArgument);
 }
 
 // --- The regression gate ---

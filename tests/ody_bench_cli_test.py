@@ -2,11 +2,12 @@
 """End-to-end checks for the ody_bench CLI.
 
 Drives the installed binary the way CI does: runs the smoke campaign at two
-job counts and byte-compares the artifacts, then exercises the compare
-gate's exit codes — pass on identical artifacts, fail on a synthetically
-regressed baseline, usage errors on garbage.
+job counts and byte-compares the artifacts and traces, renders an artifact
+as tables, then exercises the compare gate's exit codes — pass on identical
+artifacts, fail on a synthetically regressed baseline, usage errors on
+garbage.  Both tools must refuse a seed that is not plain decimal.
 
-Usage: ody_bench_cli_test.py <path-to-ody_bench>
+Usage: ody_bench_cli_test.py <path-to-ody_bench> <path-to-ody_fuzz>
 """
 
 import json
@@ -25,15 +26,16 @@ def check(name, ok, detail=""):
         FAILURES.append(name)
 
 
-def run(bench, *args, cwd=None):
-    return subprocess.run([str(bench), *args], capture_output=True, text=True, cwd=cwd)
+def run(program, *args, cwd=None):
+    return subprocess.run([str(program), *args], capture_output=True, text=True, cwd=cwd)
 
 
 def main():
-    if len(sys.argv) != 2:
-        print(f"usage: {sys.argv[0]} <path-to-ody_bench>", file=sys.stderr)
+    if len(sys.argv) != 3:
+        print(f"usage: {sys.argv[0]} <path-to-ody_bench> <path-to-ody_fuzz>", file=sys.stderr)
         return 2
     bench = Path(sys.argv[1]).resolve()
+    fuzz = Path(sys.argv[2]).resolve()
 
     with tempfile.TemporaryDirectory(prefix="ody_bench_cli_") as tmp:
         tmp = Path(tmp)
@@ -45,7 +47,11 @@ def main():
         check("list names tier1", "tier1" in result.stdout)
         check("list names scenarios", "fig08_supply_agility" in result.stdout)
 
-        result = run(bench, "run", "--campaign=smoke", "--jobs=1", f"--out={a}")
+        trace_a = tmp / "trace_j1.json"
+        trace_b = tmp / "trace_j4.json"
+        result = run(
+            bench, "run", "--campaign=smoke", "--jobs=1", f"--out={a}", f"--trace-out={trace_a}"
+        )
         check("run --jobs=1 exits 0", result.returncode == 0, result.stderr)
         result = run(bench, "run", "--campaign=smoke", "--jobs=2", f"--out={b}")
         check("run --jobs=2 exits 0", result.returncode == 0, result.stderr)
@@ -53,6 +59,21 @@ def main():
             "artifacts are byte-identical across job counts",
             a.read_bytes() == b.read_bytes(),
         )
+        result = run(
+            bench, "run", "--campaign=smoke", "--jobs=4", f"--out={tmp / 'smoke_j4.json'}",
+            f"--trace-out={trace_b}",
+        )
+        check("run --jobs=4 --trace-out exits 0", result.returncode == 0, result.stderr)
+        check("trace is written", trace_a.is_file() and trace_a.stat().st_size > 0)
+        check(
+            "traces are byte-identical across job counts",
+            trace_a.is_file() and trace_b.is_file()
+            and trace_a.read_bytes() == trace_b.read_bytes(),
+        )
+
+        result = run(bench, "table", f"--artifact={a}")
+        check("table exits 0", result.returncode == 0, result.stderr)
+        check("table names the scenario", "fig08_supply_agility" in result.stdout)
 
         # The default output name is BENCH_<campaign>.json in the cwd.
         result = run(bench, "run", "--campaign=smoke", cwd=tmp)
@@ -81,11 +102,26 @@ def main():
             bench, "compare", f"--baseline={baseline}", f"--current={a}", "--tolerance=50"
         )
         check("loose tolerance passes the same delta", result.returncode == 0, result.stdout)
+        # A non-finite allowance would pass every row; it is a usage error.
+        for tolerance in ("nan", "inf", "1e999"):
+            result = run(
+                bench, "compare", f"--baseline={baseline}", f"--current={a}",
+                f"--tolerance={tolerance}",
+            )
+            check(f"compare --tolerance={tolerance} exits 2", result.returncode == 2, result.stdout)
 
         garbage = tmp / "garbage.json"
         garbage.write_text("not json at all")
         result = run(bench, "compare", f"--baseline={garbage}", f"--current={a}")
         check("compare with garbage baseline exits 2", result.returncode == 2)
+        result = run(bench, "table", f"--artifact={garbage}")
+        check("table with garbage artifact exits 2", result.returncode == 2)
+        result = run(bench, "table", f"--artifact={tmp / 'missing.json'}")
+        check("table with missing artifact exits 2", result.returncode == 2)
+        result = run(bench, "run", "--campaign=smoke", "--seed=-1", f"--out={tmp / 'neg.json'}")
+        check("run --seed=-1 exits 2", result.returncode == 2, result.stdout)
+        result = run(fuzz, "--runs=1", "--seed=-1")
+        check("ody_fuzz --seed=-1 exits 2", result.returncode == 2, result.stdout)
         result = run(bench, "run", "--campaign=no_such_campaign")
         check("run with unknown campaign exits 2", result.returncode == 2)
         result = run(bench, "frobnicate")

@@ -17,11 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/catalog/catalog.h"
 #include "src/check/fuzz_runner.h"
 #include "src/check/fuzz_scenario.h"
 #include "src/check/scale_scenario.h"
 #include "src/estimator/supply_model.h"
-#include "src/harness/builtin_scenarios.h"
 #include "src/harness/campaign.h"
 #include "src/harness/scenario_registry.h"
 #include "src/harness/worker_pool.h"
@@ -405,10 +405,12 @@ TEST(ScaleDifferentialTest, FullStackIdenticalOverFuzzScenarios) {
 
 TEST(ScaleCampaignTest, ExpandsAgainstScaleAwareRegistry) {
   ScenarioRegistry registry;
-  RegisterBuiltinScenarios(&registry);
-  RegisterScaleScenarios(&registry);
+  RegisterAllScenarios(&registry);
+  const std::vector<CampaignSpec> campaigns = AllCampaigns();
+  const CampaignSpec* tier_scale = FindCampaign(campaigns, "tier_scale");
+  ASSERT_NE(tier_scale, nullptr);
   std::vector<PlannedTrial> plan;
-  const Status status = ExpandCampaign(ScaleCampaign(), registry, &plan);
+  const Status status = ExpandCampaign(*tier_scale, registry, &plan);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_GE(plan.size(), 5u);  // one sweep per variant, n100 runs three trials
 }

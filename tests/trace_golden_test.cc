@@ -1,7 +1,9 @@
 // Golden-trace determinism regression (see DESIGN.md §9).
 //
-// Runs the Figure-8 Step-Up supply-agility scenario — the same code path
-// bench_fig08 traces under --trace-out — and checks two properties:
+// Runs the Figure-8 Step-Up supply-agility trial body — the code path
+// `ody_bench run --campaign=smoke --trace-out` traces, since the smoke
+// campaign's first planned trial is fig08 Step-Up — and checks two
+// properties:
 //
 //  1. Determinism: two same-seed runs in one process canonicalize to the
 //     exact same event sequence, even though process-global id counters

@@ -4,20 +4,25 @@
 //   ody_bench list
 //       show every built-in campaign and registered scenario
 //   ody_bench run --campaign=<name> [--jobs=N] [--seed=U64] [--out=PATH]
-//                 [--trials-cap=N]
+//                 [--trials-cap=N] [--trace-out=PATH]
 //       execute the campaign and write BENCH_<name>.json (or PATH);
 //       --trials-cap caps every sweep's trial count (the TSan CI job runs a
-//       reduced tier1 this way — capped artifacts are never baselines)
+//       reduced tier1 this way — capped artifacts are never baselines);
+//       --trace-out writes a chrome://tracing JSON of the campaign's first
+//       planned trial
+//   ody_bench table --artifact=PATH
+//       print the artifact as one mean (stddev) table per scenario
 //   ody_bench compare --baseline=A.json --current=B.json [--tolerance=PCT]
 //       exit 0 iff no gated metric mean regressed beyond the tolerance
 //
-// The artifact bytes are a pure function of (campaign, seed): --jobs only
-// changes wall-clock time, never output — CI byte-diffs --jobs=1 against
-// --jobs=4 to hold the runner to that.  Wall-clock time is printed here but
-// deliberately never written into the artifact.
+// The artifact and trace bytes are a pure function of (campaign, seed):
+// --jobs only changes wall-clock time, never output — CI byte-diffs
+// --jobs=1 against --jobs=4 to hold the runner to that.  Wall-clock time is
+// printed here but deliberately never written into the artifact.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,15 +32,14 @@
 #include <string>
 #include <vector>
 
-#include "src/check/scale_scenario.h"
-#include "src/check/zoo_scenario.h"
-#include "src/fleet/fleet_scenario.h"
+#include "src/catalog/catalog.h"
 #include "src/harness/bench_artifact.h"
-#include "src/harness/builtin_scenarios.h"
 #include "src/harness/campaign.h"
 #include "src/harness/campaign_runner.h"
+#include "src/harness/decimal.h"
 #include "src/harness/scenario_registry.h"
 #include "src/harness/worker_pool.h"
+#include "src/trace/trace_session.h"
 
 namespace {
 
@@ -47,6 +51,7 @@ using odyssey::ComparisonReport;
 using odyssey::ComparisonRow;
 using odyssey::MetricDirection;
 using odyssey::MetricDirectionName;
+using odyssey::ParseDecimalU64;
 using odyssey::Scenario;
 using odyssey::ScenarioRegistry;
 using odyssey::Status;
@@ -59,20 +64,6 @@ bool FlagValue(const std::string& arg, const std::string& name, std::string* out
     return false;
   }
   *out = arg.substr(prefix.size());
-  return true;
-}
-
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || errno == ERANGE) {
-    return false;
-  }
-  *out = static_cast<uint64_t>(value);
   return true;
 }
 
@@ -99,31 +90,13 @@ bool WriteFile(const std::string& path, const std::string& text) {
   return true;
 }
 
-// Everything ody_bench can run: the built-in campaigns plus tier_scale
-// (scale_scenario.h, in odyssey_check), tier_fleet (fleet_scenario.h, in
-// odyssey_fleet) and tier_zoo (zoo_scenario.h, in odyssey_check).
-std::vector<CampaignSpec> AllCampaigns() {
-  std::vector<CampaignSpec> campaigns = odyssey::BuiltinCampaigns();
-  campaigns.push_back(odyssey::ScaleCampaign());
-  campaigns.push_back(odyssey::FleetCampaign());
-  campaigns.push_back(odyssey::ZooCampaign());
-  return campaigns;
-}
-
-void RegisterAllScenarios(ScenarioRegistry* registry) {
-  odyssey::RegisterBuiltinScenarios(registry);
-  odyssey::RegisterScaleScenarios(registry);
-  odyssey::RegisterFleetScenarios(registry);
-  odyssey::RegisterZooScenarios(registry);
-}
-
 int ListCommand() {
   std::cout << "campaigns:\n";
-  for (const CampaignSpec& campaign : AllCampaigns()) {
+  for (const CampaignSpec& campaign : odyssey::AllCampaigns()) {
     std::cout << "  " << campaign.name << " - " << campaign.description << "\n";
   }
   ScenarioRegistry registry;
-  RegisterAllScenarios(&registry);
+  odyssey::RegisterAllScenarios(&registry);
   std::cout << "scenarios:\n";
   for (const std::string& name : registry.scenario_names()) {
     const Scenario* scenario = registry.Find(name);
@@ -153,6 +126,7 @@ int RunCommand(const std::vector<std::string>& args) {
   std::string campaign_name;
   std::string out_path;
   std::string strip_path;
+  std::string trace_path;
   int jobs = odyssey::DefaultJobCount();
   uint64_t seed = 0;
   bool seed_set = false;
@@ -163,22 +137,24 @@ int RunCommand(const std::vector<std::string>& args) {
       campaign_name = value;
     } else if (FlagValue(arg, "strip-wall-out", &value)) {
       strip_path = value;
+    } else if (FlagValue(arg, "trace-out", &value)) {
+      trace_path = value;
     } else if (FlagValue(arg, "trials-cap", &value)) {
       uint64_t parsed = 0;
-      if (!ParseU64(value, &parsed) || parsed == 0 || parsed > 100000) {
+      if (!ParseDecimalU64(value, &parsed) || parsed == 0 || parsed > 100000) {
         std::cerr << "ody_bench: --trials-cap must be an integer in [1, 100000]\n";
         return 2;
       }
       trials_cap = static_cast<int>(parsed);
     } else if (FlagValue(arg, "jobs", &value)) {
       uint64_t parsed = 0;
-      if (!ParseU64(value, &parsed) || parsed == 0 || parsed > 1024) {
+      if (!ParseDecimalU64(value, &parsed) || parsed == 0 || parsed > 1024) {
         std::cerr << "ody_bench: --jobs must be an integer in [1, 1024]\n";
         return 2;
       }
       jobs = static_cast<int>(parsed);
     } else if (FlagValue(arg, "seed", &value)) {
-      if (!ParseU64(value, &seed)) {
+      if (!ParseDecimalU64(value, &seed)) {
         std::cerr << "ody_bench: --seed must be a decimal uint64\n";
         return 2;
       }
@@ -195,7 +171,7 @@ int RunCommand(const std::vector<std::string>& args) {
     return 2;
   }
 
-  const std::vector<CampaignSpec> campaigns = AllCampaigns();
+  const std::vector<CampaignSpec> campaigns = odyssey::AllCampaigns();
   const CampaignSpec* found = odyssey::FindCampaign(campaigns, campaign_name);
   if (found == nullptr) {
     std::cerr << "ody_bench: unknown campaign " << campaign_name << "\n";
@@ -219,10 +195,14 @@ int RunCommand(const std::vector<std::string>& args) {
   }
 
   ScenarioRegistry registry;
-  RegisterAllScenarios(&registry);
+  odyssey::RegisterAllScenarios(&registry);
 
+  // The trace covers plan index 0 only, so its bytes do not depend on
+  // --jobs (see CampaignRunOptions::trace).
+  odyssey::TraceSession trace(trace_path);
   CampaignRunOptions options;
   options.jobs = jobs;
+  options.trace = trace.recorder();
   CampaignResult result;
   const auto start = std::chrono::steady_clock::now();
   if (const Status status = RunCampaign(spec, registry, options, &result); !status.ok()) {
@@ -242,12 +222,48 @@ int RunCommand(const std::vector<std::string>& args) {
   if (!strip_path.empty() && !WriteStrippedArtifact(artifact, strip_path)) {
     return 2;
   }
+  if (!trace.ExportOrWarn()) {
+    return 2;
+  }
   // Wall-clock time goes to the console (CI logs the speedup from it), not
   // into the artifact, which must not depend on the machine or job count.
   std::printf("campaign %s: %llu trials, %zu metric summaries, jobs=%d, %.3f s wall\n",
               spec.name.c_str(), static_cast<unsigned long long>(artifact.trials),
               artifact.metrics.size(), jobs, elapsed.count());
   std::printf("wrote %s\n", out_path.c_str());
+  return 0;
+}
+
+// Reads and parses the artifact at |path|; reports failures on stderr.
+bool LoadArtifact(const std::string& path, BenchArtifact* artifact) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
+    return false;
+  }
+  if (const Status status = ParseArtifact(text, artifact); !status.ok()) {
+    std::cerr << "ody_bench: " << path << ": " << status.ToString() << "\n";
+    return false;
+  }
+  return true;
+}
+
+int TableCommand(const std::vector<std::string>& args) {
+  std::string artifact_path;
+  for (const std::string& arg : args) {
+    if (!FlagValue(arg, "artifact", &artifact_path)) {
+      std::cerr << "ody_bench: unknown table flag " << arg << "\n";
+      return 2;
+    }
+  }
+  if (artifact_path.empty()) {
+    std::cerr << "ody_bench: table requires --artifact=<json>\n";
+    return 2;
+  }
+  BenchArtifact artifact;
+  if (!LoadArtifact(artifact_path, &artifact)) {
+    return 2;
+  }
+  std::cout << odyssey::ArtifactToTables(artifact);
   return 0;
 }
 
@@ -264,8 +280,11 @@ int CompareCommand(const std::vector<std::string>& args) {
     } else if (FlagValue(arg, "tolerance", &value)) {
       char* end = nullptr;
       tolerance_pct = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() || tolerance_pct < 0.0) {
-        std::cerr << "ody_bench: --tolerance must be a non-negative percentage\n";
+      // A NaN or infinite allowance would pass every row: `delta >
+      // allowance` is false for all of them.
+      if (value.empty() || end != value.c_str() + value.size() ||
+          !std::isfinite(tolerance_pct) || tolerance_pct < 0.0) {
+        std::cerr << "ody_bench: --tolerance must be a finite non-negative percentage\n";
         return 2;
       }
     } else {
@@ -278,19 +297,9 @@ int CompareCommand(const std::vector<std::string>& args) {
     return 2;
   }
 
-  std::string baseline_text;
-  std::string current_text;
-  if (!ReadFile(baseline_path, &baseline_text) || !ReadFile(current_path, &current_text)) {
-    return 2;
-  }
   BenchArtifact baseline;
   BenchArtifact current;
-  if (const Status status = ParseArtifact(baseline_text, &baseline); !status.ok()) {
-    std::cerr << "ody_bench: " << baseline_path << ": " << status.ToString() << "\n";
-    return 2;
-  }
-  if (const Status status = ParseArtifact(current_text, &current); !status.ok()) {
-    std::cerr << "ody_bench: " << current_path << ": " << status.ToString() << "\n";
+  if (!LoadArtifact(baseline_path, &baseline) || !LoadArtifact(current_path, &current)) {
     return 2;
   }
 
@@ -320,7 +329,8 @@ int Usage() {
   std::cerr << "usage:\n"
             << "  ody_bench list\n"
             << "  ody_bench run --campaign=<name> [--jobs=N] [--seed=U64] [--out=PATH]\n"
-            << "                [--strip-wall-out=PATH] [--trials-cap=N]\n"
+            << "                [--strip-wall-out=PATH] [--trials-cap=N] [--trace-out=PATH]\n"
+            << "  ody_bench table --artifact=<json>\n"
             << "  ody_bench compare --baseline=<json> --current=<json> [--tolerance=PCT]\n";
   return 2;
 }
@@ -338,6 +348,9 @@ int main(int argc, char** argv) {
   }
   if (command == "run") {
     return RunCommand(args);
+  }
+  if (command == "table") {
+    return TableCommand(args);
   }
   if (command == "compare") {
     return CompareCommand(args);

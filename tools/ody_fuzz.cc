@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -50,6 +49,7 @@
 #include "src/check/shrink.h"
 #include "src/fleet/fleet_fuzz.h"
 #include "src/harness/campaign.h"
+#include "src/harness/decimal.h"
 #include "src/harness/worker_pool.h"
 #include "src/strategies/strategy_registry.h"
 
@@ -61,6 +61,7 @@ using odyssey::FuzzRunOptions;
 using odyssey::FuzzRunResult;
 using odyssey::FuzzScenario;
 using odyssey::GenerateScenario;
+using odyssey::ParseDecimalU64;
 using odyssey::RunFuzzScenario;
 using odyssey::ShrinkFailingScenario;
 using odyssey::ShrinkResult;
@@ -96,22 +97,9 @@ bool FlagValue(const std::string& arg, const std::string& name, std::string* out
   return true;
 }
 
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return false;
-  }
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
-
 bool ParseInt(const std::string& text, int* out) {
   uint64_t value = 0;
-  if (!ParseU64(text, &value) || value > 1u << 20) {
+  if (!ParseDecimalU64(text, &value) || value > 1u << 20) {
     return false;
   }
   *out = static_cast<int>(value);
@@ -140,7 +128,7 @@ bool ParseArgs(int argc, char** argv, Options* options) {
         return false;
       }
     } else if (FlagValue(arg, "seed", &value)) {
-      if (!ParseU64(value, &options->seed)) {
+      if (!ParseDecimalU64(value, &options->seed)) {
         return false;
       }
     } else if (FlagValue(arg, "max-apps", &value)) {
