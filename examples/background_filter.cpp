@@ -25,8 +25,7 @@ using namespace odyssey;
 
 int main(int argc, char** argv) {
   TraceSession trace_session(TraceSession::FromArgs(&argc, argv));
-  ExperimentRig rig(/*seed=*/1, "odyssey");
-  rig.sim().set_trace(trace_session.recorder());
+  ExperimentRig rig({.seed = 1, .trace = trace_session.recorder()});
   TelemetryServer telemetry(&rig.sim());
   telemetry.CreateFeed("stocks/ACME", 100 * kMillisecond, 100.0, 0.05);
   telemetry.CreateFeed("scout/sector-7", 200 * kMillisecond, 0.0, 0.02);

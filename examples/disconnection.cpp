@@ -19,8 +19,7 @@ using namespace odyssey;
 
 int main(int argc, char** argv) {
   TraceSession trace_session(TraceSession::FromArgs(&argc, argv));
-  ExperimentRig rig(/*seed=*/1, "blind-optimism");
-  rig.sim().set_trace(trace_session.recorder());
+  ExperimentRig rig({.seed = 1, .strategy = "blind-optimism", .trace = trace_session.recorder()});
   // Blind optimism is the right strategy here on purpose: detecting *zero*
   // bandwidth passively is impossible (no traffic flows, so no
   // observations), and the paper notes the networking layer can notify the

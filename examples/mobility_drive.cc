@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
               model->name(), BaseStationLayoutName(spec.layout), waveform.segments().size(),
               DurationToSeconds(waveform.TotalDuration()));
 
-  ExperimentRig rig(kSeed, "odyssey");
-  rig.sim().set_trace(trace_session.recorder());
+  ExperimentRig rig({.seed = kSeed, .trace = trace_session.recorder()});
 
   SpeechFrontEnd speech(&rig.client(), SpeechFrontEndOptions{});
   WebBrowser web(&rig.client(), WebBrowserOptions{});

@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
   TraceSession trace_session(TraceSession::FromArgs(&argc, argv));
   // One mobile client whose link replays a Step-Down waveform: 120 KB/s for
   // 30 s, then 40 KB/s.  ExperimentRig bundles the simulation, the link,
-  // the viceroy (centralized strategy), the wardens, and the servers.
-  ExperimentRig rig(/*seed=*/1, "odyssey");
-  rig.sim().set_trace(trace_session.recorder());
+  // the viceroy, the wardens, and the servers; its RigSpec defaults to the
+  // paper's configuration (centralized strategy, 120 KB/s link).
+  ExperimentRig rig({.seed = 1, .trace = trace_session.recorder()});
   rig.Replay(MakeStepDown(), /*prime=*/false);
 
   OdysseyClient& client = rig.client();

@@ -23,8 +23,7 @@ using namespace odyssey;
 
 int main(int argc, char** argv) {
   TraceSession trace_session(TraceSession::FromArgs(&argc, argv));
-  ExperimentRig rig(/*seed=*/1, "odyssey");
-  rig.sim().set_trace(trace_session.recorder());
+  ExperimentRig rig({.seed = 1, .trace = trace_session.recorder()});
   const ReplayTrace trace = MakeUrbanScenario();
 
   VideoPlayerOptions video_options;

@@ -17,29 +17,6 @@
 
 namespace odyssey {
 
-FuzzServers::FuzzServers(Simulation* sim) : farm(&sim->rng()), files(&sim->rng()), telemetry(sim) {
-  for (int i = 0; i < kFuzzFiles; ++i) {
-    files.Publish("doc/" + std::to_string(i), (8.0 + 16.0 * i) * 1024.0);
-  }
-  telemetry.CreateFeed(kFuzzFeed, 200 * kMillisecond, 100.0, 5.0);
-}
-
-std::vector<std::unique_ptr<Warden>> FuzzServers::Wardens() {
-  std::vector<std::unique_ptr<Warden>> wardens = farm.Wardens();
-  wardens.push_back(std::make_unique<BitstreamWarden>());
-  wardens.push_back(std::make_unique<FileWarden>(&files));
-  wardens.push_back(std::make_unique<TelemetryWarden>(&telemetry));
-  return wardens;
-}
-
-ReplayTrace BuildTrace(const FuzzScenario& scenario) {
-  ReplayTrace trace;
-  for (const FuzzSegment& segment : scenario.segments) {
-    trace.Append(segment.duration, segment.bandwidth_bps, segment.latency);
-  }
-  return trace;
-}
-
 FaultPlan BuildFaultPlan(const FuzzScenario& scenario) {
   FaultPlan plan;
   plan.WithSeed(SplitMix64(scenario.seed ^ 0x6661756c7473ULL).Next());

@@ -1,6 +1,7 @@
-// The per-application fuzz driver, the fuzz rig's servers and the
-// scenario->rig translation helpers, shared between the single-node runner
-// (fuzz_runner.cc) and the fleet runner (src/fleet/fleet_fuzz.cc).
+// The per-application fuzz driver and the scenario's fault plan, shared
+// between the single-node runner (fuzz_runner.cc) and the fleet runner
+// (src/fleet/fleet_fuzz.cc).  The servers both runners build are the
+// FuzzServers of src/metrics/experiment.h.
 //
 // A FuzzDriver drives one fuzzed application: registers it, executes its op
 // schedule at the scheduled virtual times, and keeps upcall traffic flowing
@@ -18,37 +19,10 @@
 #include "src/check/fuzz_scenario.h"
 #include "src/check/oracles.h"
 #include "src/core/odyssey_client.h"
-#include "src/core/warden.h"
 #include "src/metrics/experiment.h"
 #include "src/net/fault_injector.h"
-#include "src/servers/file_server.h"
-#include "src/servers/telemetry_server.h"
-#include "src/tracemod/replay_trace.h"
 
 namespace odyssey {
-
-// Published objects every scenario can address (variant selects among them).
-inline constexpr int kFuzzFiles = 4;
-inline constexpr char kFuzzFeed[] = "feed0";
-
-// Every server a fuzzed app can reach: the experiment farm, the kFuzzFiles
-// documents and the kFuzzFeed telemetry feed.  Construction draws session
-// jitter and schedules the feed, so each runner builds it at one fixed
-// point of its rig.
-struct FuzzServers {
-  explicit FuzzServers(Simulation* sim);
-
-  // The six wardens, in install order: video, web, speech, bitstream, file,
-  // telemetry.
-  std::vector<std::unique_ptr<Warden>> Wardens();
-
-  ServerFarm farm;
-  FileServer files;
-  TelemetryServer telemetry;
-};
-
-// The scenario's waveform as a replayable modulator trace.
-ReplayTrace BuildTrace(const FuzzScenario& scenario);
 
 // The scenario's fault list as an armable plan.  The injector's
 // probabilistic stream is rooted in the scenario seed but decoupled from

@@ -1,18 +1,12 @@
 #include "src/check/fuzz_runner.h"
 
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "src/check/fuzz_driver.h"
-#include "src/core/odyssey_client.h"
 #include "src/metrics/experiment.h"
 #include "src/net/fault_injector.h"
-#include "src/net/modulator.h"
-#include "src/servers/calibration.h"
 #include "src/strategies/centralized.h"
-#include "src/strategies/strategy_registry.h"
 #include "src/tracemod/replay_trace.h"
 
 namespace odyssey {
@@ -66,45 +60,26 @@ struct Sampler {
 FuzzRunResult RunFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions& options) {
   FuzzRunResult result;
 
-  Simulation sim(scenario.seed);
-  if (options.trace != nullptr) {
-    sim.set_trace(options.trace);
+  RigSpec spec;
+  spec.seed = scenario.seed;
+  spec.strategy = scenario.strategy.empty() ? "odyssey" : scenario.strategy;
+  if (!scenario.segments.empty()) {
+    spec.link = scenario.segments.front();
   }
-  const FuzzSegment first =
-      scenario.segments.empty() ? FuzzSegment{kSecond, kHighBandwidth, kOneWayLatency}
-                                : scenario.segments.front();
-  Link link(&sim, first.bandwidth_bps, first.latency);
-  Modulator modulator(&sim, &link);
-  FaultInjector injector(&sim, &link);
-
-  FuzzServers servers(&sim);
-
-  // The strategy comes from the registry so the fuzz dimension and the
-  // conformance kit cover exactly what production scenarios can select.
-  // The reference stack pairs the scenario's strategy with the naive
-  // supply model and the full-scan viceroy.
-  const std::string strategy_name = scenario.strategy.empty() ? "odyssey" : scenario.strategy;
-  StrategyContext context;
-  context.sim = &sim;
-  context.modulator = &modulator;
-  context.supply_kind =
-      options.reference_stack ? SupplyModelKind::kNaive : SupplyModelKind::kIncremental;
-  std::unique_ptr<BandwidthStrategy> strategy =
-      StrategyRegistry::Builtin().Create(strategy_name, std::move(context));
-  CentralizedStrategy* strategy_ptr = strategy->audit_surface();
-  BandwidthStrategy* strategy_base = strategy.get();
-  OdysseyClient client(&sim, &link, std::move(strategy), kUpcallLatency);
-  if (options.reference_stack) {
-    client.viceroy().set_reevaluate_mode(ReevaluateMode::kFullScan);
-  }
-  for (std::unique_ptr<Warden>& warden : servers.Wardens()) {
-    client.InstallWarden(std::move(warden));
-  }
+  spec.reference = options.reference_stack;
+  spec.servers = RigServers::kFuzz;
+  spec.trace = options.trace;
+  ExperimentRig rig(spec);
+  Simulation& sim = rig.sim();
+  OdysseyClient& client = rig.client();
+  FaultInjector injector(&sim, &rig.link());
   client.set_retry_policy(RetryPolicy::Default());
   client.set_fault_injector(&injector);
   injector.Arm(BuildFaultPlan(scenario));
 
-  OracleSet oracle(scenario, &sim, &client.viceroy(), strategy_ptr, &link);
+  BandwidthStrategy* strategy_base = &client.viceroy().strategy();
+  CentralizedStrategy* strategy_ptr = strategy_base->audit_surface();
+  OracleSet oracle(scenario, &sim, &client.viceroy(), strategy_ptr, &rig.link());
   oracle.set_max_audited_connections(options.max_audited_connections);
   client.viceroy().upcalls().set_delivery_observer(
       [&oracle, &result, &options, &sim](AppId app, uint64_t seq, RequestId request,
@@ -159,7 +134,7 @@ FuzzRunResult RunFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions
     drivers.back()->Start();
   }
 
-  modulator.Replay(BuildTrace(scenario));
+  rig.modulator().Replay(ReplayTrace(scenario.segments));
   sim.RunUntil(scenario.horizon);
   for (auto& driver : drivers) {
     driver->Stop();
@@ -176,7 +151,7 @@ FuzzRunResult RunFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions
   result.violations = oracle.violations();
   result.violation_count = oracle.violation_count();
   result.tie_pairs_audited = oracle.tie_pairs_audited();
-  result.bytes_delivered = link.bytes_delivered();
+  result.bytes_delivered = rig.link().bytes_delivered();
   return result;
 }
 

@@ -1,9 +1,10 @@
 // Executes one FuzzScenario against a full Odyssey stack under oracles.
 //
-// RunFuzzScenario builds a fresh shared-nothing rig (simulation, modulated
-// link, fault injector, centralized strategy, all six wardens and their
-// servers), attaches the invariant oracles, drives the scenario's per-app
-// operation schedule, and returns every violation the oracles recorded.
+// RunFuzzScenario builds a fresh shared-nothing ExperimentRig (the
+// scenario's strategy, the six-warden FuzzServers, the link at the first
+// segment) plus a fault injector, attaches the invariant oracles, drives
+// the scenario's per-app operation schedule, and returns every violation
+// the oracles recorded.
 // The result is a pure function of (scenario, options): running the same
 // scenario twice — on any thread, in any order, with any number of sibling
 // runs — yields identical results, which is what seed replay and shrinking
@@ -74,9 +75,8 @@ struct FuzzRunOptions {
   Duration drain_grace = 2 * kSecond;
   // Optional recorder for the canonical failure trace; borrowed.
   TraceRecorder* trace = nullptr;
-  // Runs the pre-scale reference stack instead of the production one: the
-  // naive full-rescan supply model and the viceroy's full-scan
-  // re-evaluation.  The differential tests run every scenario both ways
+  // Runs the pre-scale reference stack (RigSpec::reference) instead of the
+  // production one.  The differential tests run every scenario both ways
   // and require identical DifferentialLogs.
   bool reference_stack = false;
   // When set, the run appends its upcall records and availability samples

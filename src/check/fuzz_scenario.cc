@@ -69,8 +69,7 @@ FuzzFault GenerateFault(Rng& rng, Duration horizon) {
 // ensure_live_tail keeps the documented drain guarantee (the final segment
 // has positive bandwidth); everything else — shadow length, flap rate — is
 // whatever the motion produces, which is exactly the point.
-void GenerateMobilitySegments(Rng& rng, Duration horizon,
-                              std::vector<FuzzSegment>* segments) {
+std::vector<TraceSegment> GenerateMobilitySegments(Rng& rng, Duration horizon) {
   MobilityScenarioSpec spec;
   spec.model = static_cast<MobilityModelKind>(rng.UniformInt(kMobilityModelKinds));
   spec.layout = static_cast<BaseStationLayout>(rng.UniformInt(kBaseStationLayouts));
@@ -82,10 +81,7 @@ void GenerateMobilitySegments(Rng& rng, Duration horizon,
   spec.sample_period = UniformDuration(rng, 250 * kMillisecond, kSecond);
   spec.ensure_live_tail = true;
   const uint64_t waveform_seed = rng.NextU64();
-  const ReplayTrace waveform = MakeMobilityWaveform(spec, waveform_seed);
-  for (const TraceSegment& segment : waveform.segments()) {
-    segments->push_back(FuzzSegment{segment.duration, segment.bandwidth_bps, segment.latency});
-  }
+  return MakeMobilityWaveform(spec, waveform_seed).segments();
 }
 
 }  // namespace
@@ -144,7 +140,7 @@ std::string FuzzScenario::Describe() const {
   if (!strategy.empty()) {
     out << "  strategy " << strategy << "\n";
   }
-  for (const FuzzSegment& segment : segments) {
+  for (const TraceSegment& segment : segments) {
     out << "  segment " << DurationToSeconds(segment.duration) << "s "
         << segment.bandwidth_bps / 1024.0 << " KB/s latency "
         << DurationToMillis(segment.latency) << "ms\n";
@@ -196,12 +192,12 @@ FuzzScenario GenerateScenario(uint64_t seed, const ScenarioOptions& options) {
   // motion-generated waveform instead of the hand-rolled segment draw.
   const bool mobility_waveform = options.mobility && rng.NextDouble() < 0.5;
   if (mobility_waveform) {
-    GenerateMobilitySegments(rng, scenario.horizon, &scenario.segments);
+    scenario.segments = GenerateMobilitySegments(rng, scenario.horizon);
   } else {
     const int segment_count =
         kMinSegments + static_cast<int>(rng.UniformInt(kMaxSegments - kMinSegments + 1));
     for (int i = 0; i < segment_count; ++i) {
-      FuzzSegment segment;
+      TraceSegment segment;
       const bool last = i + 1 == segment_count;
       // Radio shadows: an occasional zero-bandwidth segment, never last (the
       // final segment persists forever, and a dead tail would strand every
@@ -287,14 +283,7 @@ FuzzScenario GenerateScenario(uint64_t seed, const ScenarioOptions& options) {
 }
 
 double IntegrateCapacityBytes(const FuzzScenario& scenario, Time until) {
-  // One audited integration path: the FuzzSegments mirror TraceSegments, so
-  // the bound is exactly ReplayTrace::IntegralBytes over the same waveform
-  // (identical arithmetic, byte-identical results).
-  ReplayTrace waveform;
-  for (const FuzzSegment& segment : scenario.segments) {
-    waveform.Append(segment.duration, segment.bandwidth_bps, segment.latency);
-  }
-  return waveform.IntegralBytes(until);
+  return ReplayTrace(scenario.segments).IntegralBytes(until);
 }
 
 }  // namespace odyssey

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/sim/time.h"
+#include "src/tracemod/replay_trace.h"
 
 namespace odyssey {
 
@@ -35,15 +36,6 @@ enum class FuzzWardenKind : int {
 inline constexpr int kFuzzWardenKinds = 6;
 
 const char* FuzzWardenName(FuzzWardenKind kind);
-
-// One piecewise-constant segment of the link waveform (mirrors
-// TraceSegment, duplicated here so a scenario is self-contained and
-// trivially serializable in a repro snippet).
-struct FuzzSegment {
-  Duration duration = 0;
-  double bandwidth_bps = 0.0;
-  Duration latency = 0;
-};
 
 // What a scheduled application action does.
 enum class FuzzOpKind : int {
@@ -95,7 +87,7 @@ struct FuzzFault {
 struct FuzzScenario {
   uint64_t seed = 1;
   Duration horizon = 0;
-  std::vector<FuzzSegment> segments;
+  std::vector<TraceSegment> segments;  // the link waveform
   std::vector<FuzzApp> apps;
   std::vector<FuzzFault> faults;
 

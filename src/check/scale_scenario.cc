@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "src/core/resource.h"
 #include "src/core/viceroy.h"
 #include "src/metrics/experiment.h"
-#include "src/net/link.h"
 #include "src/rpc/endpoint.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
@@ -51,8 +49,7 @@ struct ScaleParams {
   int cancel_sweep = 256;
   // OracleSet::set_max_audited_connections (0 = audit everything).
   size_t max_audited_connections = 0;
-  SupplyModelKind kind = SupplyModelKind::kIncremental;
-  ReevaluateMode mode = ReevaluateMode::kIndexed;
+  bool reference = false;  // RigSpec::reference
 };
 
 // The FuzzScenario handed to OracleSet: its segments mirror the rig's
@@ -63,11 +60,8 @@ FuzzScenario SyntheticScenario(const ScaleParams& params, uint64_t seed) {
   scenario.seed = seed;
   scenario.horizon = params.horizon;
   for (const double kbps : kWaveKbps) {
-    FuzzSegment segment;
-    segment.duration = params.horizon / 4;
-    segment.bandwidth_bps = kbps * 1024.0 * static_cast<double>(params.hot_connections);
-    segment.latency = 10 * kMillisecond;
-    scenario.segments.push_back(segment);
+    const double bps = kbps * 1024.0 * static_cast<double>(params.hot_connections);
+    scenario.segments.push_back(TraceSegment{params.horizon / 4, bps, 10 * kMillisecond});
   }
   return scenario;
 }
@@ -77,14 +71,12 @@ class ScaleRig {
   ScaleRig(const ScaleParams& params, uint64_t seed, TraceRecorder* trace)
       : params_(params),
         scenario_(SyntheticScenario(params, seed)),
-        sim_(seed),
-        link_(&sim_, scenario_.segments.front().bandwidth_bps, 10 * kMillisecond),
-        viceroy_(&sim_, MakeStrategy(&sim_, params), kUpcallLatency),
+        rig_(Spec(scenario_, params.reference, trace)),
+        sim_(rig_.sim()),
+        viceroy_(rig_.client().viceroy()),
         strategy_(viceroy_.strategy().audit_surface()),
-        oracle_(scenario_, &sim_, &viceroy_, strategy_, &link_),
+        oracle_(scenario_, &sim_, &viceroy_, strategy_, &rig_.link()),
         windows_(&viceroy_, &oracle_) {
-    sim_.set_trace(trace);
-    viceroy_.set_reevaluate_mode(params.mode);
     oracle_.set_max_audited_connections(params.max_audited_connections);
   }
 
@@ -113,28 +105,33 @@ class ScaleRig {
   }
 
  private:
-  static std::unique_ptr<BandwidthStrategy> MakeStrategy(Simulation* sim,
-                                                         const ScaleParams& params) {
-    return std::make_unique<CentralizedStrategy>(sim, SupplyModelConfig{}, params.kind);
+  // No servers: the apps' connections are the rig's only traffic sources.
+  static RigSpec Spec(const FuzzScenario& scenario, bool reference, TraceRecorder* trace) {
+    RigSpec spec;
+    spec.seed = scenario.seed;
+    spec.link = scenario.segments.front();
+    spec.reference = reference;
+    spec.servers = RigServers::kNone;
+    spec.trace = trace;
+    return spec;
   }
 
   void Build() {
     Rng rng(sim_.rng().NextU64());
+    OdysseyClient& client = rig_.client();
     apps_.reserve(params_.apps);
     endpoints_.reserve(params_.apps);
     for (int i = 0; i < params_.apps; ++i) {
       TrackedApp app;
-      app.id = viceroy_.RegisterApplication("scale" + std::to_string(i));
-      endpoints_.push_back(std::make_unique<Endpoint>(&sim_, &link_, "server"));
-      viceroy_.AttachConnection(app.id, endpoints_.back().get());
+      app.id = client.RegisterApplication("scale" + std::to_string(i));
+      endpoints_.push_back(client.OpenConnection(app.id, "server"));
       apps_.push_back(app);
     }
     // A handful of two-connection apps: their idle availability is 2x the
     // per-connection fair share, populating a second level of the indexed
     // re-evaluation's idle probe.
     for (int i = 0; i < std::min(kMultiConnectionApps, params_.apps); ++i) {
-      extra_endpoints_.push_back(std::make_unique<Endpoint>(&sim_, &link_, "server2"));
-      viceroy_.AttachConnection(apps_[i].id, extra_endpoints_.back().get());
+      client.OpenConnection(apps_[i].id, "server2");
     }
     const int hot = std::min(params_.hot_connections, params_.apps);
     weights_.reserve(hot);
@@ -236,14 +233,10 @@ class ScaleRig {
 
   const ScaleParams params_;
   const FuzzScenario scenario_;
-  Simulation sim_;
-  Link link_;
-  // Endpoints are declared before the viceroy so they are destroyed after
-  // it: the strategy's destructor unsubscribes from their observation logs
-  // (the same ordering OdysseyClient enforces in its destructor).
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::vector<std::unique_ptr<Endpoint>> extra_endpoints_;
-  Viceroy viceroy_;
+  ExperimentRig rig_;
+  Simulation& sim_;
+  Viceroy& viceroy_;
+  std::vector<Endpoint*> endpoints_;  // one per app, in app order; owned by the client
   CentralizedStrategy* const strategy_;
   OracleSet oracle_;
   WindowTracker windows_;
@@ -292,8 +285,7 @@ void RegisterScaleScenarios(ScenarioRegistry* registry) {
   // comparison against n10k is the events-per-wall-second *rate*, which is
   // schedule-length independent.
   ScaleParams naive = VariantParams(10000, 2, 64);
-  naive.kind = SupplyModelKind::kNaive;
-  naive.mode = ReevaluateMode::kFullScan;
+  naive.reference = true;
   naive.horizon = 1 * kSecond;
   naive.feed_period = 250 * kMillisecond;
   add("n10k_naive", naive);

@@ -1,9 +1,9 @@
 // The tier_scale campaign: the viceroy hot core at 100 to 100k concurrent
 // adaptive applications, with every fuzzing oracle left on.
 //
-// Each variant builds a shared-nothing rig — simulation, link, centralized
-// strategy, viceroy — registers N applications each holding a re-registering
-// window of tolerance, and drives a stepped supply waveform through a small
+// Each variant builds a shared-nothing ExperimentRig with no servers,
+// registers N applications each holding a re-registering window of
+// tolerance, and drives a stepped supply waveform through a small
 // set of hot connections.  Every supply step violates every window at once,
 // so the rig exercises exactly the paths the scale work optimized: the
 // indexed re-evaluation, batched upcall dispatch, slab-allocated request

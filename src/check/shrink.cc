@@ -223,8 +223,8 @@ std::string EmitReproSnippet(const FuzzScenario& scenario, const std::string& or
   out << "  scenario.seed = " << scenario.seed << "ULL;\n";
   out << "  scenario.horizon = " << scenario.horizon << ";  // "
       << DurationToSeconds(scenario.horizon) << " s\n";
-  for (const FuzzSegment& segment : scenario.segments) {
-    out << "  scenario.segments.push_back(FuzzSegment{" << segment.duration << ", "
+  for (const TraceSegment& segment : scenario.segments) {
+    out << "  scenario.segments.push_back(TraceSegment{" << segment.duration << ", "
         << DoubleLiteral(segment.bandwidth_bps) << ", " << segment.latency << "});\n";
   }
   for (size_t i = 0; i < scenario.apps.size(); ++i) {

@@ -72,12 +72,8 @@ FuzzApp MakeApp(FuzzWardenKind warden, Time start, Duration active, int salt) {
   return app;
 }
 
-FuzzSegment Segment(Duration duration, double bandwidth_bps) {
-  FuzzSegment segment;
-  segment.duration = duration;
-  segment.bandwidth_bps = bandwidth_bps;
-  segment.latency = 10 * kMillisecond;
-  return segment;
+TraceSegment Segment(Duration duration, double bandwidth_bps) {
+  return TraceSegment{duration, bandwidth_bps, 10 * kMillisecond};
 }
 
 // Fig-8 shape: generous supply, a hard step down to a quarter, a partial
@@ -139,11 +135,7 @@ void BuildMobilityCell(FuzzScenario* scenario, uint64_t seed) {
   spec.duration = scenario->horizon;
   spec.sample_period = 500 * kMillisecond;
   spec.ensure_live_tail = true;
-  const ReplayTrace waveform = MakeMobilityWaveform(spec, seed);
-  for (const TraceSegment& segment : waveform.segments()) {
-    scenario->segments.push_back(
-        FuzzSegment{segment.duration, segment.bandwidth_bps, segment.latency});
-  }
+  scenario->segments = MakeMobilityWaveform(spec, seed).segments();
   scenario->apps.push_back(
       MakeApp(FuzzWardenKind::kBitstream, 100 * kMillisecond, 11 * kSecond, 20));
   scenario->apps.push_back(MakeApp(FuzzWardenKind::kWeb, 400 * kMillisecond, 11 * kSecond, 21));

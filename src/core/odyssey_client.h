@@ -146,6 +146,8 @@ class OdysseyClient {
   Link* link() { return link_; }
   Viceroy& viceroy() { return viceroy_; }
   const ObjectNamespace& object_namespace() const { return namespace_; }
+  // Installed wardens, in install order.
+  const std::vector<std::unique_ptr<Warden>>& wardens() const { return wardens_; }
 
  private:
   struct OpenObject {

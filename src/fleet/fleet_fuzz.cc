@@ -9,7 +9,6 @@
 #include "src/core/contract.h"
 #include "src/fleet/fleet_node.h"
 #include "src/metrics/experiment.h"
-#include "src/servers/calibration.h"
 #include "src/sim/random.h"
 
 namespace odyssey {
@@ -21,7 +20,7 @@ FuzzScenario FleetNodeScenario(const FuzzScenario& scenario, int node) {
   }
   SplitMix64 mix(scenario.seed ^ (0x666c656574ULL + static_cast<uint64_t>(node) * 0x9e3779b97f4a7c15ULL));
   const double factor = 0.5 + static_cast<double>(mix.Next() >> 11) * 0x1.0p-53;
-  for (FuzzSegment& segment : out.segments) {
+  for (TraceSegment& segment : out.segments) {
     if (segment.bandwidth_bps > 0.0) {
       segment.bandwidth_bps *= factor;
     }
@@ -34,9 +33,7 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
   FuzzRunResult result;
 
   Simulation sim(scenario.seed);
-  if (options.trace != nullptr) {
-    sim.set_trace(options.trace);
-  }
+  sim.set_trace(options.trace);
 
   // One shared set of servers, exactly the single-node runner's.
   FuzzServers servers(&sim);
@@ -48,18 +45,14 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
   for (int i = 0; i < scenario.fleet_nodes; ++i) {
     auto node = std::make_unique<FleetNode>();
     node->scenario = FleetNodeScenario(scenario, i);
-    node->waveform = BuildTrace(node->scenario);
+    node->waveform = ReplayTrace(node->scenario.segments);
     // Each node's injector stream is decoupled from its siblings': same
     // fault schedule, independent probabilistic draws.
     node->plan = BuildFaultPlan(scenario);
     node->plan.WithSeed(SplitMix64(node->plan.seed ^ static_cast<uint64_t>(i)).Next());
-    const FuzzSegment first = node->scenario.segments.empty()
-                                  ? FuzzSegment{kSecond, kHighBandwidth, kOneWayLatency}
-                                  : node->scenario.segments.front();
-
-    FleetNode* built = fleet.AddNode(
-        std::move(node), TraceSegment{first.duration, first.bandwidth_bps, first.latency},
-        servers.Wardens());
+    const TraceSegment first =
+        node->scenario.segments.empty() ? RigSpec{}.link : node->scenario.segments.front();
+    FleetNode* built = fleet.AddNode(std::move(node), first, servers.Wardens());
     built->client->set_retry_policy(RetryPolicy::Default());
     built->oracle->set_max_audited_connections(options.max_audited_connections);
   }

@@ -37,9 +37,7 @@ FuzzScenario MirrorScenario(const ReplayTrace& waveform, Duration horizon, uint6
   FuzzScenario scenario;
   scenario.seed = seed;
   scenario.horizon = horizon;
-  for (const TraceSegment& segment : waveform.segments()) {
-    scenario.segments.push_back(FuzzSegment{segment.duration, segment.bandwidth_bps, segment.latency});
-  }
+  scenario.segments = waveform.segments();
   return scenario;
 }
 

@@ -74,8 +74,7 @@ void StartAdaptingWhenEstimated(OdysseyClient* client, AppId app) {
 
 AgilityTrialResult RunSupplyAgilityTrial(Waveform waveform, uint64_t seed,
                                          TraceRecorder* trace) {
-  ExperimentRig rig(seed, "odyssey");
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .trace = trace});
   BitstreamApp app(&rig.client(), "bitstream");
   const Time measure = rig.Replay(MakeWaveform(waveform));
   app.Start();
@@ -99,8 +98,7 @@ AgilityTrialResult RunSupplyAgilityTrial(Waveform waveform, uint64_t seed,
 
 MobilityTrialResult RunMobilityTrackingTrial(const ReplayTrace& replay, uint64_t seed,
                                              TraceRecorder* trace) {
-  ExperimentRig rig(seed, "odyssey");
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .trace = trace});
   BitstreamApp app(&rig.client(), "bitstream");
   const Time measure = rig.Replay(replay);
   const Time end = measure + replay.TotalDuration();
@@ -148,8 +146,7 @@ DemandTrialResult RunDemandAgilityTrial(double utilization, uint64_t seed,
   constexpr Duration kSamplePeriod = 100 * kMillisecond;
   constexpr Duration kObservation = 60 * kSecond;
 
-  ExperimentRig rig(seed, "odyssey");
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .trace = trace});
   BitstreamApp first(&rig.client(), "bitstream-1");
   BitstreamApp second(&rig.client(), "bitstream-2");
   const double target = utilization >= 1.0 ? 0.0 : utilization * kHighBandwidth;
@@ -184,8 +181,7 @@ DemandTrialResult RunDemandAgilityTrial(double utilization, uint64_t seed,
 
 VideoTrialResult RunVideoTrial(Waveform waveform, int fixed_track, uint64_t seed,
                                TraceRecorder* trace) {
-  ExperimentRig rig(seed, "odyssey");
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .trace = trace});
   VideoPlayerOptions options;
   options.fixed_track = fixed_track;
   // Play through priming plus the waveform; measure only the 600 frames
@@ -203,8 +199,7 @@ VideoTrialResult RunVideoTrial(Waveform waveform, int fixed_track, uint64_t seed
 
 WebTrialResult RunWebTrial(const ReplayTrace& replay, int fixed_level, bool prime,
                            uint64_t seed, TraceRecorder* trace) {
-  ExperimentRig rig(seed, "odyssey");
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .trace = trace});
   WebBrowserOptions options;
   options.fixed_level = fixed_level;
   WebBrowser browser(&rig.client(), options);
@@ -221,8 +216,7 @@ WebTrialResult RunWebTrial(const ReplayTrace& replay, int fixed_level, bool prim
 
 double RunSpeechTrialSeconds(Waveform waveform, SpeechMode mode, uint64_t seed,
                              TraceRecorder* trace) {
-  ExperimentRig rig(seed, "odyssey");
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .trace = trace});
   SpeechFrontEndOptions options;
   options.mode = mode;
   SpeechFrontEnd frontend(&rig.client(), options);
@@ -235,8 +229,7 @@ double RunSpeechTrialSeconds(Waveform waveform, SpeechMode mode, uint64_t seed,
 
 ConcurrentTrialResult RunConcurrentTrial(const std::string& strategy, uint64_t seed,
                                          TraceRecorder* trace) {
-  ExperimentRig rig(seed, strategy);
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .strategy = strategy, .trace = trace});
   VideoPlayerOptions video_options;
   // 15 minutes at 10 fps plus the priming period; the 600-frame movie
   // loops continuously.
@@ -265,27 +258,16 @@ ConcurrentTrialResult RunConcurrentTrial(const std::string& strategy, uint64_t s
 EstimatorAblationTrialResult RunEstimatorAblationTrial(const SupplyModelConfig& config,
                                                        double window_bytes, Waveform waveform,
                                                        uint64_t seed, TraceRecorder* trace) {
-  // Hand-built rig: the swept estimator configuration replaces the
-  // ExperimentRig default.
-  Simulation sim(seed);
-  sim.set_trace(trace);
-  Link link(&sim, kHighBandwidth, kOneWayLatency);
-  Modulator modulator(&sim, &link);
-  auto strategy = std::make_unique<CentralizedStrategy>(&sim, config);
-  CentralizedStrategy* centralized = strategy.get();
-  OdysseyClient client(&sim, &link, std::move(strategy));
-  client.InstallWarden(std::make_unique<BitstreamWarden>());
-  BitstreamApp app(&client, "bitstream");
-
-  const ReplayTrace replay = MakeWaveform(waveform).WithPriming(kPrimingPeriod);
-  modulator.Replay(replay);
-  const Time measure = kPrimingPeriod;
+  ExperimentRig rig({.seed = seed, .supply = config, .trace = trace});
+  BitstreamApp app(&rig.client(), "bitstream");
+  const Time measure = rig.Replay(MakeWaveform(waveform));
   app.Start(0.0, window_bytes);
-  Sampler sampler(&sim, 100 * kMillisecond, measure,
-                  [&] { return centralized->TotalSupply(sim.now()); });  // ody_lint: owned-capture
+  Sampler sampler(&rig.sim(), 100 * kMillisecond, measure, [&rig] {  // ody_lint: owned-capture
+    return rig.centralized()->TotalSupply(rig.sim().now());
+  });
   // ody_lint: owned-capture
-  sim.ScheduleAt(measure, [&] { sampler.Run(measure + kWaveformLength); });
-  sim.RunUntil(measure + kWaveformLength);
+  rig.sim().ScheduleAt(measure, [&] { sampler.Run(measure + kWaveformLength); });
+  rig.sim().RunUntil(measure + kWaveformLength);
 
   EstimatorAblationTrialResult result;
   const double target = waveform == Waveform::kStepUp ? kHighBandwidth : kLowBandwidth;
@@ -314,30 +296,19 @@ FairshareTrialResult RunFairshareAblationTrial(const SupplyModelConfig& config, 
     replay.Append(45 * kSecond, i % 2 == 0 ? kHighBandwidth : kLowBandwidth, kOneWayLatency);
   }
 
-  Simulation sim(seed);
-  sim.set_trace(trace);
-  Link link(&sim, kHighBandwidth, kOneWayLatency);
-  Modulator modulator(&sim, &link);
-  OdysseyClient client(&sim, &link, std::make_unique<CentralizedStrategy>(&sim, config));
-
-  ServerFarm farm(&sim.rng());
-  for (std::unique_ptr<Warden>& warden : farm.Wardens()) {
-    client.InstallWarden(std::move(warden));
-  }
-
+  ExperimentRig rig({.seed = seed, .supply = config, .trace = trace});
   VideoPlayerOptions video_options;
   video_options.frames_to_play = 4000;
-  VideoPlayer video(&client, video_options);
-  WebBrowser web(&client, WebBrowserOptions{});
-  SpeechFrontEnd speech(&client, SpeechFrontEndOptions{});
+  VideoPlayer video(&rig.client(), video_options);
+  WebBrowser web(&rig.client(), WebBrowserOptions{});
+  SpeechFrontEnd speech(&rig.client(), SpeechFrontEndOptions{});
 
-  modulator.Replay(replay.WithPriming(kPrimingPeriod));
-  const Time measure = kPrimingPeriod;
+  const Time measure = rig.Replay(replay);
   const Time end = measure + replay.TotalDuration();
   video.Start();
   web.Start();
   speech.Start();
-  sim.RunUntil(end);
+  rig.sim().RunUntil(end);
 
   FairshareTrialResult result;
   result.video_drops = video.DropsBetween(measure, end);
@@ -358,8 +329,7 @@ FairshareTrialResult RunFairshareAblationTrial(const SupplyModelConfig& config, 
 FileConsistencyTrialResult RunFileConsistencyTrial(FileConsistency level, uint64_t seed,
                                                    TraceRecorder* trace) {
   constexpr double kKb = 1024.0;
-  ExperimentRig rig(seed, "odyssey");
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .trace = trace});
   FileServer file_server(&rig.sim().rng());
   CacheManager cache(&rig.client().viceroy(), 1024.0);
   for (int i = 0; i < 8; ++i) {
@@ -426,8 +396,7 @@ PageFetchTrialResult RunPageFetchTrial(int level, uint64_t seed, TraceRecorder* 
   constexpr double kKb = 1024.0;
   PageFetchTrialResult result;
   for (const double bandwidth : {kHighBandwidth, kLowBandwidth}) {
-    ExperimentRig rig(seed, "odyssey");
-    rig.sim().set_trace(bandwidth == kHighBandwidth ? trace : nullptr);
+    ExperimentRig rig({.seed = seed, .trace = bandwidth == kHighBandwidth ? trace : nullptr});
     rig.distillation_server().PublishPage("http://origin/guide.html", 6.0 * kKb,
                                           {22.0 * kKb, 11.0 * kKb, 44.0 * kKb});
     const AppId app = rig.client().RegisterApplication("browser");
@@ -459,8 +428,7 @@ PageFetchTrialResult RunPageFetchTrial(int level, uint64_t seed, TraceRecorder* 
 }
 
 VocabularyTrialResult RunVocabularyTrial(double goal_s, uint64_t seed, TraceRecorder* trace) {
-  ExperimentRig rig(seed, "odyssey");
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .trace = trace});
   const AppId app = rig.client().RegisterApplication("speech");
   rig.Replay(MakeConstant(kLowBandwidth, 5 * kMinute), /*prime=*/false);
   const std::string path = std::string(kOdysseyRoot) + "speech/janus";
@@ -484,8 +452,7 @@ VocabularyTrialResult RunVocabularyTrial(double goal_s, uint64_t seed, TraceReco
 }
 
 UrbanResourcesTrialResult RunUrbanResourcesTrial(uint64_t seed, TraceRecorder* trace) {
-  ExperimentRig rig(seed, "odyssey");
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .trace = trace});
   BatteryModel::Config battery_config;
   battery_config.capacity_minutes = 60.0;
   battery_config.network_minutes_per_mb = 0.1;
@@ -535,8 +502,7 @@ UrbanResourcesTrialResult RunUrbanResourcesTrial(uint64_t seed, TraceRecorder* t
 }
 
 TelemetryTrialResult RunTelemetryTrial(int level, uint64_t seed, TraceRecorder* trace) {
-  ExperimentRig rig(seed, "odyssey");
-  rig.sim().set_trace(trace);
+  ExperimentRig rig({.seed = seed, .trace = trace});
   TelemetryServer telemetry(&rig.sim());
   telemetry.CreateFeed("stocks/ACME", 100 * kMillisecond, 100.0, 0.05);
   auto* warden = static_cast<TelemetryWarden*>(

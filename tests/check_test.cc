@@ -44,7 +44,7 @@ TEST(FuzzScenarioTest, GenerationHonorsDocumentedGuarantees) {
     EXPECT_GT(scenario.horizon, 0) << "seed " << seed;
     ASSERT_FALSE(scenario.segments.empty()) << "seed " << seed;
     EXPECT_GT(scenario.segments.back().bandwidth_bps, 0.0) << "seed " << seed;
-    for (const FuzzSegment& segment : scenario.segments) {
+    for (const TraceSegment& segment : scenario.segments) {
       EXPECT_GT(segment.duration, 0) << "seed " << seed;
       EXPECT_GE(segment.bandwidth_bps, 0.0) << "seed " << seed;
     }
@@ -73,7 +73,7 @@ TEST(FuzzScenarioTest, GenerationCoversEveryWarden) {
 
 TEST(FuzzScenarioTest, ElementCountSumsParts) {
   FuzzScenario scenario;
-  scenario.segments = {FuzzSegment{kSecond, 1000.0, 0}};
+  scenario.segments = {TraceSegment{kSecond, 1000.0, 0}};
   scenario.apps.push_back(FuzzApp{FuzzWardenKind::kWeb, 0, {FuzzOp{}, FuzzOp{}}});
   scenario.faults.push_back(FuzzFault{});
   EXPECT_EQ(scenario.ElementCount(), 5u);  // 1 segment + 1 app + 2 ops + 1 fault
@@ -82,8 +82,8 @@ TEST(FuzzScenarioTest, ElementCountSumsParts) {
 TEST(FuzzScenarioTest, IntegrateCapacityBytesMatchesHandComputation) {
   FuzzScenario scenario;
   scenario.horizon = 20 * kSecond;
-  scenario.segments = {FuzzSegment{10 * kSecond, 1000.0, 0},
-                       FuzzSegment{5 * kSecond, 2000.0, 0}};
+  scenario.segments = {TraceSegment{10 * kSecond, 1000.0, 0},
+                       TraceSegment{5 * kSecond, 2000.0, 0}};
   EXPECT_DOUBLE_EQ(IntegrateCapacityBytes(scenario, 10 * kSecond), 10000.0);
   EXPECT_DOUBLE_EQ(IntegrateCapacityBytes(scenario, 15 * kSecond), 20000.0);
   // Past the end of the trace the final segment persists (Modulator
@@ -121,7 +121,7 @@ TEST(FuzzScenarioTest, MobilityScenariosHonorDrainGuarantee) {
     const FuzzScenario scenario = GenerateScenario(seed, options);
     ASSERT_FALSE(scenario.segments.empty()) << "seed " << seed;
     EXPECT_GT(scenario.segments.back().bandwidth_bps, 0.0) << "seed " << seed;
-    for (const FuzzSegment& segment : scenario.segments) {
+    for (const TraceSegment& segment : scenario.segments) {
       EXPECT_GT(segment.duration, 0) << "seed " << seed;
       EXPECT_GE(segment.bandwidth_bps, 0.0) << "seed " << seed;
     }
@@ -137,7 +137,7 @@ TEST(FuzzScenarioTest, MobilityProducesShadowsTheHandRolledDrawCannot) {
   options.mobility = true;
   bool long_shadow = false;
   for (uint64_t seed = 1; seed <= 200 && !long_shadow; ++seed) {
-    for (const FuzzSegment& segment : GenerateScenario(seed, options).segments) {
+    for (const TraceSegment& segment : GenerateScenario(seed, options).segments) {
       if (segment.bandwidth_bps == 0.0 && segment.duration > 3 * kSecond) {
         long_shadow = true;
         break;
@@ -226,7 +226,7 @@ class OracleSetTest : public testing::Test {
  protected:
   OracleSetTest() {
     scenario_.horizon = 10 * kSecond;
-    scenario_.segments = {FuzzSegment{10 * kSecond, 120.0 * 1024, 10 * kMillisecond}};
+    scenario_.segments = {TraceSegment{10 * kSecond, 120.0 * 1024, 10 * kMillisecond}};
     auto strategy = std::make_unique<CentralizedStrategy>(&sim_);
     strategy_ = strategy.get();
     viceroy_ = std::make_unique<Viceroy>(&sim_, std::move(strategy));
@@ -382,7 +382,7 @@ class WindowTrackerTest : public testing::Test {
  protected:
   WindowTrackerTest() {
     scenario_.horizon = 10 * kSecond;
-    scenario_.segments = {FuzzSegment{10 * kSecond, 120.0 * 1024, 10 * kMillisecond}};
+    scenario_.segments = {TraceSegment{10 * kSecond, 120.0 * 1024, 10 * kMillisecond}};
     auto strategy = std::make_unique<ScriptedStrategy>();
     strategy_ = strategy.get();
     viceroy_ = std::make_unique<Viceroy>(&sim_, std::move(strategy), kMillisecond);
@@ -520,7 +520,7 @@ TEST(ShrinkTest, ReproSnippetIsSelfContained) {
   FuzzScenario scenario;
   scenario.seed = 77;
   scenario.horizon = 5 * kSecond;
-  scenario.segments = {FuzzSegment{5 * kSecond, 40.0 * 1024, 10 * kMillisecond}};
+  scenario.segments = {TraceSegment{5 * kSecond, 40.0 * 1024, 10 * kMillisecond}};
   FuzzApp app;
   app.warden = FuzzWardenKind::kSpeech;
   app.start = kSecond;

@@ -339,8 +339,8 @@ TEST(FleetScenarioTest, NodeWaveformsAreDeterministicAndBounded) {
     EXPECT_EQ(once.Describe(), again.Describe());
     ASSERT_EQ(once.segments.size(), scenario.segments.size());
     for (size_t i = 0; i < once.segments.size(); ++i) {
-      const FuzzSegment& base = scenario.segments[i];
-      const FuzzSegment& scaled = once.segments[i];
+      const TraceSegment& base = scenario.segments[i];
+      const TraceSegment& scaled = once.segments[i];
       EXPECT_EQ(scaled.duration, base.duration);
       EXPECT_EQ(scaled.latency, base.latency);
       if (base.bandwidth_bps <= 0.0) {

@@ -1,5 +1,6 @@
 // Integration tests: whole-system behaviours the paper's evaluation claims.
 
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "src/metrics/trial.h"
 #include "src/strategies/centralized.h"
 #include "src/strategies/strategy_registry.h"
+#include "src/trace/trace_recorder.h"
 
 namespace odyssey {
 namespace {
@@ -33,6 +35,58 @@ TEST(ExperimentRigTest, BuildsEveryRegisteredStrategy) {
     EXPECT_GT(rig.link().bytes_delivered(), 0.0);
     EXPECT_TRUE(strategy.HasEstimate());
   }
+}
+
+// --- RigSpec: every field reaches the stack the rig builds ---
+
+// The installed wardens' names, space-separated in install order.
+std::string WardenNames(ExperimentRig& rig) {
+  std::string names;
+  for (const std::unique_ptr<Warden>& warden : rig.client().wardens()) {
+    names += (names.empty() ? "" : " ") + warden->name();
+  }
+  return names;
+}
+
+TEST(RigSpecTest, DefaultsAreThePaperRig) {
+  ExperimentRig rig(RigSpec{});
+  EXPECT_DOUBLE_EQ(rig.link().capacity_bps(), kHighBandwidth);
+  EXPECT_EQ(rig.link().latency(), kOneWayLatency);
+  EXPECT_EQ(rig.client().viceroy().strategy().name(), "odyssey");
+  EXPECT_STREQ(rig.centralized()->supply_model().name(), "incremental");
+  EXPECT_EQ(rig.client().viceroy().reevaluate_mode(), ReevaluateMode::kIndexed);
+  EXPECT_EQ(WardenNames(rig), "video web speech bitstream");
+  // The farm draws its session jitter as it is built.
+  EXPECT_NE(rig.sim().rng().NextU64(), Simulation(1).rng().NextU64());
+}
+
+TEST(RigSpecTest, EveryFieldReachesTheStack) {
+  TraceRecorder recorder;
+  RigSpec spec;
+  spec.seed = 42;
+  spec.strategy = "congestion-manager";
+  spec.link = TraceSegment{0, 77.0 * 1024.0, 3 * kMillisecond};
+  spec.reference = true;
+  spec.servers = RigServers::kFuzz;
+  spec.trace = &recorder;
+  ExperimentRig rig(spec);
+  EXPECT_EQ(rig.sim().trace(), &recorder);
+  EXPECT_DOUBLE_EQ(rig.link().capacity_bps(), 77.0 * 1024.0);
+  EXPECT_EQ(rig.link().latency(), 3 * kMillisecond);
+  EXPECT_EQ(rig.client().viceroy().strategy().name(), "congestion-manager");
+  EXPECT_STREQ(rig.centralized()->supply_model().name(), "naive");
+  EXPECT_EQ(rig.client().viceroy().reevaluate_mode(), ReevaluateMode::kFullScan);
+  EXPECT_EQ(WardenNames(rig), "video web speech bitstream files telemetry");
+  BitstreamApp app(&rig.client(), "bitstream");
+  app.Start();
+  rig.sim().RunUntil(5 * kSecond);
+  EXPECT_GT(recorder.recorded_count(), 0u);
+}
+
+TEST(RigSpecTest, NoServersInstallsNothingAndDrawsNothing) {
+  ExperimentRig rig({.seed = 42, .servers = RigServers::kNone});
+  EXPECT_EQ(WardenNames(rig), "");
+  EXPECT_EQ(rig.sim().rng().NextU64(), Simulation(42).rng().NextU64());
 }
 
 // --- Agility of supply estimation (Figure 8 behaviours) ---

@@ -12,11 +12,11 @@
 //     full OracleSet attached and a DifferentialLog capturing every
 //     delivered upcall and every sampled availability figure bit-exactly.
 //
-//   * A direct viceroy rig (ConformanceRig): strategy + viceroy + endpoints
-//     with a per-app upcall census, for the lifecycle assertions that need
-//     to interleave requests, cancels and stimuli at exact points — no
-//     upcall after cancel, no upcall (or registration) after an admission
-//     reject.
+//   * A direct viceroy rig (ConformanceRig): an ExperimentRig with no
+//     servers and a per-app upcall census, for the lifecycle assertions
+//     that need to interleave requests, cancels and stimuli at exact points
+//     — no upcall after cancel, no upcall (or registration) after an
+//     admission reject.
 //
 //   * A stimulus (ConformanceRig::Stimulate) that moves every registered
 //     strategy's availability estimate: it both replays a waveform step
@@ -31,7 +31,6 @@
 #define TESTS_STRATEGY_CONFORMANCE_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,12 +40,9 @@
 #include "src/core/resource.h"
 #include "src/core/viceroy.h"
 #include "src/metrics/experiment.h"
-#include "src/net/link.h"
-#include "src/net/modulator.h"
 #include "src/rpc/endpoint.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
-#include "src/strategies/strategy_registry.h"
 #include "src/tracemod/replay_trace.h"
 
 namespace odyssey {
@@ -78,12 +74,8 @@ inline FuzzOp CancelOp(Time at, int variant) {
   return op;
 }
 
-inline FuzzSegment Segment(Duration duration, double bandwidth_bps) {
-  FuzzSegment segment;
-  segment.duration = duration;
-  segment.bandwidth_bps = bandwidth_bps;
-  segment.latency = 10 * kMillisecond;
-  return segment;
+inline TraceSegment Segment(Duration duration, double bandwidth_bps) {
+  return TraceSegment{duration, bandwidth_bps, 10 * kMillisecond};
 }
 
 // The shared multi-app workload: three wardens over a stepped waveform with
@@ -156,44 +148,37 @@ inline ConformanceRun Run(const FuzzScenario& scenario) {
   return run;
 }
 
-// A direct strategy + viceroy rig with a per-app upcall census, for
-// lifecycle assertions the scenario runner cannot time precisely.
+// A direct viceroy rig (an ExperimentRig with no servers) with a per-app
+// upcall census, for lifecycle assertions the scenario runner cannot time
+// precisely.
 class ConformanceRig {
  public:
   explicit ConformanceRig(const std::string& strategy_name, uint64_t seed = 7)
-      : sim_(seed), link_(&sim_, kLinkBps, 10 * kMillisecond), modulator_(&sim_, &link_) {
-    StrategyContext context;
-    context.sim = &sim_;
-    context.modulator = &modulator_;
-    std::unique_ptr<BandwidthStrategy> strategy =
-        StrategyRegistry::Builtin().Create(strategy_name, std::move(context));
-    strategy_ = strategy.get();
-    viceroy_ = std::make_unique<Viceroy>(&sim_, std::move(strategy), kUpcallLatency);
-    viceroy_->upcalls().set_delivery_observer(
+      : rig_(Spec(strategy_name, seed)) {
+    viceroy().upcalls().set_delivery_observer(
         [this](AppId app, uint64_t, RequestId, ResourceId, double, Time) {
           upcalls_by_app_[app] += 1;  // ody_lint: owned-capture
         });
   }
 
-  ~ConformanceRig() { viceroy_->upcalls().set_delivery_observer({}); }
+  ~ConformanceRig() { viceroy().upcalls().set_delivery_observer({}); }
 
   // Registers |name| with one connection to |server|.
   AppId AddApp(const std::string& name, const std::string& server) {
-    const AppId app = viceroy_->RegisterApplication(name);
-    endpoints_.push_back(std::make_unique<Endpoint>(&sim_, &link_, server));
-    viceroy_->AttachConnection(app, endpoints_.back().get());
+    const AppId app = rig_.client().RegisterApplication(name);
+    endpoints_.push_back(rig_.client().OpenConnection(app, server));
     return app;
   }
 
   // Registers a bandwidth window around the app's current level.
   RequestResult RequestWindow(AppId app, double lo_frac, double hi_frac) {
-    const double level = viceroy_->CurrentLevel(app, ResourceId::kNetworkBandwidth);
+    const double level = viceroy().CurrentLevel(app, ResourceId::kNetworkBandwidth);
     ResourceDescriptor descriptor;
     descriptor.resource = ResourceId::kNetworkBandwidth;
     descriptor.lower = level * lo_frac;
     descriptor.upper = level * hi_frac + 1.0;
     descriptor.handler = [](RequestId, ResourceId, double) {};
-    return viceroy_->Request(app, descriptor);
+    return viceroy().Request(app, descriptor);
   }
 
   // Makes every strategy's availability estimate move: feeds |rate_bps|
@@ -203,18 +188,18 @@ class ConformanceRig {
   void Stimulate(double rate_bps) {
     ReplayTrace wave;
     wave.Append(TraceSegment{kSecond, rate_bps, 10 * kMillisecond});
-    modulator_.Replay(wave);
+    rig_.modulator().Replay(wave);
     const Duration period = 50 * kMillisecond;
     for (int tick = 1; tick <= 20; ++tick) {
-      sim_.Post(tick * period, [this, rate_bps, period] {
-        for (const std::unique_ptr<Endpoint>& endpoint : endpoints_) {
-          endpoint->log().RecordThroughput(sim_.now(),
-                                           rate_bps * DurationToSeconds(period), period);
-          endpoint->log().RecordRoundTrip(sim_.now(), 20 * kMillisecond);
+      sim().Post(tick * period, [this, rate_bps, period] {
+        const Time now = sim().now();
+        for (Endpoint* endpoint : endpoints_) {
+          endpoint->log().RecordThroughput(now, rate_bps * DurationToSeconds(period), period);
+          endpoint->log().RecordRoundTrip(now, 20 * kMillisecond);
         }
       });
     }
-    sim_.Run();
+    sim().Run();
   }
 
   uint64_t UpcallsFor(AppId app) const {
@@ -222,21 +207,24 @@ class ConformanceRig {
     return it == upcalls_by_app_.end() ? 0 : it->second;
   }
 
-  Simulation& sim() { return sim_; }
-  Viceroy& viceroy() { return *viceroy_; }
-  BandwidthStrategy& strategy() { return *strategy_; }
+  Simulation& sim() { return rig_.sim(); }
+  Viceroy& viceroy() { return rig_.client().viceroy(); }
+  BandwidthStrategy& strategy() { return viceroy().strategy(); }
 
   static constexpr double kLinkBps = 200.0 * 1024.0;
 
  private:
-  Simulation sim_;
-  Link link_;
-  Modulator modulator_;
-  // Declared before the viceroy so they outlive it: the strategy's
-  // destructor unsubscribes from every attached endpoint's log.
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::unique_ptr<Viceroy> viceroy_;
-  BandwidthStrategy* strategy_ = nullptr;
+  static RigSpec Spec(const std::string& strategy_name, uint64_t seed) {
+    RigSpec spec;
+    spec.seed = seed;
+    spec.strategy = strategy_name;
+    spec.link = TraceSegment{0, kLinkBps, 10 * kMillisecond};
+    spec.servers = RigServers::kNone;
+    return spec;
+  }
+
+  ExperimentRig rig_;
+  std::vector<Endpoint*> endpoints_;  // owned by the rig's client
   std::map<AppId, uint64_t> upcalls_by_app_;
 };
 

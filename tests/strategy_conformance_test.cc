@@ -21,6 +21,7 @@
 
 #include "src/check/oracles.h"
 #include "src/strategies/arbitration_strategy.h"
+#include "src/strategies/strategy_registry.h"
 #include "tests/strategy_conformance.h"
 
 namespace odyssey {

@@ -101,6 +101,12 @@ RULES = {
         "(RecordThroughput/RecordRoundTrip belong to the RPC layer; "
         "strategies read estimates, never feed them)"
     ),
+    "one-rig": (
+        "a single-client stack built by hand: OdysseyClient and Viceroy are "
+        "constructed, and StrategyRegistry::...Create( is called, only by "
+        "ExperimentRig (src/metrics/experiment.cc) and the fleet node "
+        "builder (src/fleet/fleet_node.cc); describe the rig with a RigSpec"
+    ),
 }
 
 # Directories whose sources are scanned at all.
@@ -590,6 +596,43 @@ def check_strategy_isolation(sf: SourceFile) -> list[Violation]:
     return out
 
 
+# --- one-rig ----------------------------------------------------------------
+#
+# Every single-client stack is built by ExperimentRig from a RigSpec, and
+# every fleet node by Fleet::AddNode.  The build order there sets both the
+# random-draw order and the same-timestamp tie order the goldens depend on,
+# so a second hand-built stack is a second, silently diverging order.
+# OdysseyClient's own header holds the one Viceroy member.
+
+ONE_RIG_HOMES = ("src/metrics/experiment.cc", "src/fleet/fleet_node.cc",
+                 "src/core/odyssey_client.h")
+
+_ONE_RIG_CONSTRUCT_RE = re.compile(
+    r"(?:\b(?:make_unique|make_shared)\s*<\s*(OdysseyClient|Viceroy)\s*>"
+    r"|\bnew\s+(OdysseyClient|Viceroy)\b"
+    r"|\b(OdysseyClient|Viceroy)\s+\w+\s*[({;])"
+)
+_ONE_RIG_CREATE_RE = re.compile(r"\bStrategyRegistry::\w+\s*\(\s*\)\s*\.\s*Create\s*\(")
+
+
+def check_one_rig(sf: SourceFile) -> list[Violation]:
+    if not _in_dirs(sf.relpath, LIBRARY_DIRS) or sf.relpath in ONE_RIG_HOMES:
+        return []
+    out = []
+    for idx, line in enumerate(sf.code_lines, start=1):
+        m = _ONE_RIG_CONSTRUCT_RE.search(line)
+        if m:
+            kind = next(g for g in m.groups() if g)
+            out.append(Violation(sf.relpath, idx, "one-rig",
+                                 f"{kind} constructed outside the rig builders; "
+                                 "build an ExperimentRig from a RigSpec"))
+        if _ONE_RIG_CREATE_RE.search(line):
+            out.append(Violation(sf.relpath, idx, "one-rig",
+                                 "builds a strategy outside the rig builders; name it "
+                                 "in RigSpec::strategy"))
+    return out
+
+
 # --- escape-capture (cross-file, two passes) --------------------------------
 #
 # The two lifetime bugs this repo has actually shipped (the OdysseyClient
@@ -948,6 +991,7 @@ CHECKS = [
     check_test_no_wallclock,
     check_fleet_pod_message,
     check_strategy_isolation,
+    check_one_rig,
     check_header_guard,
     check_include_order,
 ]

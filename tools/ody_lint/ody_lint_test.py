@@ -258,6 +258,30 @@ class OdyLintTest(unittest.TestCase):
                          "src/strategies/strategy_isolation_suppressed.cc")
         self.assertNotIn("strategy-isolation", self.rules_found(rel))
 
+    # --- one-rig ---
+
+    def test_one_rig_flagged(self):
+        rel = self.place("one_rig_bad.cc", "src/check/one_rig_bad.cc")
+        violations = [v for v in self.lint(rel) if v.rule == "one-rig"]
+        # The registry call, both client constructions and both viceroy
+        # constructions; borrowing references and pointers stays clean.
+        self.assertEqual([v.line for v in violations], [8, 9, 10, 11, 12])
+        messages = " ".join(v.message for v in violations)
+        self.assertIn("RigSpec::strategy", messages)
+        self.assertIn("OdysseyClient constructed", messages)
+        self.assertIn("Viceroy constructed", messages)
+
+    def test_one_rig_allowed_in_rig_builders(self):
+        for home in ("src/metrics/experiment.cc", "src/fleet/fleet_node.cc"):
+            rel = self.place("one_rig_bad.cc", home)
+            self.assertNotIn("one-rig", self.rules_found(rel))
+        rel = self.place("one_rig_bad.cc", "tests/one_rig_bad.cc")
+        self.assertNotIn("one-rig", self.rules_found(rel))
+
+    def test_one_rig_suppressed(self):
+        rel = self.place("one_rig_suppressed.cc", "src/check/one_rig_suppressed.cc")
+        self.assertNotIn("one-rig", self.rules_found(rel))
+
     # --- header-guard ---
 
     def test_header_guard_mismatch_flagged(self):
@@ -349,7 +373,7 @@ class OdyLintTest(unittest.TestCase):
 
     def test_list_rules_covers_all_checks(self):
         self.assertEqual(ody_lint.main(["--list-rules"]), 0)
-        self.assertEqual(len(ody_lint.RULES), 13)
+        self.assertEqual(len(ody_lint.RULES), 14)
 
 
 if __name__ == "__main__":
