@@ -1,10 +1,12 @@
-// Registration of the built-in scenarios: one registry entry per figure
-// and ablation of the evaluation, with one variant per cell of its grid.
+// Registration of the built-in scenarios: one registry entry per figure,
+// ablation, extension and mobility grid of the evaluation, with one variant
+// per cell of its grid.
 //
-// The single-trial bodies live in src/metrics/scenarios.h; registering them
-// here makes every cell addressable by (scenario, variant) name so
-// campaigns can sweep them, BENCH_*.json artifacts can gate regressions on
-// them, and `ody_bench table` can print them as the paper's tables.
+// The single-trial bodies are file-local to builtin_scenarios.cc and return
+// their own TrialMetrics; registering them makes every cell addressable by
+// (scenario, variant) name so campaigns can sweep them, BENCH_*.json
+// artifacts can gate regressions on them, and `ody_bench table` can print
+// them as the paper's tables.
 
 #ifndef SRC_HARNESS_BUILTIN_SCENARIOS_H_
 #define SRC_HARNESS_BUILTIN_SCENARIOS_H_

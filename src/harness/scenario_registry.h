@@ -4,9 +4,11 @@
 // A Scenario is a family of single-trial experiment bodies (its variants:
 // one per cell of the figure's grid — a waveform, a strategy, a fidelity
 // level).  Each variant's run function is shared-nothing: it builds its own
-// Simulation from the seed it is handed and returns plain metric values, so
-// the campaign runner may execute any set of variant trials concurrently
-// and the result depends only on the seeds, never on scheduling.
+// Simulation from the seed it is handed and returns its TrialMetrics rows
+// directly, so the campaign runner may execute any set of variant trials
+// concurrently and the result depends only on the seeds, never on
+// scheduling.  Every family keeps its bodies file-local next to its one
+// Register* function; no family exports a trial body.
 //
 // The registry is an ordinary value type, not a singleton: the ody_bench
 // CLI and the tests each build one and populate it with

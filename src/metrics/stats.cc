@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace odyssey {
 
@@ -35,12 +34,6 @@ double Stats::stddev() const {
     return 0.0;
   }
   return std::sqrt(m2_ / (count_ - 1));
-}
-
-std::string Stats::Format(int precision) const {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f (%.*f)", precision, mean(), precision, stddev());
-  return buffer;
 }
 
 double Percentile(std::vector<double> samples, double pct) {

@@ -2,12 +2,12 @@
 //
 // The paper reports each observation as the mean of five trials with the
 // standard deviation in parentheses; Stats accumulates samples with
-// Welford's algorithm and formats them that way.
+// Welford's algorithm, and Summarize adds the percentiles the campaign
+// artifacts report.
 
 #ifndef SRC_METRICS_STATS_H_
 #define SRC_METRICS_STATS_H_
 
-#include <string>
 #include <vector>
 
 namespace odyssey {
@@ -26,9 +26,6 @@ class Stats {
   double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
-
-  // "12.3 (0.4)" with the given precision, the paper's table cell format.
-  std::string Format(int precision = 2) const;
 
  private:
   int count_ = 0;

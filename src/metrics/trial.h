@@ -1,16 +1,14 @@
-// Experiment scaffolding: seeded trials and periodic sampling.
+// Experiment scaffolding: the paper's trial count and periodic sampling.
 //
-// Every figure in the paper is the mean of five trials; RunTrials runs a
-// closure once per deterministic seed and collects the results.  Sampler
-// records a value at a fixed virtual-time period, producing the estimate
-// traces of Figures 8 and 9.
+// Every figure in the paper is the mean of five trials.  Sampler records a
+// value at a fixed virtual-time period, producing the estimate traces of
+// Figures 8 and 9.
 
 #ifndef SRC_METRICS_TRIAL_H_
 #define SRC_METRICS_TRIAL_H_
 
-#include <cstdint>
 #include <functional>
-#include <vector>
+#include <utility>
 
 #include "src/metrics/stats.h"
 #include "src/sim/simulation.h"
@@ -19,17 +17,6 @@
 namespace odyssey {
 
 inline constexpr int kPaperTrials = 5;
-
-// Runs |trial| once per seed; seeds are 1..n so runs reproduce exactly.
-template <typename T>
-std::vector<T> RunTrials(int n, const std::function<T(uint64_t seed)>& trial) {
-  std::vector<T> results;
-  results.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    results.push_back(trial(static_cast<uint64_t>(i + 1)));
-  }
-  return results;
-}
 
 // Periodically samples |probe| into a Series until stopped or the
 // simulation drains.  Sample timestamps are relative to |epoch|.
@@ -63,18 +50,6 @@ class Sampler {
   Time until_ = 0;
   Series series_;
 };
-
-// Merges per-trial series sampled on a common grid into mean/min/max bands
-// (the solid line and gray spread of Figure 9).  All series must have equal
-// length.
-struct SeriesBand {
-  std::vector<double> t_seconds;
-  std::vector<double> mean;
-  std::vector<double> min;
-  std::vector<double> max;
-};
-
-SeriesBand MergeSeries(const std::vector<Series>& trials);
 
 }  // namespace odyssey
 

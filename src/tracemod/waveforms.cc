@@ -15,15 +15,15 @@ const std::vector<Waveform>& AllWaveforms() {
 std::string WaveformName(Waveform waveform) {
   switch (waveform) {
     case Waveform::kStepUp:
-      return "Step-Up";
+      return "step_up";
     case Waveform::kStepDown:
-      return "Step-Down";
+      return "step_down";
     case Waveform::kImpulseUp:
-      return "Impulse-Up";
+      return "impulse_up";
     case Waveform::kImpulseDown:
-      return "Impulse-Down";
+      return "impulse_down";
   }
-  return "Unknown";
+  return "unknown";
 }
 
 ReplayTrace MakeWaveform(Waveform waveform, const WaveformParams& params) {

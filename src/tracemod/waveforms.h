@@ -52,7 +52,8 @@ enum class Waveform {
 // All four reference waveforms, in the order the paper's tables list them.
 const std::vector<Waveform>& AllWaveforms();
 
-// Human-readable name ("Step-Up", ...).
+// Lowercase slug ("step_up", ...), the waveform's part of a scenario
+// variant name.
 std::string WaveformName(Waveform waveform);
 
 // Builds the requested reference waveform.

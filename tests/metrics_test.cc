@@ -1,5 +1,5 @@
 // Tests for the measurement utilities: statistics, settling time, tables,
-// trial running, sampling, and series merging.
+// and sampling.
 
 #include <gtest/gtest.h>
 
@@ -51,12 +51,6 @@ TEST(StatsTest, WelfordMatchesNaiveOnLargeStream) {
   const double var = (sumsq - kN * mean * mean) / (kN - 1);
   EXPECT_NEAR(stats.mean(), mean, 1e-9);
   EXPECT_NEAR(stats.stddev() * stats.stddev(), var, 1e-6);
-}
-
-TEST(StatsTest, FormatMatchesPaperStyle) {
-  Stats stats({1.0, 2.0, 3.0});
-  EXPECT_EQ(stats.Format(2), "2.00 (1.00)");
-  EXPECT_EQ(stats.Format(0), "2 (1)");
 }
 
 TEST(PercentileTest, NearestRankOnKnownSamples) {
@@ -151,14 +145,6 @@ TEST(TableTest, AlignsColumnsAndPadsRows) {
   EXPECT_GE(separator_end - separator_start, std::string("longer-name  value").size());
 }
 
-TEST(RunTrialsTest, SeedsAreDeterministicAndDistinct) {
-  const auto results = RunTrials<uint64_t>(5, [](uint64_t seed) { return seed * 10; });
-  ASSERT_EQ(results.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(results[i], static_cast<uint64_t>((i + 1) * 10));
-  }
-}
-
 TEST(SamplerTest, SamplesAtPeriodRelativeToEpoch) {
   Simulation sim;
   double value = 1.0;
@@ -172,30 +158,6 @@ TEST(SamplerTest, SamplesAtPeriodRelativeToEpoch) {
   EXPECT_DOUBLE_EQ(series[5].t_seconds, 5.0);
   EXPECT_DOUBLE_EQ(series[2].value, 1.0);
   EXPECT_DOUBLE_EQ(series[3].value, 2.0);
-}
-
-TEST(MergeSeriesTest, MeanMinMaxAcrossTrials) {
-  std::vector<Series> trials = {
-      {{0.0, 1.0}, {1.0, 10.0}},
-      {{0.0, 3.0}, {1.0, 20.0}},
-      {{0.0, 5.0}, {1.0, 30.0}},
-  };
-  const SeriesBand band = MergeSeries(trials);
-  ASSERT_EQ(band.t_seconds.size(), 2u);
-  EXPECT_DOUBLE_EQ(band.mean[0], 3.0);
-  EXPECT_DOUBLE_EQ(band.min[0], 1.0);
-  EXPECT_DOUBLE_EQ(band.max[0], 5.0);
-  EXPECT_DOUBLE_EQ(band.mean[1], 20.0);
-}
-
-TEST(MergeSeriesTest, TruncatesToShortestTrial) {
-  std::vector<Series> trials = {
-      {{0.0, 1.0}, {1.0, 2.0}, {2.0, 3.0}},
-      {{0.0, 1.0}},
-  };
-  const SeriesBand band = MergeSeries(trials);
-  EXPECT_EQ(band.t_seconds.size(), 1u);
-  EXPECT_TRUE(MergeSeries({}).t_seconds.empty());
 }
 
 }  // namespace

@@ -5,18 +5,23 @@ Drives the installed binary the way CI does: runs the smoke campaign at two
 job counts and byte-compares the artifacts and traces, renders an artifact
 as tables, then exercises the compare gate's exit codes — pass on identical
 artifacts, fail on a synthetically regressed baseline, usage errors on
-garbage.  Both tools must refuse a seed that is not plain decimal.
+garbage.  Both tools must refuse a seed that is not plain decimal.  The full
+campaign at one trial per cell must equal tests/golden/BENCH_full_cap1.json
+byte for byte, which pins every paper cell; after an intentional behaviour
+change, regenerate it with ODY_REGEN_GOLDEN=1.
 
 Usage: ody_bench_cli_test.py <path-to-ody_bench> <path-to-ody_fuzz>
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 FAILURES = []
+GOLDEN_FULL = Path(__file__).resolve().parent / "golden" / "BENCH_full_cap1.json"
 
 
 def check(name, ok, detail=""):
@@ -79,6 +84,21 @@ def main():
         result = run(bench, "run", "--campaign=smoke", cwd=tmp)
         check("run with default --out exits 0", result.returncode == 0, result.stderr)
         check("default artifact name", (tmp / "BENCH_smoke.json").is_file())
+
+        full = tmp / "full_cap1.json"
+        result = run(
+            bench, "run", "--campaign=full", "--trials-cap=1", "--jobs=2",
+            f"--out={tmp / 'full_cap1_wall.json'}", f"--strip-wall-out={full}",
+        )
+        check("run --campaign=full --trials-cap=1 exits 0", result.returncode == 0, result.stderr)
+        if os.environ.get("ODY_REGEN_GOLDEN") is not None:
+            GOLDEN_FULL.write_bytes(full.read_bytes())
+            print(f"regenerated {GOLDEN_FULL}")
+        check(
+            "full campaign at one trial matches the golden",
+            full.is_file() and full.read_bytes() == GOLDEN_FULL.read_bytes(),
+            "regenerate with ODY_REGEN_GOLDEN=1 if the change is intentional",
+        )
 
         result = run(bench, "compare", f"--baseline={a}", f"--current={b}")
         check("compare identical artifacts exits 0", result.returncode == 0, result.stderr)

@@ -1,9 +1,9 @@
 // Golden-trace determinism regression (see DESIGN.md §9).
 //
-// Runs the Figure-8 Step-Up supply-agility trial body — the code path
-// `ody_bench run --campaign=smoke --trace-out` traces, since the smoke
-// campaign's first planned trial is fig08 Step-Up — and checks two
-// properties:
+// Runs the fig08_supply_agility/step_up variant from the builtin scenario
+// registry — the code path `ody_bench run --campaign=smoke --trace-out`
+// traces, since the smoke campaign's first planned trial is fig08 Step-Up —
+// and checks two properties:
 //
 //  1. Determinism: two same-seed runs in one process canonicalize to the
 //     exact same event sequence, even though process-global id counters
@@ -23,7 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "src/metrics/scenarios.h"
+#include "src/harness/builtin_scenarios.h"
+#include "src/harness/scenario_registry.h"
 #include "src/trace/chrome_trace_exporter.h"
 #include "src/trace/trace_diff.h"
 #include "src/trace/trace_recorder.h"
@@ -39,8 +40,16 @@ constexpr uint64_t kGoldenSeed = 1;
 const char* GoldenPath() { return ODYSSEY_GOLDEN_DIR "/fig08_stepup_trace.txt"; }
 
 std::vector<std::string> RunCanonicalStepUp() {
+  ScenarioRegistry registry;
+  RegisterBuiltinScenarios(&registry);
+  const Scenario* scenario = registry.Find("fig08_supply_agility");
+  const ScenarioVariant* step_up = scenario == nullptr ? nullptr : scenario->FindVariant("step_up");
+  EXPECT_NE(step_up, nullptr);
+  if (step_up == nullptr) {
+    return {};
+  }
   TraceRecorder recorder(kGoldenCapacity, TraceRecorder::OverflowPolicy::kDropNewest);
-  (void)RunSupplyAgilityTrial(Waveform::kStepUp, kGoldenSeed, &recorder);
+  (void)step_up->run(kGoldenSeed, &recorder);
   std::string error;
   const std::string json = ChromeTraceExporter::ToJson(recorder);
   const std::vector<std::string> canon = CanonicalizeChromeTrace(json, &error);

@@ -211,6 +211,7 @@ TEST(WaveformTest, ImpulseDownIsTwoSecondsWide) {
 }
 
 TEST(WaveformTest, AllWaveformsHaveNames) {
+  EXPECT_EQ(WaveformName(Waveform::kImpulseDown), "impulse_down");
   for (const Waveform waveform : AllWaveforms()) {
     EXPECT_FALSE(WaveformName(waveform).empty());
     EXPECT_EQ(MakeWaveform(waveform).TotalDuration(), kWaveformLength);
