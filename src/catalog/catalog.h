@@ -1,9 +1,10 @@
 // The catalog: every registered scenario and every campaign, in one place.
 //
 // Scenario families live in the library that can build their rigs — the
-// paper figures and mobility cells in odyssey_harness, tier_scale and the
-// strategy zoo in odyssey_check, the fleet in odyssey_fleet — so the one
-// list that names all of them sits above every one of those libraries.
+// paper figures and mobility cells in odyssey_harness; tier_scale, the
+// strategy zoo and the fleet (src/fleet builds into odyssey_check) in
+// odyssey_check — so the one list that names all of them sits above both
+// libraries.
 // ody_bench and the tests read campaigns and the full scenario set only
 // through here.
 

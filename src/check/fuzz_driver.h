@@ -1,7 +1,7 @@
-// The per-application fuzz driver and the scenario's fault plan, shared
-// between the single-node runner (fuzz_runner.cc) and the fleet runner
-// (src/fleet/fleet_fuzz.cc).  The servers both runners build are the
-// FuzzServers of src/metrics/experiment.h.
+// The per-application fuzz driver and the scenario's fault plan, used by
+// the fuzz runner (fuzz_runner.cc) on the single-node and the fleet rig
+// alike.  The servers both rigs build are the FuzzServers of
+// src/metrics/experiment.h.
 //
 // A FuzzDriver drives one fuzzed application: registers it, executes its op
 // schedule at the scheduled virtual times, and keeps upcall traffic flowing

@@ -1,10 +1,16 @@
-// Executes one FuzzScenario against a full Odyssey stack under oracles.
+// Executes one FuzzScenario against full Odyssey stacks under oracles.
 //
-// RunFuzzScenario builds a fresh shared-nothing ExperimentRig (the
-// scenario's strategy, the six-warden FuzzServers, the link at the first
-// segment) plus a fault injector, attaches the invariant oracles, drives
-// the scenario's per-app operation schedule, and returns every violation
-// the oracles recorded.
+// RunFuzzScenario is the one fuzz runner.  A single-node scenario builds a
+// fresh shared-nothing ExperimentRig (the scenario's strategy, the
+// six-warden FuzzServers, the link at the first segment) plus a fault
+// injector.  A fleet scenario (fleet_nodes >= 2) instead builds one
+// FuzzServers and a Fleet of that many client nodes (src/fleet/fleet_node.h),
+// each on its own waveform (FleetNodeScenario) and fault stream, sharing
+// server estimates through the aggregation protocol, with the fleet-level
+// oracles armed as well.  Both rigs then go through the same run loop:
+// attach the invariant oracles, drive the scenario's per-app operation
+// schedule (apps dealt round-robin across the nodes), and return every
+// violation the oracles recorded.
 // The result is a pure function of (scenario, options): running the same
 // scenario twice — on any thread, in any order, with any number of sibling
 // runs — yields identical results, which is what seed replay and shrinking
@@ -58,9 +64,9 @@ struct DifferentialLog {
 };
 
 struct FuzzRunOptions {
-  // Injects a deliberate duplicate upcall-delivery notification (the second
-  // upcall of every app is observed twice), so CI can verify end-to-end
-  // that the oracles detect it and the shrinker minimizes it.  Only honored
+  // Injects a deliberate duplicate upcall-delivery notification (node 0's
+  // second upcall of every app is observed twice), so CI can verify
+  // end-to-end that the oracles detect it and the shrinker minimizes it.  Only honored
   // when kFuzzSelftestCompiled; silently inert otherwise.
   bool selftest_mutation = false;
   // Second seeded mutation: removes the event queue's deterministic FIFO
@@ -68,8 +74,6 @@ struct FuzzRunOptions {
   // same-time-order oracle must catch.  Only honored when
   // kFuzzSelftestCompiled; silently inert otherwise.
   bool selftest_tiebreak = false;
-  // Cadence of the periodic estimator/fair-share/conservation audit.
-  Duration oracle_period = 100 * kMillisecond;
   // Extra virtual time after the horizon for queued upcalls and in-flight
   // transfers to drain before the stranded-upcall check.
   Duration drain_grace = 2 * kSecond;
@@ -77,13 +81,12 @@ struct FuzzRunOptions {
   TraceRecorder* trace = nullptr;
   // Runs the pre-scale reference stack (RigSpec::reference) instead of the
   // production one.  The differential tests run every scenario both ways
-  // and require identical DifferentialLogs.
+  // and require identical DifferentialLogs.  Single-node only: a fleet
+  // scenario ignores it.
   bool reference_stack = false;
   // When set, the run appends its upcall records and availability samples
-  // here; borrowed.
+  // here; borrowed.  Single-node only: a fleet scenario leaves it empty.
   DifferentialLog* differential = nullptr;
-  // Forwarded to OracleSet::set_max_audited_connections (0 = audit all).
-  size_t max_audited_connections = 0;
 };
 
 struct FuzzRunResult {

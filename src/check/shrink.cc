@@ -223,6 +223,13 @@ std::string EmitReproSnippet(const FuzzScenario& scenario, const std::string& or
   out << "  scenario.seed = " << scenario.seed << "ULL;\n";
   out << "  scenario.horizon = " << scenario.horizon << ";  // "
       << DurationToSeconds(scenario.horizon) << " s\n";
+  if (!scenario.strategy.empty()) {
+    out << "  scenario.strategy = \"" << scenario.strategy << "\";\n";
+  }
+  if (scenario.fleet_nodes >= 2) {
+    out << "  scenario.fleet_nodes = " << scenario.fleet_nodes << ";\n";
+    out << "  scenario.fleet_servers = " << scenario.fleet_servers << ";\n";
+  }
   for (const TraceSegment& segment : scenario.segments) {
     out << "  scenario.segments.push_back(TraceSegment{" << segment.duration << ", "
         << DoubleLiteral(segment.bandwidth_bps) << ", " << segment.latency << "});\n";

@@ -4,6 +4,7 @@
 
 #include "src/core/contract.h"
 #include "src/metrics/experiment.h"
+#include "src/sim/random.h"
 #include "src/strategies/centralized.h"
 #include "src/strategies/strategy_registry.h"
 
@@ -39,6 +40,21 @@ FuzzScenario MirrorScenario(const ReplayTrace& waveform, Duration horizon, uint6
   scenario.horizon = horizon;
   scenario.segments = waveform.segments();
   return scenario;
+}
+
+FuzzScenario FleetNodeScenario(const FuzzScenario& scenario, int node) {
+  FuzzScenario out = scenario;
+  if (node == 0) {
+    return out;
+  }
+  SplitMix64 mix(scenario.seed ^ (0x666c656574ULL + static_cast<uint64_t>(node) * 0x9e3779b97f4a7c15ULL));
+  const double factor = 0.5 + static_cast<double>(mix.Next() >> 11) * 0x1.0p-53;
+  for (TraceSegment& segment : out.segments) {
+    if (segment.bandwidth_bps > 0.0) {
+      segment.bandwidth_bps *= factor;
+    }
+  }
+  return out;
 }
 
 Fleet::Fleet(Simulation* sim, uint64_t seed, std::string strategy, int servers)

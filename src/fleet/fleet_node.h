@@ -1,6 +1,6 @@
 // The per-node fleet stack, shared by the tier_fleet campaign
-// (fleet_scenario.cc), the multi-node fuzz runner (fleet_fuzz.cc) and the
-// fleet_drive example.
+// (fleet_scenario.cc), the fuzz runner's fleet rig
+// (src/check/fuzz_runner.cc) and the fleet_drive example.
 //
 // A fleet node is a full Odyssey client with its own OracleSet plus a
 // FleetAggregator on the fleet's shared bus.  Its strategy is built by
@@ -45,6 +45,13 @@ FleetServerId ServerGroupOf(const std::string& service, int servers);
 // its segments mirror the waveform, so the byte-conservation bound is the
 // true capacity integral of that node's link.
 FuzzScenario MirrorScenario(const ReplayTrace& waveform, Duration horizon, uint64_t seed);
+
+// The waveform node |node| rides in fleet fuzz scenario |scenario|: node 0
+// takes the scenario segments verbatim; other nodes scale each segment's
+// bandwidth by a SplitMix64-derived factor in [0.5, 1.5) (radio shadows
+// stay at zero, latencies are untouched), so nodes disagree about supply
+// and the aggregation protocol has real work to do.
+FuzzScenario FleetNodeScenario(const FuzzScenario& scenario, int node);
 
 // One client node.  Declaration order is destruction order in reverse: the
 // oracle goes first, then the client (which detaches every endpoint from

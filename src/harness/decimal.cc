@@ -1,5 +1,6 @@
 #include "src/harness/decimal.h"
 
+#include <fstream>
 #include <limits>
 
 namespace odyssey {
@@ -22,6 +23,22 @@ bool ParseDecimalU64(std::string_view text, uint64_t* out) {
   }
   *out = value;
   return true;
+}
+
+bool FlagValue(const std::string& arg, const std::string& name, std::string* out) {
+  const std::string prefix = "--" + name + "=";
+  if (arg.rfind(prefix, 0) != 0) {
+    return false;
+  }
+  *out = arg.substr(prefix.size());
+  return true;
+}
+
+bool WriteFile(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  out.flush();
+  return static_cast<bool>(out);
 }
 
 }  // namespace odyssey

@@ -534,6 +534,18 @@ TEST(ShrinkTest, ReproSnippetIsSelfContained) {
   EXPECT_NE(snippet.find("77"), std::string::npos);
   EXPECT_NE(snippet.find("kSpeech"), std::string::npos);
   EXPECT_NE(snippet.find("src/check/fuzz_runner.h"), std::string::npos);
+  EXPECT_EQ(snippet.find("scenario.strategy"), std::string::npos);
+  EXPECT_EQ(snippet.find("scenario.fleet_nodes"), std::string::npos);
+
+  // The strategy and the fleet shape are part of the scenario: without
+  // them the repro would run under odyssey, on one node.
+  scenario.strategy = "laissez";
+  scenario.fleet_nodes = 3;
+  scenario.fleet_servers = 2;
+  const std::string fleet_snippet = EmitReproSnippet(scenario, "upcall-duplicate");
+  EXPECT_NE(fleet_snippet.find("scenario.strategy = \"laissez\";"), std::string::npos);
+  EXPECT_NE(fleet_snippet.find("scenario.fleet_nodes = 3;"), std::string::npos);
+  EXPECT_NE(fleet_snippet.find("scenario.fleet_servers = 2;"), std::string::npos);
 }
 
 TEST(ShrinkTest, CanonicalTraceIsDeterministicAndNonEmpty) {
@@ -542,6 +554,25 @@ TEST(ShrinkTest, CanonicalTraceIsDeterministicAndNonEmpty) {
   const std::string b = CanonicalTraceForScenario(scenario);
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+
+  // A fleet scenario traces its multi-node run, not a single-node copy.
+  ScenarioOptions on;
+  on.fleet = true;
+  FuzzScenario fleet;
+  for (uint64_t seed = 1;; ++seed) {
+    ASSERT_LT(seed, 1000u);
+    fleet = GenerateScenario(seed, on);
+    if (fleet.fleet_nodes >= 2) {
+      break;
+    }
+  }
+  FuzzScenario single = fleet;
+  single.fleet_nodes = 0;
+  const std::string fleet_a = CanonicalTraceForScenario(fleet);
+  const std::string fleet_b = CanonicalTraceForScenario(fleet);
+  EXPECT_FALSE(fleet_a.empty());
+  EXPECT_EQ(fleet_a, fleet_b);
+  EXPECT_NE(fleet_a, CanonicalTraceForScenario(single));
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "src/estimator/supply_model.h"
 #include "src/fleet/fleet_aggregator.h"
 #include "src/fleet/fleet_dispatcher.h"
-#include "src/fleet/fleet_fuzz.h"
 #include "src/fleet/fleet_message.h"
 #include "src/fleet/fleet_node.h"
 #include "src/fleet/fleet_oracle.h"
@@ -395,8 +394,8 @@ TEST(FleetFuzzTest, RunIsBitIdenticalWhenRepeated) {
       continue;
     }
     ++exercised;
-    const FuzzRunResult a = RunFleetFuzzScenario(scenario);
-    const FuzzRunResult b = RunFleetFuzzScenario(scenario);
+    const FuzzRunResult a = RunFuzzScenario(scenario);
+    const FuzzRunResult b = RunFuzzScenario(scenario);
     EXPECT_TRUE(a.ok()) << FormatViolations(a.violations);
     EXPECT_EQ(a.violation_count, b.violation_count);
     EXPECT_EQ(a.upcalls_delivered, b.upcalls_delivered);
@@ -408,6 +407,29 @@ TEST(FleetFuzzTest, RunIsBitIdenticalWhenRepeated) {
     EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
   }
   EXPECT_EQ(exercised, 3);
+}
+
+// RunFuzzScenario runs a fleet scenario on the multi-node rig: the same
+// scenario with the fleet dimension cleared runs one node and audits a
+// different run.
+TEST(FleetFuzzTest, FleetScenarioRunsOnEveryNode) {
+  ScenarioOptions on;
+  on.fleet = true;
+  FuzzScenario fleet;
+  for (uint64_t seed = 1;; ++seed) {
+    ASSERT_LT(seed, 1000u);
+    fleet = GenerateScenario(seed, on);
+    if (fleet.fleet_nodes >= 2) {
+      break;
+    }
+  }
+  FuzzScenario single = fleet;
+  single.fleet_nodes = 0;
+  const FuzzRunResult a = RunFuzzScenario(fleet);
+  const FuzzRunResult b = RunFuzzScenario(single);
+  EXPECT_TRUE(a.ok()) << FormatViolations(a.violations);
+  EXPECT_TRUE(a.tie_pairs_audited != b.tie_pairs_audited ||
+              a.bytes_delivered != b.bytes_delivered);
 }
 
 // The campaign rig: every registered strategy has fixed and mobility

@@ -5,10 +5,11 @@ Drives the installed binary the way CI does: runs the smoke campaign at two
 job counts and byte-compares the artifacts and traces, renders an artifact
 as tables, then exercises the compare gate's exit codes — pass on identical
 artifacts, fail on a synthetically regressed baseline, usage errors on
-garbage.  Both tools must refuse a seed that is not plain decimal.  The full
-campaign at one trial per cell must equal tests/golden/BENCH_full_cap1.json
-byte for byte, which pins every paper cell; after an intentional behaviour
-change, regenerate it with ODY_REGEN_GOLDEN=1.
+garbage.  Both tools must refuse a seed that is not plain decimal, and a
+failed artifact write must exit 2.  The full campaign at one trial per cell
+must equal tests/golden/BENCH_full_cap1.json byte for byte, which pins every
+paper cell; after an intentional behaviour change, regenerate it with
+ODY_REGEN_GOLDEN=1.
 
 Usage: ody_bench_cli_test.py <path-to-ody_bench> <path-to-ody_fuzz>
 """
@@ -144,6 +145,11 @@ def main():
         check("ody_fuzz --seed=-1 exits 2", result.returncode == 2, result.stdout)
         result = run(bench, "run", "--campaign=no_such_campaign")
         check("run with unknown campaign exits 2", result.returncode == 2)
+        # A write that fails only when the buffered bytes are flushed must
+        # still be reported, not claimed as written.
+        result = run(bench, "run", "--campaign=smoke", "--out=/dev/full")
+        check("run --out=/dev/full exits 2", result.returncode == 2, result.stderr)
+        check("run --out=/dev/full reports the failed write", "cannot write" in result.stderr)
         result = run(bench, "frobnicate")
         check("unknown subcommand exits 2", result.returncode == 2)
 

@@ -47,6 +47,7 @@ using odyssey::BenchArtifact;
 using odyssey::CampaignResult;
 using odyssey::CampaignRunOptions;
 using odyssey::CampaignSpec;
+using odyssey::FlagValue;
 using odyssey::ComparisonReport;
 using odyssey::ComparisonRow;
 using odyssey::MetricDirection;
@@ -55,17 +56,6 @@ using odyssey::ParseDecimalU64;
 using odyssey::Scenario;
 using odyssey::ScenarioRegistry;
 using odyssey::Status;
-
-// Parses "--name=value" into |out|; returns false if |arg| is a different
-// flag (or not a flag at all).
-bool FlagValue(const std::string& arg, const std::string& name, std::string* out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  *out = arg.substr(prefix.size());
-  return true;
-}
 
 bool ReadFile(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -79,15 +69,12 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-bool WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-  out.flush();
-  if (!out) {
-    std::cerr << "ody_bench: cannot write " << path << "\n";
-    return false;
+bool WriteOrWarn(const std::string& path, const std::string& text) {
+  if (odyssey::WriteFile(path, text)) {
+    return true;
   }
-  return true;
+  std::cerr << "ody_bench: cannot write " << path << "\n";
+  return false;
 }
 
 int ListCommand() {
@@ -119,7 +106,7 @@ bool WriteStrippedArtifact(const BenchArtifact& artifact, const std::string& pat
   std::erase_if(stripped.metrics, [](const odyssey::MetricSummary& summary) {
     return summary.metric.rfind("wall_", 0) == 0;
   });
-  return WriteFile(path, ArtifactToJson(stripped));
+  return WriteOrWarn(path, ArtifactToJson(stripped));
 }
 
 int RunCommand(const std::vector<std::string>& args) {
@@ -216,7 +203,7 @@ int RunCommand(const std::vector<std::string>& args) {
     std::cerr << "ody_bench: " << status.ToString() << "\n";
     return 2;
   }
-  if (!WriteFile(out_path, ArtifactToJson(artifact))) {
+  if (!WriteOrWarn(out_path, ArtifactToJson(artifact))) {
     return 2;
   }
   if (!strip_path.empty() && !WriteStrippedArtifact(artifact, strip_path)) {

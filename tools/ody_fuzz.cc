@@ -1,4 +1,4 @@
-// ody_fuzz: the deterministic simulation fuzzer's fleet driver.
+// ody_fuzz: the deterministic simulation fuzzer's command-line driver.
 //
 // Usage:
 //   ody_fuzz --runs=N [--jobs=M] [--seed=U64] [--max-apps=N] [--mobility]
@@ -14,8 +14,9 @@
 // --mobility arms the scenario generator's mobility dimension (about half
 // the runs take a motion-generated waveform from src/mobility), and --fleet
 // arms the fleet dimension (about half the runs become 2-8 client nodes
-// sharing 1-2 server groups through the estimate-aggregation protocol, run
-// on the multi-node rig with the fleet oracles armed).  --strategy=random
+// sharing 1-2 server groups through the estimate-aggregation protocol;
+// RunFuzzScenario builds their fleet rig with the fleet oracles armed, so
+// single-node and fleet runs go through one runner).  --strategy=random
 // arms the strategy dimension (every scenario draws its bandwidth strategy
 // from the builtin StrategyRegistry); --strategy=NAME pins every scenario
 // to one registered strategy instead.  Output is
@@ -25,21 +26,22 @@
 // of stdout or the artifacts — results land in per-run slots and are
 // printed in plan order after the pool drains.
 //
-// On failure the first failing scenario is shrunk to a minimal reproducer
-// (greedy delta debugging over the scenario description); the reproducer is
-// written as a self-contained C++ test snippet to --repro-out and its
-// canonicalized trace to --trace-out, and the exit code is 1.
+// On failure the first failing scenario, single-node or fleet, is shrunk to
+// a minimal reproducer (greedy delta debugging over the scenario
+// description); the reproducer is written as a self-contained C++ test
+// snippet to --repro-out and its canonicalized trace to --trace-out, and
+// the exit code is 1.
 //
 // --selftest-mutation requires a build with -DODYSSEY_FUZZ_SELFTEST=ON; it
-// makes the runner observe the second upcall of every app twice, so CI can
-// prove the upcall-duplicate oracle and the shrinker work end to end.
+// makes the runner observe node 0's second upcall of every app twice (on
+// single-node and fleet runs alike), so CI can prove the upcall-duplicate
+// oracle and the shrinker work end to end.
 // --selftest-tiebreak (same build requirement) instead removes the event
 // queue's deterministic FIFO tie-break, which the same-time-order oracle
 // must catch.
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -47,7 +49,6 @@
 #include "src/check/fuzz_scenario.h"
 #include "src/check/oracles.h"
 #include "src/check/shrink.h"
-#include "src/fleet/fleet_fuzz.h"
 #include "src/harness/campaign.h"
 #include "src/harness/decimal.h"
 #include "src/harness/worker_pool.h"
@@ -56,6 +57,7 @@
 namespace {
 
 using odyssey::DeriveTrialSeed;
+using odyssey::FlagValue;
 using odyssey::FormatViolations;
 using odyssey::FuzzRunOptions;
 using odyssey::FuzzRunResult;
@@ -87,15 +89,6 @@ struct Options {
   std::string repro_out = "fuzz_repro.cc";
   std::string trace_out = "fuzz_trace.txt";
 };
-
-bool FlagValue(const std::string& arg, const std::string& name, std::string* out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  *out = arg.substr(prefix.size());
-  return true;
-}
 
 bool ParseInt(const std::string& text, int* out) {
   uint64_t value = 0;
@@ -160,15 +153,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
   return true;
 }
 
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  out << content;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -204,14 +188,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // A fleet-dimension scenario runs on the multi-node rig; everything else
-  // takes the classic single-node runner.
-  const auto run_scenario = [&run_options](const FuzzScenario& scenario) {
-    return scenario.fleet_nodes >= 2 ? odyssey::RunFleetFuzzScenario(scenario, run_options)
-                                     : RunFuzzScenario(scenario, run_options);
-  };
-
-  // Fleet execution: every run writes only its own slot, so the report
+  // Parallel execution: every run writes only its own slot, so the report
   // below is independent of worker count and completion order.
   const auto count = static_cast<size_t>(options.runs);
   std::vector<FuzzRunResult> results(count);
@@ -229,7 +206,7 @@ int main(int argc, char** argv) {
     return scenario;
   };
   odyssey::RunIndexedTasks(options.jobs, count,
-                           [&](size_t i) { results[i] = run_scenario(generate(seeds[i])); });
+                           [&](size_t i) { results[i] = RunFuzzScenario(generate(seeds[i]), run_options); });
 
   std::printf("ody_fuzz: %d runs, seed %llu, max apps %d%s%s%s%s%s%s\n", options.runs,
               static_cast<unsigned long long>(options.seed), options.max_apps,
@@ -291,42 +268,22 @@ int main(int argc, char** argv) {
                                    : results[first_failure].violations.front().oracle;
     std::printf("shrinking run %zu (oracle \"%s\", %zu elements)...\n", first_failure,
                 oracle.c_str(), failing.ElementCount());
-    const bool fleet_repro = failing.fleet_nodes >= 2;
-    const ShrinkResult shrunk =
-        fleet_repro ? odyssey::ShrinkWithPredicate(
-                          failing,
-                          [&run_options, &oracle](const FuzzScenario& candidate) {
-                            return odyssey::HasViolationOf(
-                                odyssey::RunFleetFuzzScenario(candidate, run_options), oracle);
-                          })
-                    : ShrinkFailingScenario(failing, oracle, run_options);
+    const ShrinkResult shrunk = ShrinkFailingScenario(failing, oracle, run_options);
     std::printf("shrink: minimized to %zu elements (from %zu) in %d rounds, %d attempts\n",
                 shrunk.final_elements, shrunk.initial_elements, shrunk.rounds,
                 shrunk.attempts);
     std::printf("%s", shrunk.minimized.Describe().c_str());
-    if (fleet_repro) {
-      // The repro-snippet and canonical-trace emitters reconstruct the
-      // single-node rig; a fleet reproducer is the scenario description
-      // itself (replayable via GenerateScenario is not possible after
-      // shrinking, so the description is the artifact).
-      if (WriteFile(options.repro_out, shrunk.minimized.Describe())) {
-        std::printf("fleet repro description: %s\n", options.repro_out.c_str());
-      } else {
-        std::fprintf(stderr, "ody_fuzz: cannot write %s\n", options.repro_out.c_str());
-      }
-      std::printf("canonical trace: single-node only, skipped for fleet scenario\n");
+    if (odyssey::WriteFile(options.repro_out,
+                           odyssey::EmitReproSnippet(shrunk.minimized, oracle))) {
+      std::printf("repro snippet: %s\n", options.repro_out.c_str());
     } else {
-      if (WriteFile(options.repro_out, odyssey::EmitReproSnippet(shrunk.minimized, oracle))) {
-        std::printf("repro snippet: %s\n", options.repro_out.c_str());
-      } else {
-        std::fprintf(stderr, "ody_fuzz: cannot write %s\n", options.repro_out.c_str());
-      }
-      if (WriteFile(options.trace_out,
-                    odyssey::CanonicalTraceForScenario(shrunk.minimized, run_options))) {
-        std::printf("canonical trace: %s\n", options.trace_out.c_str());
-      } else {
-        std::fprintf(stderr, "ody_fuzz: cannot write %s\n", options.trace_out.c_str());
-      }
+      std::fprintf(stderr, "ody_fuzz: cannot write %s\n", options.repro_out.c_str());
+    }
+    if (odyssey::WriteFile(options.trace_out,
+                           odyssey::CanonicalTraceForScenario(shrunk.minimized, run_options))) {
+      std::printf("canonical trace: %s\n", options.trace_out.c_str());
+    } else {
+      std::fprintf(stderr, "ody_fuzz: cannot write %s\n", options.trace_out.c_str());
     }
   }
   return 1;
