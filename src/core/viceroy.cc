@@ -164,7 +164,11 @@ void Viceroy::Reevaluate() {
       // Apps with no connections see the empty-sum level 0.0; their windows
       // sit in class 0, which apps_by_count_ never lists.
       requests_.CollectViolatedApps(ResourceId::kNetworkBandwidth, 0, 0.0, &candidates_);
-      std::sort(candidates_.begin(), candidates_.end());
+      // Usually no probe adds an app, and the hint's dirty list is already
+      // ascending, so the sort is skipped.
+      if (!std::is_sorted(candidates_.begin(), candidates_.end())) {
+        std::sort(candidates_.begin(), candidates_.end());
+      }
       candidates_.erase(std::unique(candidates_.begin(), candidates_.end()), candidates_.end());
       EvaluateCandidates();
       return;

@@ -13,7 +13,16 @@
 // meters alive at once (one per connection), the deque's chunked heap
 // blocks cost an indirection per event and scatter the working set; a ring
 // keeps each meter's window in one cache-resident run and makes the empty
-// (idle) case a pointer-free size check.
+// (idle) case a pointer-free size check.  Its capacity is a power of two
+// (8, then doubling), so indexing is a mask rather than a 64-bit modulo.
+//
+// Each event also stores its whole-window contribution: the pro-rata term
+// RateAt would compute for it when the event lies wholly inside the window,
+// evaluated once at Record with the very same expression.  In steady state
+// nearly every event is wholly inside, so RateAt costs one add per event;
+// only an event straddling the window's left edge (or ending after |at|)
+// takes the pro-rata path.  The sum's terms and order are unchanged, so the
+// rate is bit-identical to computing every term pro rata.
 
 #ifndef SRC_ESTIMATOR_USAGE_METER_H_
 #define SRC_ESTIMATOR_USAGE_METER_H_
@@ -21,6 +30,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "src/core/contract.h"
 #include "src/sim/time.h"
 
 namespace odyssey {
@@ -33,10 +43,16 @@ class UsageMeter {
   // Records |bytes| delivered over (start, end].  End times across calls
   // must be non-decreasing.  A zero-length interval is a point delivery.
   void Record(Time start, Time end, double bytes) {
+    // Prune drops expired events from the head only, which is exact only
+    // under this order.
+    ODY_DCHECK(end >= last_event(), "usage recorded out of end-time order");
     if (end < start) {
       start = end;
     }
-    PushBack(Event{start, end, bytes});
+    const double whole =
+        start == end ? bytes
+                     : bytes * static_cast<double>(end - start) / static_cast<double>(end - start);
+    PushBack(Event{start, end, bytes, whole});
   }
 
   // Point-delivery convenience.
@@ -49,12 +65,13 @@ class UsageMeter {
     double bytes_in_window = 0.0;
     for (size_t i = 0; i < count_; ++i) {
       const Event& event = ring_[Index(i)];
-      if (event.start == event.end) {
-        // Point delivery: counts fully if inside the window.
-        if (event.start > window_start && event.start <= at) {
-          bytes_in_window += event.bytes;
-        }
+      if (event.start > window_start && event.end <= at) {
+        // Wholly inside the window (a point delivery counts fully).
+        bytes_in_window += event.whole;
         continue;
+      }
+      if (event.start == event.end) {
+        continue;  // a point delivery outside the window
       }
       const Time lo = event.start > window_start ? event.start : window_start;
       const Time hi = event.end < at ? event.end : at;
@@ -87,15 +104,17 @@ class UsageMeter {
     Time start;
     Time end;
     double bytes;
+    double whole;  // the event's term in RateAt when wholly inside the window
   };
 
-  size_t Index(size_t i) const { return (head_ + i) % ring_.size(); }
+  // ring_.size() is a power of two whenever an event is stored.
+  size_t Index(size_t i) const { return (head_ + i) & (ring_.size() - 1); }
 
   void PushBack(const Event& event) {
     if (count_ == ring_.size()) {
       Grow();
     }
-    ring_[(head_ + count_) % ring_.size()] = event;
+    ring_[Index(count_)] = event;
     ++count_;
   }
 
@@ -113,7 +132,7 @@ class UsageMeter {
   // logically const.
   void Prune(Time at) const {
     while (count_ > 0 && ring_[head_].end + tau_ <= at) {
-      head_ = (head_ + 1) % ring_.size();
+      head_ = Index(1);
       --count_;
     }
   }

@@ -1,5 +1,7 @@
 #include "src/net/link.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -43,8 +45,8 @@ double Link::FairShareRate() const {
 std::vector<FlowId> Link::ActiveFlowIds() const {
   std::vector<FlowId> ids;
   ids.reserve(flows_.size() + zero_byte_flows_.size());
-  for (const auto& [id, flow] : flows_) {
-    ids.push_back(id);
+  for (const Flow& flow : flows_) {
+    ids.push_back(flow.id);
   }
   for (const auto& [id, handle] : zero_byte_flows_) {
     ids.push_back(id);
@@ -71,7 +73,7 @@ FlowId Link::StartFlow(double bytes, std::function<void()> on_complete) {
         });
     return id;
   }
-  flows_[id] = Flow{bytes, std::move(on_complete)};
+  flows_.push_back(Flow{id, bytes, std::move(on_complete)});
   CompleteAndReschedule();
   return id;
 }
@@ -84,7 +86,11 @@ void Link::CancelFlow(FlowId id) {
     return;
   }
   Advance();
-  flows_.erase(id);
+  const auto it = std::lower_bound(flows_.begin(), flows_.end(), id,
+                                   [](const Flow& flow, FlowId key) { return flow.id < key; });
+  if (it != flows_.end() && it->id == id) {
+    flows_.erase(it);
+  }
   CompleteAndReschedule();
 }
 
@@ -101,12 +107,16 @@ void Link::Advance() {
   const double rate = effective_capacity_bps() / static_cast<double>(flows_.size());
   const double progress = rate * elapsed_s;
   ODY_DCHECK(progress >= 0.0, "negative delivery progress");
-  for (auto& [id, flow] : flows_) {
+  // The running total lives in a local so the compiler need not assume the
+  // residual stores alias it; the additions and their order are unchanged.
+  double bytes_delivered = bytes_delivered_;
+  for (Flow& flow : flows_) {
     const double delivered = progress < flow.remaining ? progress : flow.remaining;
     flow.remaining -= delivered;
-    bytes_delivered_ += delivered;
+    bytes_delivered += delivered;
     ODY_DCHECK(flow.remaining >= 0.0, "flow residual went negative");
   }
+  bytes_delivered_ = bytes_delivered;
   last_update_ = now;
 }
 
@@ -114,14 +124,18 @@ void Link::CompleteAndReschedule() {
   // Complete drained flows.  Callbacks may start new flows re-entrantly, so
   // collect them first.
   std::vector<std::function<void()>> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second.remaining <= kEpsilonBytes) {
-      done.push_back(std::move(it->second.on_complete));
-      it = flows_.erase(it);
+  size_t kept = 0;
+  for (Flow& flow : flows_) {
+    if (flow.remaining <= kEpsilonBytes) {
+      done.push_back(std::move(flow.on_complete));
     } else {
-      ++it;
+      if (&flow != &flows_[kept]) {
+        flows_[kept] = std::move(flow);
+      }
+      ++kept;
     }
   }
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept), flows_.end());
   for (auto& cb : done) {
     if (cb) {
       cb();
@@ -137,7 +151,7 @@ void Link::CompleteAndReschedule() {
     return;  // stalled (radio shadow) or idle: wait for a capacity change
   }
   double min_remaining = std::numeric_limits<double>::max();
-  for (const auto& [id, flow] : flows_) {
+  for (const Flow& flow : flows_) {
     if (flow.remaining < min_remaining) {
       min_remaining = flow.remaining;
     }

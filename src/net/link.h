@@ -82,6 +82,7 @@ class Link {
 
  private:
   struct Flow {
+    FlowId id = 0;
     double remaining = 0.0;
     std::function<void()> on_complete;
   };
@@ -97,7 +98,10 @@ class Link {
   Duration latency_;
   Duration extra_latency_ = 0;
   bool outage_ = false;
-  std::map<FlowId, Flow> flows_;
+  // In-flight flows in ascending id order.  Ids only grow, so StartFlow
+  // appends; every pass over the flows (draining, completion, the next
+  // completion's eta) visits them in id order over contiguous memory.
+  std::vector<Flow> flows_;
   // Degenerate zero-byte flows whose completion is already on the event
   // queue; tracked so CancelFlow can still suppress the callback.
   std::map<FlowId, EventHandle> zero_byte_flows_;

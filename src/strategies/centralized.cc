@@ -160,7 +160,11 @@ ReevalHint CentralizedStrategy::TakeReevalHint(Time now) {
   }
   hint.dirty.insert(hint.dirty.end(), rtt_dirty_.begin(), rtt_dirty_.end());
   rtt_dirty_.clear();
-  std::sort(hint.dirty.begin(), hint.dirty.end());
+  // In steady state the live owners are already ascending and no rtt is
+  // dirty, so the sort is skipped.
+  if (!std::is_sorted(hint.dirty.begin(), hint.dirty.end())) {
+    std::sort(hint.dirty.begin(), hint.dirty.end());
+  }
   hint.dirty.erase(std::unique(hint.dirty.begin(), hint.dirty.end()), hint.dirty.end());
   if (!hint.exact) {
     return hint;

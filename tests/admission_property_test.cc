@@ -85,8 +85,10 @@ class BrokerProbe {
  private:
   Simulation sim_{11};
   Link link_;
-  std::unique_ptr<AdmissionBrokerStrategy> broker_;
+  // Declared before the broker so they outlive it: the strategy's
+  // destructor unsubscribes from their logs.
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
+  std::unique_ptr<AdmissionBrokerStrategy> broker_;
 };
 
 TEST(AdmissionPropertyTest, DecisionMonotoneInSupply) {
@@ -188,9 +190,11 @@ class BrokerRig {
  private:
   Simulation sim_{13};
   Link link_;
+  // Declared before the viceroy so they outlive its strategy, whose
+  // destructor unsubscribes from their logs.
+  std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::unique_ptr<Viceroy> viceroy_;
   AdmissionBrokerStrategy* broker_ = nullptr;
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::map<AppId, uint64_t> upcalls_by_app_;
 };
 

@@ -7,6 +7,7 @@
 #include "src/core/contract.h"
 #include "src/estimator/ewma.h"
 #include "src/estimator/sliding_max.h"
+#include "src/estimator/usage_meter.h"
 #include "src/net/link.h"
 #include "src/sim/simulation.h"
 
@@ -65,6 +66,15 @@ TEST(ContractDeathTest, SlidingMaxRejectsTimeTravel) {
   SlidingMax window(10 * kSecond);
   window.Push(5 * kSecond, 1.0);
   EXPECT_DEATH(window.Push(4 * kSecond, 2.0), "time-ordered");
+}
+
+// The pruning and the stored whole-window value both assume end times
+// never go backwards.
+TEST(ContractDeathTest, UsageMeterRejectsEndBeforeLastEvent) {
+  UsageMeter meter(kSecond);
+  meter.Record(0, 2 * kSecond, 100.0);
+  meter.Record(2 * kSecond, 10.0);  // an equal end is allowed
+  EXPECT_DEATH(meter.Record(kSecond, kSecond + 1, 10.0), "end-time order");
 }
 #endif
 

@@ -1,6 +1,11 @@
 // Unit tests for EWMA smoothing, usage accounting, per-connection
 // estimation, and the centralized supply model (§6.2.1).
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/estimator/connection_estimator.h"
@@ -8,6 +13,7 @@
 #include "src/estimator/sliding_max.h"
 #include "src/estimator/supply_model.h"
 #include "src/estimator/usage_meter.h"
+#include "src/sim/random.h"
 
 namespace odyssey {
 namespace {
@@ -145,6 +151,188 @@ TEST(UsageMeterTest, SlotReuseAfterPruneKeepsExactAccounting) {
   EXPECT_EQ(meter.RateAt(11 * kSecond), 45.0);
   // Half the interval delivery has slid out of the window half a tau later.
   EXPECT_EQ(meter.RateAt(11 * kSecond + 500 * kMillisecond), 25.0);
+}
+
+// The usage meter as it was before the masked ring and the stored
+// whole-window value: modulo ring indexing, and the pro-rata term computed
+// for every event on every read.  RateAt and the ring are verbatim; the
+// production meter must match it bit for bit.  The probes at the bottom
+// only let the test confirm what its sequence covered.
+class ReferenceUsageMeter {
+ public:
+  explicit ReferenceUsageMeter(Duration tau) : tau_(tau) {}
+
+  void Record(Time start, Time end, double bytes) {
+    if (end < start) {
+      start = end;
+    }
+    PushBack(Event{start, end, bytes});
+  }
+
+  double RateAt(Time at) const {
+    Prune(at);
+    const Time window_start = at - tau_;
+    double bytes_in_window = 0.0;
+    for (size_t i = 0; i < count_; ++i) {
+      const Event& event = ring_[Index(i)];
+      if (event.start == event.end) {
+        // Point delivery: counts fully if inside the window.
+        if (event.start > window_start && event.start <= at) {
+          bytes_in_window += event.bytes;
+        }
+        continue;
+      }
+      const Time lo = event.start > window_start ? event.start : window_start;
+      const Time hi = event.end < at ? event.end : at;
+      if (hi > lo) {
+        bytes_in_window += event.bytes * static_cast<double>(hi - lo) /
+                           static_cast<double>(event.end - event.start);
+      }
+    }
+    return bytes_in_window / DurationToSeconds(tau_);
+  }
+
+  Time last_event() const { return count_ == 0 ? 0 : ring_[Index(count_ - 1)].end; }
+  bool empty() const { return count_ == 0; }
+
+  // Coverage probes, read after RateAt(at) pruned the ring.
+  size_t capacity() const { return ring_.size(); }
+  bool wrapped() const { return head_ + count_ > ring_.size(); }
+  bool HasEventStraddling(Time at) const {
+    for (size_t i = 0; i < count_; ++i) {
+      const Event& event = ring_[Index(i)];
+      if (event.start < at - tau_ && event.end > at - tau_) {
+        return true;
+      }
+    }
+    return false;
+  }
+  bool HasIntervalEndingAt(Time at) const {
+    for (size_t i = 0; i < count_; ++i) {
+      const Event& event = ring_[Index(i)];
+      if (event.start < event.end && event.end == at) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  struct Event {
+    Time start;
+    Time end;
+    double bytes;
+  };
+
+  size_t Index(size_t i) const { return (head_ + i) % ring_.size(); }
+
+  void PushBack(const Event& event) {
+    if (count_ == ring_.size()) {
+      Grow();
+    }
+    ring_[(head_ + count_) % ring_.size()] = event;
+    ++count_;
+  }
+
+  void Grow() {
+    std::vector<Event> bigger(ring_.empty() ? 8 : ring_.size() * 2);
+    for (size_t i = 0; i < count_; ++i) {
+      bigger[i] = ring_[Index(i)];
+    }
+    ring_.swap(bigger);
+    head_ = 0;
+  }
+
+  void Prune(Time at) const {
+    while (count_ > 0 && ring_[head_].end + tau_ <= at) {
+      head_ = (head_ + 1) % ring_.size();
+      --count_;
+    }
+  }
+
+  Duration tau_;
+  mutable std::vector<Event> ring_;
+  mutable size_t head_ = 0;
+  mutable size_t count_ = 0;
+};
+
+// A seeded mix of interval records, point records, inverted intervals
+// (clamped to points) and reads, including reads before the newest end.
+// Compares every rate as raw bits.
+TEST(UsageMeterTest, MatchesReferenceMeterBitForBit) {
+  const Duration tau = 2 * kSecond;
+  UsageMeter meter(tau);
+  ReferenceUsageMeter reference(tau);
+  Rng rng(23);
+  Time now = 0;
+  bool recorded_now = false;  // a record ended at |now| since time last moved
+  size_t max_capacity = 0;
+  bool wrapped_after_prune = false;
+  bool straddled = false;
+  bool ended_at_read = false;
+  bool read_at_record = false;
+
+  const auto record = [&](Time start, double bytes) {
+    meter.Record(start, now, bytes);
+    reference.Record(start, now, bytes);
+    recorded_now = true;
+    max_capacity = std::max(max_capacity, reference.capacity());
+    wrapped_after_prune = wrapped_after_prune || reference.wrapped();
+  };
+  const auto read = [&](Time at) {
+    const double got = meter.RateAt(at);
+    const double want = reference.RateAt(at);
+    ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << "at=" << at << " got=" << got << " want=" << want;
+    ASSERT_EQ(meter.empty(), reference.empty());
+    ASSERT_EQ(meter.last_event(), reference.last_event());
+    straddled = straddled || reference.HasEventStraddling(at);
+    ended_at_read = ended_at_read || reference.HasIntervalEndingAt(at);
+    read_at_record = read_at_record || (at == now && recorded_now);
+  };
+  const auto interval_start = [&] {
+    // Up to 1.5 tau long, so many start left of a later read's window.
+    return now - 1 - static_cast<Duration>(rng.UniformInt(3 * kSecond));
+  };
+  const auto bytes = [&] { return rng.Uniform(0.0, 64.0 * kKb); };
+
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = rng.UniformInt(100);
+    if (op < 2) {
+      // A burst with no read in between grows the ring past 8, 16 and 32.
+      for (int i = 0; i < 40; ++i) {
+        now += static_cast<Duration>(rng.UniformInt(20 * kMillisecond));
+        record(interval_start(), bytes());
+      }
+    } else if (op < 35) {
+      record(interval_start(), bytes());
+    } else if (op < 50) {
+      record(now, bytes());  // point delivery
+    } else if (op < 53) {
+      record(now + 1 + static_cast<Duration>(rng.UniformInt(kSecond)), bytes());
+    } else if (op < 80) {
+      read(now);
+    } else if (op < 85) {
+      read(now - static_cast<Duration>(rng.UniformInt(500 * kMillisecond)));
+    } else if (op < 98) {
+      now += static_cast<Duration>(rng.UniformInt(300 * kMillisecond));
+      recorded_now = false;
+    } else {
+      // Idle past tau: the next read prunes the ring empty, and later
+      // records reuse its slots from a moved head.
+      now += tau + static_cast<Duration>(rng.UniformInt(2 * kSecond));
+      recorded_now = false;
+    }
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+
+  EXPECT_GE(max_capacity, 64u);  // grew past 8, 16 and 32 events
+  EXPECT_TRUE(wrapped_after_prune);
+  EXPECT_TRUE(straddled);
+  EXPECT_TRUE(ended_at_read);
+  EXPECT_TRUE(read_at_record);
 }
 
 TEST(SlidingMaxTest, TracksMaximumInWindow) {

@@ -1,11 +1,17 @@
 // Unit tests for the emulated network: the shared link and the modulator.
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <iterator>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/net/link.h"
 #include "src/net/modulator.h"
+#include "src/sim/random.h"
 #include "src/sim/simulation.h"
 #include "src/tracemod/waveforms.h"
 
@@ -209,6 +215,120 @@ TEST(LinkTest, ManyFlowsConserveBytes) {
   sim.Run();
   EXPECT_EQ(completed, 20);
   EXPECT_NEAR(link.bytes_delivered(), 210.0 * kKb, 1.0);
+}
+
+// Pins the link's whole processor-sharing schedule to a digest recorded
+// before the flow table changed representation: ~200 seeded flows with
+// starts (some from completion callbacks, some in batches of equal flows
+// that complete together), cancels of live, completed and unknown ids,
+// zero-byte flows, capacity changes and outages.  The digest folds in each
+// completion's flow id, instant and the bits of bytes_delivered() at that
+// instant, so any change to the order or arithmetic of draining moves it.
+TEST(LinkTest, SeededScheduleMatchesPinnedDigest) {
+  constexpr int kMaxFlows = 200;
+  constexpr uint64_t kPinnedDigest = 0x1e14d9adbfc34310ULL;
+  Simulation sim;
+  Link link(&sim, 64.0 * kKb, 0);
+  Rng rng(19);
+
+  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  const auto mix = [&digest](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest = (digest ^ ((word >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+
+  // The test's own model of what is in flight: byte-carrying flows and
+  // zero-byte flows whose completion is still queued.
+  std::set<FlowId> live;
+  std::set<FlowId> live_zero;
+  std::vector<FlowId> completed;
+  std::vector<FlowId> ids;  // by start order; a callback finds its id here
+
+  const auto random_bytes = [&] {
+    return rng.UniformInt(10) == 0 ? 0.0 : rng.Uniform(1.0, 32.0 * kKb);
+  };
+  std::function<void(double)> start_flow = [&](double bytes) {
+    const bool zero = bytes == 0.0;
+    const size_t k = ids.size();
+    ids.push_back(0);
+    ids[k] = link.StartFlow(bytes, [&, k, zero] {
+      const FlowId id = ids[k];
+      mix(id);
+      mix(static_cast<uint64_t>(sim.now()));
+      mix(std::bit_cast<uint64_t>(link.bytes_delivered()));
+      (zero ? live_zero : live).erase(id);
+      completed.push_back(id);
+      if (ids.size() < kMaxFlows && rng.UniformInt(10) < 3) {
+        start_flow(random_bytes());
+      }
+    });
+    (zero ? live_zero : live).insert(ids[k]);
+  };
+
+  // ActiveFlowIds lists the in-flight flows in ascending id order, then the
+  // pending zero-byte flows in ascending id order.
+  const auto check_active_ids = [&] {
+    std::vector<FlowId> expected(live.begin(), live.end());
+    expected.insert(expected.end(), live_zero.begin(), live_zero.end());
+    EXPECT_EQ(link.ActiveFlowIds(), expected) << "at t=" << sim.now();
+    EXPECT_EQ(link.active_flow_count(), expected.size());
+  };
+
+  const auto pick = [&](const auto& pool) {
+    auto it = pool.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng.UniformInt(pool.size())));
+    return *it;
+  };
+
+  bool outage = false;
+  Time at = 0;
+  while (ids.size() < kMaxFlows) {
+    at += static_cast<Duration>(rng.UniformInt(200 * kMillisecond));
+    sim.RunUntil(at);
+    const uint64_t action = rng.UniformInt(20);
+    if (action < 8) {
+      start_flow(random_bytes());
+    } else if (action < 9) {
+      // Equal flows started together drain together: their callbacks fire
+      // from one completion pass, in id order.
+      const double bytes = rng.Uniform(1.0, 32.0 * kKb);
+      for (uint64_t n = 2 + rng.UniformInt(3); n > 0; --n) {
+        start_flow(bytes);
+      }
+    } else if (action < 12 && !live.empty()) {
+      const FlowId id = pick(live);
+      link.CancelFlow(id);
+      live.erase(id);
+    } else if (action < 13) {
+      // A zero-byte flow completes on the next event-loop turn, so cancel
+      // it before that turn comes.
+      start_flow(0.0);
+      link.CancelFlow(ids.back());
+      live_zero.erase(ids.back());
+    } else if (action < 14 && !completed.empty()) {
+      link.CancelFlow(pick(completed));
+    } else if (action < 15) {
+      link.CancelFlow(ids.size() + 1000 + rng.UniformInt(1000));
+    } else if (action < 18) {
+      link.SetCapacity(rng.UniformInt(8) == 0 ? 0.0 : rng.Uniform(8.0, 128.0) * kKb);
+    } else {
+      outage = !outage;
+      link.SetOutage(outage);
+    }
+    check_active_ids();
+  }
+  // Lift every stall so the remaining flows drain.
+  link.SetOutage(false);
+  link.SetCapacity(64.0 * kKb);
+  sim.Run();
+  check_active_ids();
+  EXPECT_TRUE(live.empty());
+  EXPECT_TRUE(live_zero.empty());
+
+  mix(std::bit_cast<uint64_t>(link.bytes_delivered()));
+  mix(completed.size());
+  EXPECT_EQ(digest, kPinnedDigest) << std::hex << digest;
 }
 
 TEST(LinkTest, FairShareRateAccountsForFlows) {
