@@ -127,7 +127,7 @@ class MapWarden : public Warden {
         const MapTileResult result{level.fidelity, level.tile_bytes};
         session.tiles_served++;
         session.endpoint->Fetch(level.tile_bytes, 5 * kMillisecond,
-                                [result, done = std::move(done)] {
+                                [result, done = std::move(done)](Status) {
                                   done(OkStatus(), PackStruct(result));
                                 });
         return;

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/check/oracles.h"
 #include "src/check/tracking_window.h"
 #include "src/core/object_namespace.h"
 #include "src/core/resource.h"
@@ -38,9 +39,7 @@ using namespace odyssey;
 namespace {
 
 constexpr Duration kHorizon = 12 * kSecond;
-constexpr Duration kDrainGrace = 2 * kSecond;
 constexpr Duration kFeedPeriod = 100 * kMillisecond;
-constexpr Duration kOraclePeriod = 100 * kMillisecond;
 
 // A node's one adaptive application, holding a tracking window.
 struct Viewer {
@@ -92,18 +91,16 @@ int main(int argc, char** argv) {
   }
   fleet.Connect();
 
-  // The narration of each upcall rides the delivery observer, beside the
-  // oracle's audit of it.
+  // The narration of each upcall taps the delivery its node's oracle
+  // audits.  Re-arming only swaps in the tap: node 0 keeps the clock hooks
+  // Connect() gave it.
   for (size_t i = 0; i < fleet.nodes().size(); ++i) {
-    FleetNode* node = fleet.nodes()[i].get();
     const char* tag = viewers[i].tag;
     Simulation* clock = &sim;
-    node->client->viceroy().upcalls().set_delivery_observer(
-        [node, tag, clock](AppId app, uint64_t seq, RequestId request, ResourceId resource,
-                           double level, Time posted_at) {
+    fleet.nodes()[i]->oracle->Arm(
+        /*clock=*/false, [tag, clock](AppId, uint64_t, RequestId, ResourceId, double level, Time) {
           std::printf("%6.1fs  %s: upcall -- level now %5.0f KB/s, re-registering window\n",
                       DurationToSeconds(clock->now()), tag, level / 1024.0);
-          node->oracle->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
         });
   }
 
@@ -170,13 +167,6 @@ int main(int argc, char** argv) {
     }
   };
 
-  std::function<void()> sample = [&] {
-    fleet.SampleOracles();
-    if (sim.now() < kHorizon) {
-      sim.Post(kOraclePeriod, sample);
-    }
-  };
-
   sim.PostAt(4 * kSecond, [] { std::printf("\n   --- nodeB enters its outage ---\n\n"); });
   sim.PostAt(6 * kSecond, [] { std::printf("\n   --- nodeB back on the air ---\n\n"); });
 
@@ -192,7 +182,8 @@ int main(int argc, char** argv) {
   sim.Post(kFeedPeriod, feed);
   sim.Post(1 * kSecond, sweep);
   sim.Post(1 * kSecond, report);
-  sim.Post(kOraclePeriod, sample);
+  Fleet* audited = &fleet;
+  ScheduleAudits(&sim, kHorizon, [audited] { audited->SampleOracles(); });
   sim.RunUntil(kHorizon);
 
   const FleetAggregator::ServerView a = fleet.nodes()[0]->aggregator->ViewOf(0, sim.now());

@@ -16,9 +16,6 @@
 namespace odyssey {
 namespace {
 
-// Cadence of the periodic estimator/fair-share/conservation audit.
-constexpr Duration kOraclePeriod = 100 * kMillisecond;
-
 // One client stack the run loop drives, borrowed from the rig that built
 // it.
 struct RunNode {
@@ -30,114 +27,61 @@ struct RunNode {
   FleetAggregator* aggregator = nullptr;  // null on the single-node rig
 };
 
-// Self-rescheduling periodic oracle audit: every node's oracle, then the
-// fleet oracles when there is a fleet; optionally records the availability
-// figures the differential tests compare.
-struct Sampler {
-  Simulation* sim = nullptr;
-  OracleSet* oracle = nullptr;  // the single node's; unused with a fleet
-  Fleet* fleet = nullptr;
-  // The audit surface, when the installed strategy exposes one; null for
-  // isolated-estimate strategies (laissez-faire, blind-optimism).
-  CentralizedStrategy* strategy = nullptr;
-  // Always set: the strategy actually installed in the viceroy.
-  BandwidthStrategy* base = nullptr;
-  size_t app_count = 0;
-  DifferentialLog* differential = nullptr;
-  Time end = 0;
-
-  void Tick() {
-    if (fleet != nullptr) {
-      fleet->SampleOracles();
-    } else {
-      oracle->Sample();
+// Appends one availability sample to |log|: now, the total supply, then
+// the per-connection figures when |strategy| exposes an audit surface, or
+// else the per-app figures the viceroy itself consults (apps register 1..N
+// in driver order).
+void RecordSample(DifferentialLog* log, Simulation* sim, BandwidthStrategy* strategy,
+                  size_t app_count) {
+  const Time now = sim->now();
+  log->samples.push_back(static_cast<double>(now));
+  if (CentralizedStrategy* audit = strategy->audit_surface(); audit != nullptr) {
+    log->samples.push_back(audit->TotalSupply(now));
+    log->samples.push_back(
+        static_cast<double>(audit->supply_model().ActiveConnectionCount(now)));
+    for (const ConnectionId connection : audit->AttachedConnections()) {
+      log->samples.push_back(audit->ConnectionAvailability(connection, now));
     }
-    if (differential != nullptr) {
-      const Time now = sim->now();
-      differential->samples.push_back(static_cast<double>(now));
-      if (strategy != nullptr) {
-        differential->samples.push_back(strategy->TotalSupply(now));
-        differential->samples.push_back(
-            static_cast<double>(strategy->supply_model().ActiveConnectionCount(now)));
-        for (const ConnectionId connection : strategy->AttachedConnections()) {
-          differential->samples.push_back(strategy->ConnectionAvailability(connection, now));
-        }
-      } else {
-        // No per-connection surface; sample the per-app figures the viceroy
-        // itself consults (apps register 1..N in driver order).
-        differential->samples.push_back(base->TotalSupply(now));
-        differential->samples.push_back(base->HasEstimate() ? 1.0 : 0.0);
-        for (size_t i = 1; i <= app_count; ++i) {
-          differential->samples.push_back(base->AvailabilityFor(static_cast<AppId>(i), now));
-        }
-      }
-    }
-    if (sim->now() < end) {
-      sim->Schedule(kOraclePeriod, [this] { Tick(); });
-    }
+    return;
   }
-};
+  log->samples.push_back(strategy->TotalSupply(now));
+  log->samples.push_back(strategy->HasEstimate() ? 1.0 : 0.0);
+  for (size_t i = 1; i <= app_count; ++i) {
+    log->samples.push_back(strategy->AvailabilityFor(static_cast<AppId>(i), now));
+  }
+}
 
-// The run loop both rigs share: arms the observers, drives the scenario's
-// apps (dealt round-robin across |nodes|) to the horizon, drains, runs the
-// final audits and sums the result.  |fleet| is null on the single-node
-// rig; with a fleet, the differential log stays empty.
+// The run loop both rigs share, over stacks whose oracles are already
+// armed: drives the scenario's apps (dealt round-robin across |nodes|) to
+// the horizon, drains, runs the final audits and sums the result.  |fleet|
+// is null on the single-node rig; with a fleet, the differential log stays
+// empty.
 FuzzRunResult RunNodes(const FuzzScenario& scenario, const FuzzRunOptions& options,
                        Simulation* sim, const std::vector<RunNode>& nodes, Fleet* fleet) {
   FuzzRunResult result;
-  DifferentialLog* differential = fleet == nullptr ? options.differential : nullptr;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    OracleSet* oracle = nodes[i].oracle;
-    const bool mutate = options.selftest_mutation && i == 0;
-    nodes[i].client->viceroy().upcalls().set_delivery_observer(
-        [oracle, &result, differential, sim, mutate](AppId app, uint64_t seq, RequestId request,
-                                                     ResourceId resource, double level,
-                                                     Time posted_at) {
-          ++result.upcalls_delivered;
-          if (differential != nullptr) {
-            differential->upcalls.push_back(
-                UpcallRecord{app, seq, request, resource, level, posted_at, sim->now()});
-          }
-          oracle->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
-#ifdef ODYSSEY_FUZZ_SELFTEST
-          if (mutate && seq == 2) {
-            // Intentionally seeded defect: node 0's second upcall of every
-            // app is observed twice, as if the dispatcher had delivered a
-            // duplicate.  The upcall-duplicate oracle must catch it and the
-            // shrinker must reduce the scenario around it (CI's
-            // fuzz-selftest job).
-            oracle->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
-          }
-#else
-          (void)mutate;
-#endif
-        });
-  }
-  // Node 0's oracle audits the simulation-global clock for every node
-  // (Fleet::Connect installs the same pair).  The oracle outlives every
-  // event (the observers are detached below, before the stack unwinds).
   OracleSet* lead = nodes.front().oracle;
-  sim->set_step_observer([lead](Time when) { lead->OnStep(when); });  // ody_lint: owned-capture
-  // ody_lint: owned-capture
-  sim->set_tie_observer([lead](Time when, uint64_t prev_seq, uint64_t seq) {
-    lead->OnTieBreak(when, prev_seq, seq);
-  });
 #ifdef ODYSSEY_FUZZ_SELFTEST
-  if (options.selftest_tiebreak) {
-    // Intentionally seeded defect: the queue pops same-timestamp ties
-    // newest-first instead of in scheduling order.  The same-time-order
-    // oracle must catch it (CI's fuzz-selftest job).
-    sim->set_selftest_lifo_ties(true);
-  }
+  // The seeded defects (CI's fuzz-selftest job): node 0's dispatcher
+  // reports a duplicate delivery, and the queue pops same-timestamp ties
+  // newest-first.
+  nodes.front().client->viceroy().upcalls().set_selftest_duplicate(options.selftest_mutation);
+  sim->set_selftest_lifo_ties(options.selftest_tiebreak);
 #endif
 
-  const Time end = scenario.horizon + options.drain_grace;
-  BandwidthStrategy* base = &nodes.front().client->viceroy().strategy();
-  Sampler sampler{sim,  lead, fleet, base->audit_surface(), base, scenario.apps.size(),
-                  differential, end};
-  // The sampler stops rescheduling at |end| and the sim drains before it
-  // leaves scope.
-  sim->Schedule(kOraclePeriod, [&sampler] { sampler.Tick(); });  // ody_lint: owned-capture
+  const Time end = scenario.horizon + kDrainGrace;
+  DifferentialLog* differential = fleet == nullptr ? options.differential : nullptr;
+  BandwidthStrategy* strategy = &nodes.front().client->viceroy().strategy();
+  const size_t app_count = scenario.apps.size();
+  ScheduleAudits(sim, end, [sim, lead, fleet, differential, strategy, app_count] {
+    if (fleet != nullptr) {
+      fleet->SampleOracles();
+    } else {
+      lead->Sample();
+    }
+    if (differential != nullptr) {
+      RecordSample(differential, sim, strategy, app_count);
+    }
+  });
 
   std::vector<std::unique_ptr<FuzzDriver>> drivers;
   drivers.reserve(scenario.apps.size());
@@ -162,13 +106,6 @@ FuzzRunResult RunNodes(const FuzzScenario& scenario, const FuzzRunOptions& optio
   }
   sim->RunUntil(end);
 
-  // Detach the observers before the stack unwinds: the oracles borrow the
-  // viceroys and links, and no event may fire past this point anyway.
-  for (const RunNode& node : nodes) {
-    node.client->viceroy().upcalls().set_delivery_observer({});
-  }
-  sim->set_step_observer({});
-  sim->set_tie_observer({});
   if (fleet != nullptr) {
     fleet->Finish(scenario.horizon, end);  // every node's oracle, then the fleet oracles
   } else {
@@ -179,6 +116,7 @@ FuzzRunResult RunNodes(const FuzzScenario& scenario, const FuzzRunOptions& optio
     const std::vector<FuzzViolation>& found = node.oracle->violations();
     result.violations.insert(result.violations.end(), found.begin(), found.end());
     result.violation_count += node.oracle->violation_count();
+    result.upcalls_delivered += node.client->viceroy().upcalls().delivered_count();
     result.bytes_delivered += node.link->bytes_delivered();
   }
   if (fleet != nullptr) {
@@ -213,7 +151,7 @@ FuzzRunResult RunFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions
       FleetNode* built = fleet.AddNode(std::move(node), first, servers.Wardens());
       built->client->set_retry_policy(RetryPolicy::Default());
     }
-    fleet.Connect();
+    fleet.Connect();  // arms every node's oracle
     std::vector<RunNode> nodes;
     for (const auto& node : fleet.nodes()) {
       nodes.push_back(RunNode{node->client.get(), node->oracle.get(), node->link.get(),
@@ -239,6 +177,16 @@ FuzzRunResult RunFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions
   injector.Arm(BuildFaultPlan(scenario));
   OracleSet oracle(scenario, &rig.sim(), &client.viceroy(),
                    client.viceroy().strategy().audit_surface(), &rig.link());
+  OracleSet::DeliveryTap record;
+  if (DifferentialLog* log = options.differential; log != nullptr) {
+    Simulation* sim = &rig.sim();
+    record = [log, sim](AppId app, uint64_t seq, RequestId request, ResourceId resource,
+                        double level, Time posted_at) {
+      log->upcalls.push_back(
+          UpcallRecord{app, seq, request, resource, level, posted_at, sim->now()});
+    };
+  }
+  oracle.Arm(/*clock=*/true, std::move(record));
   const ReplayTrace waveform(scenario.segments);
   return RunNodes(scenario, options, &rig.sim(),
                   {RunNode{&client, &oracle, &rig.link(), &rig.modulator(), &waveform}}, nullptr);

@@ -7,10 +7,10 @@
 // FuzzServers and a Fleet of that many client nodes (src/fleet/fleet_node.h),
 // each on its own waveform (FleetNodeScenario) and fault stream, sharing
 // server estimates through the aggregation protocol, with the fleet-level
-// oracles armed as well.  Both rigs then go through the same run loop:
-// attach the invariant oracles, drive the scenario's per-app operation
-// schedule (apps dealt round-robin across the nodes), and return every
-// violation the oracles recorded.
+// oracles armed as well.  Both rigs arm their invariant oracles
+// (OracleSet::Arm) and go through the same run loop: drive the scenario's
+// per-app operation schedule (apps dealt round-robin across the nodes),
+// drain for kDrainGrace, and return every violation the oracles recorded.
 // The result is a pure function of (scenario, options): running the same
 // scenario twice — on any thread, in any order, with any number of sibling
 // runs — yields identical results, which is what seed replay and shrinking
@@ -64,9 +64,9 @@ struct DifferentialLog {
 };
 
 struct FuzzRunOptions {
-  // Injects a deliberate duplicate upcall-delivery notification (node 0's
-  // second upcall of every app is observed twice), so CI can verify
-  // end-to-end that the oracles detect it and the shrinker minimizes it.  Only honored
+  // Seeds node 0's upcall dispatcher with a duplicate-delivery defect
+  // (UpcallDispatcher::set_selftest_duplicate), so CI can verify end to end
+  // that the oracles detect it and the shrinker minimizes it.  Only honored
   // when kFuzzSelftestCompiled; silently inert otherwise.
   bool selftest_mutation = false;
   // Second seeded mutation: removes the event queue's deterministic FIFO
@@ -75,8 +75,8 @@ struct FuzzRunOptions {
   // kFuzzSelftestCompiled; silently inert otherwise.
   bool selftest_tiebreak = false;
   // Extra virtual time after the horizon for queued upcalls and in-flight
-  // transfers to drain before the stranded-upcall check.
-  Duration drain_grace = 2 * kSecond;
+  // transfers to drain before the stranded-upcall check: every armed run's.
+  static constexpr Duration drain_grace = kDrainGrace;
   // Optional recorder for the canonical failure trace; borrowed.
   TraceRecorder* trace = nullptr;
   // Runs the pre-scale reference stack (RigSpec::reference) instead of the

@@ -16,6 +16,16 @@ double ShareEps(double supply) { return 1e-6 * supply + 1e-3; }
 
 }  // namespace
 
+void ScheduleAudits(Simulation* sim, Time until, std::function<void()> audit) {
+  sim->Post(kAuditPeriod, [sim, until, audit = std::move(audit)]() mutable {
+    if (sim->now() > until) {
+      return;
+    }
+    audit();
+    ScheduleAudits(sim, until, std::move(audit));
+  });
+}
+
 std::string FormatViolations(const std::vector<FuzzViolation>& violations) {
   std::ostringstream out;
   for (const FuzzViolation& v : violations) {
@@ -31,6 +41,26 @@ std::string FormatViolations(const std::vector<FuzzViolation>& violations) {
 OracleSet::OracleSet(const FuzzScenario& scenario, Simulation* sim, Viceroy* viceroy,
                      CentralizedStrategy* strategy, Link* link)
     : scenario_(scenario), sim_(sim), viceroy_(viceroy), strategy_(strategy), link_(link) {}
+
+void OracleSet::Arm(bool clock, DeliveryTap tap) {
+  // Every hook borrows this oracle set; Finish() detaches them all before
+  // the caller's stack unwinds.
+  viceroy_->upcalls().set_delivery_observer(
+      [this, tap = std::move(tap)](AppId app, uint64_t seq, RequestId request, ResourceId resource,
+                                   double level, Time posted_at) {
+        OnUpcallDelivered(app, seq, request, resource, level, posted_at);
+        if (tap) {
+          tap(app, seq, request, resource, level, posted_at);
+        }
+      });
+  if (clock) {
+    sim_->set_step_observer([this](Time when) { OnStep(when); });
+    sim_->set_tie_observer(
+        [this](Time when, uint64_t prev_seq, uint64_t seq) { OnTieBreak(when, prev_seq, seq); });
+  }
+  armed_ = true;
+  armed_clock_ = armed_clock_ || clock;
+}
 
 void OracleSet::Report(const std::string& oracle, AppId app, std::string detail) {
   ++total_violations_;
@@ -236,6 +266,15 @@ void OracleSet::Sample() {
 }
 
 void OracleSet::Finish() {
+  if (armed_) {
+    viceroy_->upcalls().set_delivery_observer({});
+  }
+  if (armed_clock_) {
+    sim_->set_step_observer({});
+    sim_->set_tie_observer({});
+  }
+  armed_ = false;
+  armed_clock_ = false;
   Sample();
   // The fuzzer's drivers never Block() a receiver, so after the drain grace
   // period every posted upcall must have been delivered.

@@ -36,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -43,6 +44,7 @@
 
 #include "src/check/fuzz_scenario.h"
 #include "src/core/resource.h"
+#include "src/core/upcall.h"
 #include "src/core/viceroy.h"
 #include "src/net/link.h"
 #include "src/sim/simulation.h"
@@ -50,6 +52,18 @@
 #include "src/strategies/centralized.h"
 
 namespace odyssey {
+
+// Cadence of the periodic Sample() audit every armed run schedules.
+inline constexpr Duration kAuditPeriod = 100 * kMillisecond;
+// Virtual time an armed run keeps going after its horizon, so queued
+// upcalls and in-flight transfers drain before the final audit.
+inline constexpr Duration kDrainGrace = 2 * kSecond;
+
+// The periodic audit every armed run shares: |audit| runs at each
+// kAuditPeriod tick at or before |until|, and the first tick after |until|
+// fires as a no-op and stops (an event like any other, so it counts in
+// Simulation::events_processed when the run reaches it).
+void ScheduleAudits(Simulation* sim, Time until, std::function<void()> audit);
 
 // One recorded invariant violation.
 struct FuzzViolation {
@@ -79,7 +93,17 @@ class OracleSet {
   OracleSet(const OracleSet&) = delete;
   OracleSet& operator=(const OracleSet&) = delete;
 
-  // --- Hooks wired by the runner ---
+  // Runs after the oracle's own hook on every delivery it observes.
+  using DeliveryTap = UpcallDispatcher::DeliveryObserver;
+
+  // Attaches the hooks below: the viceroy's delivery observer and, with
+  // |clock|, the simulation's step and tie observers (one armed set per
+  // Simulation audits its shared clock).  |tap|, when set, sees each
+  // delivery after the oracle does.  Arming again replaces the delivery
+  // hook and its tap; Finish() removes everything Arm() installed.
+  void Arm(bool clock, DeliveryTap tap = {});
+
+  // --- Hooks Arm() attaches ---
 
   // From UpcallDispatcher's delivery observer.
   void OnUpcallDelivered(AppId app, uint64_t seq, RequestId request, ResourceId resource,
@@ -106,7 +130,8 @@ class OracleSet {
   // tier_scale campaign sets this to keep oracle cost sub-linear in N.
   void set_max_audited_connections(size_t cap) { max_audited_connections_ = cap; }
 
-  // End-of-run audit, after the drain grace period.
+  // End-of-run audit, after the drain grace period.  Removes whatever Arm()
+  // installed first, so nothing reaches the oracle afterwards.
   void Finish();
 
   const std::vector<FuzzViolation>& violations() const { return violations_; }
@@ -139,6 +164,8 @@ class OracleSet {
   double last_bytes_delivered_ = 0.0;
   size_t max_audited_connections_ = 0;
   size_t audit_cursor_ = 0;
+  bool armed_ = false;
+  bool armed_clock_ = false;
 
   std::vector<FuzzViolation> violations_;
   std::map<std::string, uint64_t> per_oracle_count_;

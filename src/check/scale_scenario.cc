@@ -31,8 +31,6 @@ namespace {
 constexpr double kWaveKbps[] = {60.0, 200.0, 30.0, 120.0};
 
 constexpr Duration kCancelSweepPeriod = 500 * kMillisecond;
-constexpr Duration kOraclePeriod = 100 * kMillisecond;
-constexpr Duration kDrainGrace = 2 * kSecond;
 // Apps holding a second (idle) connection, so the scale rig exercises more
 // than one bucket of the strategy's connection-count histogram.
 constexpr int kMultiConnectionApps = 8;
@@ -83,22 +81,11 @@ class ScaleRig {
   TrialMetrics Run() {
     const auto wall_start = std::chrono::steady_clock::now();
     Build();
-    viceroy_.upcalls().set_delivery_observer(
-        [this](AppId app, uint64_t seq, RequestId request, ResourceId resource, double level,
-               Time posted_at) {
-          oracle_.OnUpcallDelivered(app, seq, request, resource, level, posted_at);
-        });
-    sim_.set_step_observer([this](Time when) { oracle_.OnStep(when); });
-    sim_.set_tie_observer([this](Time when, uint64_t prev_seq, uint64_t seq) {
-      oracle_.OnTieBreak(when, prev_seq, seq);
-    });
+    oracle_.Arm(/*clock=*/true);
     sim_.Post(params_.feed_period, [this] { Feed(); });
-    sim_.Post(kOraclePeriod, [this] { SampleOracle(); });
+    ScheduleAudits(&sim_, params_.horizon, [this] { oracle_.Sample(); });
     sim_.Post(kCancelSweepPeriod, [this] { CancelSweep(); });
     sim_.RunUntil(params_.horizon + kDrainGrace);
-    sim_.set_step_observer({});
-    sim_.set_tie_observer({});
-    viceroy_.upcalls().set_delivery_observer({});
     oracle_.Finish();
     const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
     return Metrics(wall.count());
@@ -173,14 +160,6 @@ class ScaleRig {
     }
     ++tick_;
     sim_.Post(params_.feed_period, [this] { Feed(); });
-  }
-
-  void SampleOracle() {
-    if (sim_.now() > params_.horizon) {
-      return;
-    }
-    oracle_.Sample();
-    sim_.Post(kOraclePeriod, [this] { SampleOracle(); });
   }
 
   // Rotates through the apps cancelling and immediately re-registering

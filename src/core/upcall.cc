@@ -113,6 +113,11 @@ void UpcallDispatcher::DeliverNext(AppId app) {
                     static_cast<double>(queued_));
   if (observer_) {
     observer_(app, upcall.seq, upcall.request, upcall.resource, upcall.level, upcall.posted_at);
+#ifdef ODYSSEY_FUZZ_SELFTEST
+    if (selftest_duplicate_ && upcall.seq == 2) {
+      observer_(app, upcall.seq, upcall.request, upcall.resource, upcall.level, upcall.posted_at);
+    }
+#endif
   }
   if (upcall.handler) {
     upcall.handler(upcall.request, upcall.resource, upcall.level);

@@ -70,6 +70,15 @@ class UpcallDispatcher {
   // Installs (or clears, with an empty function) the delivery observer.
   void set_delivery_observer(DeliveryObserver observer) { observer_ = std::move(observer); }
 
+#ifdef ODYSSEY_FUZZ_SELFTEST
+  // Intentionally seeded defect for the fuzzer's self-test: every app's
+  // second upcall is reported to the observer twice, as if it had been
+  // delivered in duplicate.  The upcall-duplicate oracle must catch it.
+  // Compiled only under -DODYSSEY_FUZZ_SELFTEST; release builds carry no
+  // mutation code.
+  void set_selftest_duplicate(bool enabled) { selftest_duplicate_ = enabled; }
+#endif
+
  private:
   struct PendingUpcall {
     uint64_t seq;
@@ -124,6 +133,9 @@ class UpcallDispatcher {
   size_t queued_ = 0;
   Duration latency_total_ = 0;
   Duration latency_max_ = 0;
+#ifdef ODYSSEY_FUZZ_SELFTEST
+  bool selftest_duplicate_ = false;
+#endif
 };
 
 }  // namespace odyssey

@@ -139,13 +139,9 @@ void Fleet::Connect() {
     bindings.push_back(FleetOracleSet::NodeBinding{id, nodes_[i]->model, aggregator});
   }
   oracle_ = std::make_unique<FleetOracleSet>(sim_, std::move(bindings), servers_);
-
-  OracleSet* lead = nodes_.front()->oracle.get();
-  sim_->set_step_observer([lead](Time when) { lead->OnStep(when); });  // ody_lint: owned-capture
-  // ody_lint: owned-capture
-  sim_->set_tie_observer([lead](Time when, uint64_t prev_seq, uint64_t seq) {
-    lead->OnTieBreak(when, prev_seq, seq);
-  });
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    nodes_[i]->oracle->Arm(/*clock=*/i == 0);
+  }
 }
 
 void Fleet::SampleOracles() {
@@ -156,8 +152,6 @@ void Fleet::SampleOracles() {
 }
 
 void Fleet::Finish(Time horizon, Time end) {
-  sim_->set_step_observer({});
-  sim_->set_tie_observer({});
   const Time tail_start = horizon - kConvergenceTail;
   bool quiescent = tail_start > 0;
   for (const auto& node : nodes_) {
@@ -165,7 +159,6 @@ void Fleet::Finish(Time horizon, Time end) {
                 WaveformLiveThroughout(node->waveform, tail_start, end);
   }
   for (const auto& node : nodes_) {
-    node->client->viceroy().upcalls().set_delivery_observer({});
     node->oracle->Finish();
   }
   oracle_->Finish(quiescent, kConvergenceTolerance);

@@ -87,14 +87,14 @@ class Fleet {
 
   // Once every node exists: registers each on the bus in ascending id
   // order (broadcast order is id order), binds the fleet oracles to every
-  // node's model and aggregator, and lets node 0's oracle audit the
-  // simulation-global step and tie observers for the whole fleet.
+  // node's model and aggregator, and arms every node's oracle, node 0's
+  // also auditing the shared simulation clock for the whole fleet.
   void Connect();
 
   // Every node's oracle, then the fleet oracles.
   void SampleOracles();
 
-  // Detaches the observers, then runs every oracle's final audit.  The
+  // Runs every oracle's final audit (which disarms it).  The
   // convergence oracle arms only when the tail before |horizon| was
   // provably quiet: no fault that can eat a fleet message, and every
   // node's radio live through |end| (a shadow drops control traffic).

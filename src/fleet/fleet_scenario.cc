@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/check/fuzz_scenario.h"
+#include "src/check/oracles.h"
 #include "src/check/tracking_window.h"
 #include "src/core/contract.h"
 #include "src/core/resource.h"
@@ -36,8 +37,6 @@ constexpr double kFleetWaveKbps[] = {80.0, 220.0, 40.0, 140.0};
 
 constexpr Duration kFeedPeriod = 50 * kMillisecond;
 constexpr Duration kFairnessPeriod = 500 * kMillisecond;
-constexpr Duration kOraclePeriod = 100 * kMillisecond;
-constexpr Duration kDrainGrace = 2 * kSecond;
 constexpr Duration kReadPeriod = 1 * kSecond;
 
 struct FleetParams {
@@ -158,11 +157,6 @@ class FleetRig {
   void Start() {
     for (NodeFeed& feed : feeds_) {
       FleetNode* node = feed.node;
-      node->client->viceroy().upcalls().set_delivery_observer(
-          [node](AppId app, uint64_t seq, RequestId request, ResourceId resource, double level,
-                 Time posted_at) {
-            node->oracle->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
-          });
       node->modulator->Replay(node->waveform);
       node->aggregator->StopAt(params_.horizon);
       node->aggregator->Start();
@@ -172,7 +166,7 @@ class FleetRig {
       }
     }
     sim_.Post(kFeedPeriod, [this] { Feed(); });
-    sim_.Post(kOraclePeriod, [this] { SampleOracles(); });
+    ScheduleAudits(&sim_, params_.horizon, [this] { fleet_->SampleOracles(); });
     // Fairness sampling skips the first quarter (cold estimators).
     sim_.PostAt(params_.horizon / 4, [this] { SampleFairness(); });
     sim_.Post(kReadPeriod, [this] { ReadSweep(); });
@@ -216,14 +210,6 @@ class FleetRig {
                               [](Status, std::string) {});
     }
     sim_.Post(kReadPeriod, [this] { ReadSweep(); });
-  }
-
-  void SampleOracles() {
-    if (sim_.now() > params_.horizon) {
-      return;
-    }
-    fleet_->SampleOracles();
-    sim_.Post(kOraclePeriod, [this] { SampleOracles(); });
   }
 
   // Fairness across the fleet, per server: each node's claim on server s is

@@ -45,6 +45,12 @@ const JsonValue* RequireMember(const JsonValue& object, const std::string& key,
   return member;
 }
 
+// True when |value| is a whole number in [0, |limit|): exactly what a cast
+// to a counter of that range can hold (casting anything else is undefined).
+bool IsCount(double value, double limit) {
+  return value >= 0.0 && value < limit && std::trunc(value) == value;
+}
+
 }  // namespace
 
 bool ComparisonReport::HasRegression() const {
@@ -192,6 +198,10 @@ Status ParseArtifact(const std::string& text, BenchArtifact* artifact) {
     return InvalidArgumentError("artifact campaign_seed \"" + seed_text +
                                 "\" is not a decimal uint64");
   }
+  if (!IsCount(trials->number_value(), 0x1p64)) {
+    return InvalidArgumentError("artifact trials " + JsonNumberToString(trials->number_value()) +
+                                " is not a whole number in [0, 2^64)");
+  }
   artifact->trials = static_cast<uint64_t>(trials->number_value());
 
   artifact->metrics.clear();
@@ -235,6 +245,11 @@ Status ParseArtifact(const std::string& text, BenchArtifact* artifact) {
                                   MetricKey(summary.scenario, summary.variant, summary.metric) +
                                   " has unknown direction \"" + direction->string_value() +
                                   "\"");
+    }
+    if (!IsCount(count->number_value(), 0x1p31)) {
+      return InvalidArgumentError(
+          "metric " + MetricKey(summary.scenario, summary.variant, summary.metric) + " count " +
+          JsonNumberToString(count->number_value()) + " is not a whole number in [0, 2^31)");
     }
     summary.stats.count = static_cast<int>(count->number_value());
     summary.stats.mean = mean->number_value();

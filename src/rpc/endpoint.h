@@ -82,7 +82,6 @@ struct RetryPolicy {
 
 class Endpoint {
  public:
-  using Done = std::function<void()>;
   using StatusDone = std::function<void(Status)>;
 
   // |name| identifies the remote service for diagnostics.  Each endpoint is
@@ -113,7 +112,7 @@ class Endpoint {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   FaultInjector* fault_injector() const { return injector_; }
 
-  // --- Status-aware interface ---
+  // --- Exchanges: each completes through |done| with its Status ---
 
   // Small request/response exchange.  |server_compute| is the (known)
   // server-side processing time, excluded from the logged round trip.
@@ -138,20 +137,6 @@ class Endpoint {
   // Fetch under the link's shared-capacity model.
   void Send(double total_bytes, Duration server_compute, StatusDone done);
 
-  // --- Legacy interface (status discarded; kept for fair-weather callers) ---
-
-  void Call(double request_bytes, double response_bytes, Duration server_compute, Done done) {
-    Call(request_bytes, response_bytes, server_compute, Wrap(std::move(done)));
-  }
-  void Ping(Done done) { Ping(Wrap(std::move(done))); }
-  void FetchWindow(double bytes, Done done) { FetchWindow(bytes, Wrap(std::move(done))); }
-  void Fetch(double total_bytes, Duration server_compute, Done done) {
-    Fetch(total_bytes, server_compute, Wrap(std::move(done)));
-  }
-  void Send(double total_bytes, Duration server_compute, Done done) {
-    Send(total_bytes, server_compute, Wrap(std::move(done)));
-  }
-
   // Total application payload bytes moved (both directions).
   double bytes_transferred() const { return bytes_transferred_; }
 
@@ -173,14 +158,6 @@ class Endpoint {
     FlowId flow = 0;         // in-flight flow, cancelled on abort (0 = none)
   };
   using AttemptPtr = std::shared_ptr<AttemptState>;
-
-  static StatusDone Wrap(Done done) {
-    return [done = std::move(done)](Status) {
-      if (done) {
-        done();
-      }
-    };
-  }
 
   // One attempt of the request/response exchange.
   void CallAttempt(double request_bytes, double response_bytes, Duration server_compute,

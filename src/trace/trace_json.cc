@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <utility>
 
 namespace odyssey {
@@ -62,9 +63,15 @@ class Parser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          return Fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+        }
+        ++depth_;
+        JsonValue value = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"':
         return ParseString();
       case 't':
@@ -263,6 +270,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   size_t pos_ = 0;
+  int depth_ = 0;
   bool failed_ = false;
 };
 

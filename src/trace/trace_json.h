@@ -57,9 +57,13 @@ class JsonValue {
   std::map<std::string, JsonValue> object_;
 };
 
+// Deepest array/object nesting ParseJson accepts.  The tools write at most
+// four levels; the cap keeps a hostile file from exhausting the stack.
+inline constexpr int kMaxJsonDepth = 256;
+
 // Parses |text| as one JSON document.  On success returns the value and
-// clears |error|; on failure returns null and describes the first problem
-// (with byte offset) in |error|.
+// clears |error|; on failure (including nesting past kMaxJsonDepth) returns
+// null and describes the first problem (with byte offset) in |error|.
 JsonValue ParseJson(const std::string& text, std::string* error);
 
 // Serializes a string with JSON escaping, including the surrounding quotes.

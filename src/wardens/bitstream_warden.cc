@@ -43,7 +43,7 @@ void BitstreamWarden::Tsop(AppId app, const std::string& path, int opcode, const
       done(OkStatus(), PackStruct(BitstreamStarted{session.endpoint->id()}));
       if (!was_running) {
         // Prime the round-trip estimate, then stream.
-        session.endpoint->Ping([this, app] { PumpStream(app); });
+        session.endpoint->Ping([this, app](Status) { PumpStream(app); });
       }
       return;
     }
@@ -80,7 +80,7 @@ void BitstreamWarden::PumpStream(AppId app) {
     if (sit == sessions_.end() || !sit->second.running) {
       return;
     }
-    sit->second.endpoint->FetchWindow(sit->second.window_bytes, [this, app, start] {
+    sit->second.endpoint->FetchWindow(sit->second.window_bytes, [this, app, start](Status) {
       auto again = sessions_.find(app);
       if (again == sessions_.end() || !again->second.running) {
         return;

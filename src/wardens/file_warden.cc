@@ -126,7 +126,7 @@ void FileWarden::ServeRead(AppId app, const std::string& path, TsopCallback done
   ++stats_.validations;
   Endpoint* endpoint = EndpointFor(app);
   endpoint->Call(kControlMessageBytes, kControlMessageBytes, server_->ValidateCompute(),
-                 [this, app, path, level, done = std::move(done)]() mutable {
+                 [this, app, path, level, done = std::move(done)](Status) mutable {
                    FileInfo current;
                    const Status status = server_->Stat(path, &current);
                    if (!status.ok()) {
@@ -160,7 +160,7 @@ void FileWarden::FetchAndServe(AppId app, const std::string& path, bool count_re
   }
   Endpoint* endpoint = EndpointFor(app);
   endpoint->Fetch(info.bytes, server_->FetchCompute(),
-                  [this, app, path, info, done = std::move(done)]() mutable {
+                  [this, app, path, info, done = std::move(done)](Status) mutable {
                     InsertWithEviction(path, info);
                     const FileConsistency level = EffectiveLevel(app);
                     FileReadReply reply{info.bytes, info.version,

@@ -153,7 +153,7 @@ void TelemetryWarden::Poll(AppId app) {
   ++subscription.stats.polls;
   const double bytes = TelemetryServer::kTelemetrySampleBytes *
                        static_cast<double>(kept.empty() ? 1 : kept.size());
-  subscription.endpoint->Fetch(bytes, kMillisecond, [this, app, kept = std::move(kept)] {
+  subscription.endpoint->Fetch(bytes, kMillisecond, [this, app, kept = std::move(kept)](Status) {
     auto sit = subscriptions_.find(app);
     if (sit == subscriptions_.end() || !sit->second.active) {
       return;

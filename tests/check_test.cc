@@ -17,6 +17,7 @@
 #include "src/check/shrink.h"
 #include "src/check/tracking_window.h"
 #include "src/core/resource.h"
+#include "src/core/upcall.h"
 #include "src/core/viceroy.h"
 #include "src/net/link.h"
 #include "src/sim/simulation.h"
@@ -344,6 +345,71 @@ TEST_F(OracleSetTest, RecordingCapStoresBoundedButCountsAll) {
             2 * OracleSet::kMaxRecordedPerOracle);  // duplicate + unknown-request
 }
 
+// --- Arming: the one way a run attaches its oracles ---
+
+TEST_F(OracleSetTest, FinishDisarmsEveryHook) {
+  oracles_->Arm(/*clock=*/true);
+  UpcallDispatcher& upcalls = viceroy_->upcalls();
+  oracles_->OnWindowRegistered(1, 10, 10.0, 20.0);
+  upcalls.Post(1, 10, ResourceId::kNetworkBandwidth, 25.0, nullptr);
+  sim_.Post(kMillisecond, [] {});
+  sim_.Post(kMillisecond, [] {});
+  sim_.RunUntil(kSecond);
+  // Armed: the delivery is audited clean and the same-time pair counted.
+  EXPECT_EQ(oracles_->violation_count(), 0u) << FormatViolations(oracles_->violations());
+  EXPECT_EQ(oracles_->tie_pairs_audited(), 1u);
+
+  oracles_->Finish();
+  // Were anything still attached, the unregistered delivery would be a
+  // violation and the same-time pair would be counted.
+  upcalls.Post(1, 999, ResourceId::kNetworkBandwidth, 25.0, nullptr);
+  sim_.Post(kMillisecond, [] {});
+  sim_.Post(kMillisecond, [] {});
+  sim_.RunUntil(2 * kSecond);
+  EXPECT_EQ(upcalls.delivered_count(), 2u);
+  EXPECT_EQ(oracles_->violation_count(), 0u) << FormatViolations(oracles_->violations());
+  EXPECT_EQ(oracles_->tie_pairs_audited(), 1u);
+}
+
+TEST_F(OracleSetTest, TapSeesEachDeliveryAfterTheOracle) {
+  // Deliveries of unregistered requests: the oracle records one violation
+  // per delivery, so the count the tap reads says whether it ran first.
+  std::vector<uint64_t> seen_seqs;
+  std::vector<uint64_t> violations_at_tap;
+  const OracleSet* oracles = oracles_.get();
+  oracles_->Arm(/*clock=*/false, [&](AppId app, uint64_t seq, RequestId request, ResourceId,
+                                     double level, Time) {
+    EXPECT_EQ(app, 1u);
+    EXPECT_EQ(request, 900 + seq);
+    EXPECT_DOUBLE_EQ(level, 25.0);
+    seen_seqs.push_back(seq);
+    violations_at_tap.push_back(oracles->violation_count());
+  });
+  viceroy_->upcalls().Post(1, 901, ResourceId::kNetworkBandwidth, 25.0, nullptr);
+  viceroy_->upcalls().Post(1, 902, ResourceId::kNetworkBandwidth, 25.0, nullptr);
+  sim_.RunUntil(kSecond);
+  EXPECT_EQ(seen_seqs, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(violations_at_tap, (std::vector<uint64_t>{1, 2}));
+  oracles_->Finish();
+}
+
+TEST(ScheduleAuditsTest, AuditsEveryTickThroughUntilThenOneNoOpTick) {
+  // |until| on a tick: that tick still audits.  Off a tick: the last audit
+  // is the tick before it.  Either way exactly one trailing tick fires and
+  // audits nothing, and it is an event like any other.
+  for (const Time until : {400 * kMillisecond, 450 * kMillisecond}) {
+    Simulation sim;
+    std::vector<Time> audited;
+    ScheduleAudits(&sim, until, [&sim, &audited] { audited.push_back(sim.now()); });
+    sim.Run();
+    EXPECT_EQ(audited, (std::vector<Time>{100 * kMillisecond, 200 * kMillisecond,
+                                          300 * kMillisecond, 400 * kMillisecond}))
+        << "until " << until;
+    EXPECT_EQ(sim.events_processed(), 5u) << "until " << until;
+    EXPECT_EQ(sim.now(), 500 * kMillisecond) << "until " << until;
+  }
+}
+
 // --- The shared tracking window ---
 
 // A strategy whose level is set by hand, and which refuses every bandwidth
@@ -389,11 +455,7 @@ class WindowTrackerTest : public testing::Test {
     link_ = std::make_unique<Link>(&sim_, 120.0 * 1024, 10 * kMillisecond);
     oracles_ =
         std::make_unique<OracleSet>(scenario_, &sim_, viceroy_.get(), nullptr, link_.get());
-    viceroy_->upcalls().set_delivery_observer(
-        [this](AppId app, uint64_t seq, RequestId request, ResourceId resource, double level,
-               Time posted_at) {
-          oracles_->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
-        });
+    oracles_->Arm(/*clock=*/false);
     tracker_ = std::make_unique<WindowTracker>(viceroy_.get(), oracles_.get());
     app_.id = viceroy_->RegisterApplication("tracker");
   }

@@ -526,6 +526,39 @@ TEST(BenchArtifactTest, ParseRejectsSignedCampaignSeed) {
   EXPECT_EQ(ParseArtifact(json, &artifact).code(), StatusCode::kInvalidArgument);
 }
 
+// Replaces the value of the first |key| member in |json| (up to the next
+// ',') with |value|.
+std::string WithMember(std::string json, const std::string& key, const std::string& value) {
+  const std::string label = "\"" + key + "\": ";
+  const size_t at = json.find(label);
+  EXPECT_NE(at, std::string::npos) << key;
+  const size_t begin = at + label.size();
+  json.replace(begin, json.find(',', begin) - begin, value);
+  return json;
+}
+
+TEST(BenchArtifactTest, ParseRejectsCountsACastCannotHold) {
+  // Each value once parsed as OK and was cast straight to the counter,
+  // wrapping (-1 trials read 2^64 - 1) or overflowing the int count.
+  const std::string json = ArtifactToJson(MakeToyArtifact());
+  BenchArtifact artifact;
+  for (const char* bad : {"-1", "1.5", "1e999", "18446744073709551616"}) {
+    EXPECT_EQ(ParseArtifact(WithMember(json, "trials", bad), &artifact).code(),
+              StatusCode::kInvalidArgument)
+        << "trials " << bad;
+  }
+  for (const char* bad : {"-1", "2.5", "1e12", "2147483648", "-1e999"}) {
+    EXPECT_EQ(ParseArtifact(WithMember(json, "count", bad), &artifact).code(),
+              StatusCode::kInvalidArgument)
+        << "count " << bad;
+  }
+  // The extremes a cast can hold still parse.
+  ASSERT_TRUE(ParseArtifact(WithMember(json, "count", "2147483647"), &artifact).ok());
+  EXPECT_EQ(artifact.metrics.front().stats.count, 2147483647);
+  ASSERT_TRUE(ParseArtifact(WithMember(json, "trials", "0"), &artifact).ok());
+  EXPECT_EQ(artifact.trials, 0u);
+}
+
 // --- The regression gate ---
 
 TEST(CompareArtifactsTest, IdenticalArtifactsPass) {

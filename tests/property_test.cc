@@ -89,7 +89,7 @@ TEST_P(RpcTiming, FetchTimeBoundedBelowByIdeal) {
   Link link(&sim, capacity, 10500);
   Endpoint endpoint(&sim, &link, "server");
   Time done_at = -1;
-  endpoint.Fetch(bytes, 0, [&] { done_at = sim.now(); });
+  endpoint.Fetch(bytes, 0, [&](Status) { done_at = sim.now(); });
   sim.Run();
   ASSERT_GE(done_at, 0);
   const double ideal_seconds = bytes / capacity;

@@ -63,7 +63,7 @@ TEST(EndpointTest, PingLogsLatencyDominatedRoundTrip) {
   Simulation sim;
   Link link(&sim, 120.0 * kKb, 10500);
   Endpoint endpoint(&sim, &link, "server");
-  endpoint.Ping(Endpoint::Done());
+  endpoint.Ping(Endpoint::StatusDone());
   sim.Run();
   ASSERT_EQ(endpoint.log().round_trips().size(), 1u);
   const Duration rtt = endpoint.log().round_trips()[0].rtt;
@@ -78,7 +78,7 @@ TEST(EndpointTest, CallExcludesServerCompute) {
   Link link(&sim, 120.0 * kKb, 10500);
   Endpoint endpoint(&sim, &link, "server");
   Time done_at = -1;
-  endpoint.Call(64.0, 64.0, 5 * kSecond, [&] { done_at = sim.now(); });
+  endpoint.Call(64.0, 64.0, 5 * kSecond, [&](Status) { done_at = sim.now(); });
   sim.Run();
   // Completion waits for the server's 5 s of compute...
   EXPECT_GT(done_at, 5 * kSecond);
@@ -91,7 +91,7 @@ TEST(EndpointTest, FetchWindowLogsThroughput) {
   Simulation sim;
   Link link(&sim, 100.0 * kKb, 0);
   Endpoint endpoint(&sim, &link, "server");
-  endpoint.FetchWindow(50.0 * kKb, Endpoint::Done());
+  endpoint.FetchWindow(50.0 * kKb, Endpoint::StatusDone());
   sim.Run();
   ASSERT_EQ(endpoint.log().throughputs().size(), 1u);
   const ThroughputObservation& obs = endpoint.log().throughputs()[0];
@@ -107,7 +107,7 @@ TEST(EndpointTest, FetchSplitsIntoWindows) {
   Endpoint endpoint(&sim, &link, "server");
   endpoint.set_window_bytes(32.0 * kKb);
   bool done = false;
-  endpoint.Fetch(100.0 * kKb, 0, [&] { done = true; });
+  endpoint.Fetch(100.0 * kKb, 0, [&](Status) { done = true; });
   sim.Run();
   EXPECT_TRUE(done);
   // One round trip for the transfer request...
@@ -123,7 +123,7 @@ TEST(EndpointTest, FetchZeroBytesCompletesWithoutWindows) {
   Link link(&sim, 100.0 * kKb, 0);
   Endpoint endpoint(&sim, &link, "server");
   bool done = false;
-  endpoint.Fetch(0.0, 0, [&] { done = true; });
+  endpoint.Fetch(0.0, 0, [&](Status) { done = true; });
   sim.Run();
   EXPECT_TRUE(done);
   EXPECT_TRUE(endpoint.log().throughputs().empty());
@@ -134,14 +134,14 @@ TEST(EndpointTest, SendMirrorsFetchTiming) {
   Link link(&sim, 100.0 * kKb, 0);
   Endpoint fetcher(&sim, &link, "down");
   Time fetch_done = -1;
-  fetcher.Fetch(64.0 * kKb, 0, [&] { fetch_done = sim.now(); });
+  fetcher.Fetch(64.0 * kKb, 0, [&](Status) { fetch_done = sim.now(); });
   sim.Run();
 
   Simulation sim2;
   Link link2(&sim2, 100.0 * kKb, 0);
   Endpoint sender(&sim2, &link2, "up");
   Time send_done = -1;
-  sender.Send(64.0 * kKb, 0, [&] { send_done = sim2.now(); });
+  sender.Send(64.0 * kKb, 0, [&](Status) { send_done = sim2.now(); });
   sim2.Run();
 
   EXPECT_EQ(fetch_done, send_done);
@@ -154,8 +154,8 @@ TEST(EndpointTest, ConcurrentEndpointsShareTheLink) {
   Endpoint b(&sim, &link, "b");
   Time a_done = -1;
   Time b_done = -1;
-  a.FetchWindow(50.0 * kKb, [&] { a_done = sim.now(); });
-  b.FetchWindow(50.0 * kKb, [&] { b_done = sim.now(); });
+  a.FetchWindow(50.0 * kKb, [&](Status) { a_done = sim.now(); });
+  b.FetchWindow(50.0 * kKb, [&](Status) { b_done = sim.now(); });
   sim.Run();
   // Both windows share the link, so each takes ~1 s rather than ~0.5 s.
   EXPECT_NEAR(DurationToSeconds(a_done), 1.0, 0.02);
@@ -167,8 +167,8 @@ TEST(EndpointTest, ObservedThroughputReflectsContention) {
   Link link(&sim, 100.0 * kKb, 0);
   Endpoint a(&sim, &link, "a");
   Endpoint b(&sim, &link, "b");
-  a.FetchWindow(50.0 * kKb, Endpoint::Done());
-  b.FetchWindow(50.0 * kKb, Endpoint::Done());
+  a.FetchWindow(50.0 * kKb, Endpoint::StatusDone());
+  b.FetchWindow(50.0 * kKb, Endpoint::StatusDone());
   sim.Run();
   const ThroughputObservation& obs = a.log().throughputs()[0];
   const double observed_bps = obs.window_bytes / DurationToSeconds(obs.elapsed);

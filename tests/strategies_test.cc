@@ -31,7 +31,7 @@ class StrategyFixture : public ::testing::Test {
 
   // Runs a bulk fetch on |endpoint| and drains the simulation.
   void FetchAndRun(Endpoint& endpoint, double bytes) {
-    endpoint.Fetch(bytes, 0, Endpoint::Done());
+    endpoint.Fetch(bytes, 0, Endpoint::StatusDone());
     sim_.Run();
   }
 
@@ -96,9 +96,9 @@ TEST_F(StrategyFixture, LaissezFaireOverestimatesUnderIntermittentContention) {
   strategy.AttachConnection(1, &a);
   strategy.AttachConnection(2, &b);
   // Alternate bursts with idle gaps.
-  a.Fetch(256.0 * kKb, 0, Endpoint::Done());
+  a.Fetch(256.0 * kKb, 0, Endpoint::StatusDone());
   sim_.Run();
-  b.Fetch(256.0 * kKb, 0, Endpoint::Done());
+  b.Fetch(256.0 * kKb, 0, Endpoint::StatusDone());
   sim_.Run();
   const double sum = strategy.AvailabilityFor(1, sim_.now()) +
                      strategy.AvailabilityFor(2, sim_.now());
@@ -130,7 +130,7 @@ TEST_F(StrategyFixture, BlindOptimismStillEstimatesRtt) {
   BlindOptimismStrategy strategy(&modulator);
   modulator.Replay(MakeConstant(120.0 * kKb, kMinute));
   strategy.AttachConnection(1, &endpoint);
-  endpoint.Ping(Endpoint::Done());
+  endpoint.Ping(Endpoint::StatusDone());
   sim_.Run();
   EXPECT_GT(strategy.SmoothedRttFor(1), 0);
 }

@@ -161,6 +161,25 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(JsonTest, RejectsNestingPastTheDepthCap) {
+  // A million unclosed '[' once recursed until the stack overflowed.
+  std::string error;
+  EXPECT_TRUE(ParseJson(std::string(1000000, '['), &error).is_null());
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+  std::string deep_object;
+  for (int i = 0; i <= kMaxJsonDepth; ++i) {
+    deep_object += "{\"a\": ";
+  }
+  EXPECT_TRUE(ParseJson(deep_object, &error).is_null());
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+
+  // Exactly at the cap still parses.
+  const std::string at_cap =
+      std::string(kMaxJsonDepth, '[') + std::string(kMaxJsonDepth, ']');
+  EXPECT_TRUE(ParseJson(at_cap, &error).is_array());
+  EXPECT_TRUE(error.empty()) << error;
+}
+
 TEST(ChromeTraceExporterTest, ExportParsesBackAndValidates) {
   TraceRecorder recorder(64);
   const uint64_t span = recorder.NextSpanId();

@@ -107,6 +107,11 @@ RULES = {
         "ExperimentRig (src/metrics/experiment.cc) and the fleet node "
         "builder (src/fleet/fleet_node.cc); describe the rig with a RigSpec"
     ),
+    "one-arm": (
+        "an oracle hook wired by hand: set_step_observer, set_tie_observer "
+        "and set_delivery_observer are called only by OracleSet::Arm "
+        "(src/check/oracles.cc); arm the oracles with Arm(clock, tap)"
+    ),
 }
 
 # Directories whose sources are scanned at all.
@@ -633,6 +638,34 @@ def check_one_rig(sf: SourceFile) -> list[Violation]:
     return out
 
 
+# --- one-arm ----------------------------------------------------------------
+#
+# How a run is audited (which observers, the audit cadence, the drain, and
+# detaching before the final audit) is decided in one place, OracleSet::Arm
+# and Finish.  A hook wired anywhere else is a second, silently diverging
+# decision.  The headers that define the setters are exempt; tests/ is out
+# of scope (unit tests drive the hooks directly).
+
+ONE_ARM_HOMES = ("src/check/oracles.cc", "src/sim/simulation.h", "src/sim/event_queue.h",
+                 "src/core/upcall.h")
+ONE_ARM_DIRS = ("src", "examples")
+
+_ONE_ARM_RE = re.compile(r"\b(set_(?:step|tie|delivery)_observer)\s*\(")
+
+
+def check_one_arm(sf: SourceFile) -> list[Violation]:
+    if not _in_dirs(sf.relpath, ONE_ARM_DIRS) or sf.relpath in ONE_ARM_HOMES:
+        return []
+    out = []
+    for idx, line in enumerate(sf.code_lines, start=1):
+        m = _ONE_ARM_RE.search(line)
+        if m:
+            out.append(Violation(sf.relpath, idx, "one-arm",
+                                 f"{m.group(1)} called outside OracleSet::Arm; arm the "
+                                 "oracles with OracleSet::Arm(clock, tap)"))
+    return out
+
+
 # --- escape-capture (cross-file, two passes) --------------------------------
 #
 # The two lifetime bugs this repo has actually shipped (the OdysseyClient
@@ -992,6 +1025,7 @@ CHECKS = [
     check_fleet_pod_message,
     check_strategy_isolation,
     check_one_rig,
+    check_one_arm,
     check_header_guard,
     check_include_order,
 ]

@@ -282,6 +282,29 @@ class OdyLintTest(unittest.TestCase):
         rel = self.place("one_rig_suppressed.cc", "src/check/one_rig_suppressed.cc")
         self.assertNotIn("one-rig", self.rules_found(rel))
 
+    # --- one-arm ---
+
+    def test_one_arm_flagged(self):
+        for home in ("src/check/one_arm_bad.cc", "examples/one_arm_bad.cc"):
+            rel = self.place("one_arm_bad.cc", home)
+            violations = [v for v in self.lint(rel) if v.rule == "one-arm"]
+            # The step, tie and delivery setters; Arm() and Finish() stay clean.
+            self.assertEqual([v.line for v in violations], [5, 6, 9])
+            messages = " ".join(v.message for v in violations)
+            self.assertIn("set_step_observer", messages)
+            self.assertIn("set_tie_observer", messages)
+            self.assertIn("set_delivery_observer", messages)
+
+    def test_one_arm_allowed_in_oracles_and_setter_homes(self):
+        for home in ("src/check/oracles.cc", "src/sim/simulation.h", "src/sim/event_queue.h",
+                     "src/core/upcall.h", "tests/one_arm_bad.cc"):
+            rel = self.place("one_arm_bad.cc", home)
+            self.assertNotIn("one-arm", self.rules_found(rel))
+
+    def test_one_arm_suppressed(self):
+        rel = self.place("one_arm_suppressed.cc", "src/check/one_arm_suppressed.cc")
+        self.assertNotIn("one-arm", self.rules_found(rel))
+
     # --- header-guard ---
 
     def test_header_guard_mismatch_flagged(self):
@@ -373,7 +396,7 @@ class OdyLintTest(unittest.TestCase):
 
     def test_list_rules_covers_all_checks(self):
         self.assertEqual(ody_lint.main(["--list-rules"]), 0)
-        self.assertEqual(len(ody_lint.RULES), 14)
+        self.assertEqual(len(ody_lint.RULES), 15)
 
 
 if __name__ == "__main__":
