@@ -73,6 +73,9 @@ void OracleSet::Report(const std::string& oracle, AppId app, std::string detail)
 void OracleSet::OnUpcallDelivered(AppId app, uint64_t seq, RequestId request,
                                   ResourceId resource, double level, Time posted_at) {
   // Exactly-once, in-order (§4.3): per-app sequence numbers are dense.
+  if (app >= last_seq_.size()) {
+    last_seq_.resize(app + 1);
+  }
   uint64_t& last = last_seq_[app];
   if (seq <= last) {
     std::ostringstream detail;
@@ -99,7 +102,8 @@ void OracleSet::OnUpcallDelivered(AppId app, uint64_t seq, RequestId request,
     Report("upcall-window", app, detail.str());
   }
 
-  if (cancelled_.count(request) != 0) {
+  Window* window = ledger_.Find(request);
+  if (window != nullptr && window->cancelled) {
     // A cancel that returned ok proves the registration was still in the
     // table, which means no upcall had been posted for it — so none may
     // ever be delivered.
@@ -109,8 +113,7 @@ void OracleSet::OnUpcallDelivered(AppId app, uint64_t seq, RequestId request,
     return;
   }
 
-  const auto it = registered_.find(request);
-  if (it == registered_.end()) {
+  if (window == nullptr) {
     std::ostringstream detail;
     detail << "request " << request << " was never registered (or already consumed)";
     Report("upcall-unknown-request", app, detail.str());
@@ -119,23 +122,22 @@ void OracleSet::OnUpcallDelivered(AppId app, uint64_t seq, RequestId request,
 
   // Window consistency: an upcall fires only when availability strays
   // OUTSIDE the registered window; a level inside it is a spurious upcall.
-  const Window& window = it->second;
-  const double eps = 1e-9 * (std::fabs(window.upper) < 1.0 ? 1.0 : std::fabs(window.upper));
-  if (level > window.lower + eps && level < window.upper - eps) {
+  const double eps = 1e-9 * (std::fabs(window->upper) < 1.0 ? 1.0 : std::fabs(window->upper));
+  if (level > window->lower + eps && level < window->upper - eps) {
     std::ostringstream detail;
-    detail << "level " << level << " lies inside window [" << window.lower << ", "
-           << window.upper << "]";
+    detail << "level " << level << " lies inside window [" << window->lower << ", "
+           << window->upper << "]";
     Report("upcall-window", app, detail.str());
   }
-  if (window.app != app) {
+  if (window->app != app) {
     std::ostringstream detail;
-    detail << "request " << request << " registered by app " << window.app
+    detail << "request " << request << " registered by app " << window->app
            << " but delivered to app " << app;
     Report("upcall-unknown-request", app, detail.str());
   }
   // The registration is consumed by the upcall; a second delivery for the
   // same id will now surface as upcall-unknown-request.
-  registered_.erase(it);
+  ledger_.Erase(request);
 }
 
 void OracleSet::OnStep(Time when) {
@@ -169,13 +171,13 @@ void OracleSet::OnTieBreak(Time when, uint64_t prev_seq, uint64_t seq) {
 }
 
 void OracleSet::OnWindowRegistered(AppId app, RequestId id, double lower, double upper) {
-  registered_[id] = Window{app, lower, upper};
+  Window& window = ledger_[id];
+  window.app = app;
+  window.lower = lower;
+  window.upper = upper;
 }
 
-void OracleSet::OnWindowCancelled(RequestId id) {
-  registered_.erase(id);
-  cancelled_.insert(id);
-}
+void OracleSet::OnWindowCancelled(RequestId id) { ledger_[id].cancelled = true; }
 
 void OracleSet::Sample() {
   const Time now = sim_->now();

@@ -38,11 +38,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/check/fuzz_scenario.h"
+#include "src/core/id_map.h"
 #include "src/core/resource.h"
 #include "src/core/upcall.h"
 #include "src/core/viceroy.h"
@@ -142,10 +142,15 @@ class OracleSet {
   uint64_t tie_pairs_audited() const { return tie_pairs_audited_; }
 
  private:
+  // One ledger entry per id OnWindowRegistered reported.  A consumed
+  // registration leaves the ledger; a cancelled one stays for the rest of
+  // the run, flagged, so a later delivery for it reads as
+  // upcall-after-cancel rather than upcall-unknown-request.
   struct Window {
     AppId app = 0;
     double lower = 0.0;
     double upper = 0.0;
+    bool cancelled = false;
   };
 
   void Report(const std::string& oracle, AppId app, std::string detail);
@@ -156,9 +161,8 @@ class OracleSet {
   CentralizedStrategy* strategy_;
   Link* link_;
 
-  std::map<AppId, uint64_t> last_seq_;
-  std::map<RequestId, Window> registered_;
-  std::set<RequestId> cancelled_;
+  std::vector<uint64_t> last_seq_;  // indexed by app id; 0 = nothing delivered
+  IdMap<Window> ledger_;
   Time last_event_time_ = 0;
   uint64_t tie_pairs_audited_ = 0;
   double last_bytes_delivered_ = 0.0;

@@ -1,7 +1,8 @@
 #include "src/core/request_table.h"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
+#include <utility>
 
 #include "src/core/contract.h"
 
@@ -23,6 +24,7 @@ bool Violates(const ResourceDescriptor& descriptor, double level) {
 
 RequestId RequestTable::Register(AppId app, const ResourceDescriptor& descriptor,
                                  uint32_t klass) {
+  ODY_ASSERT(!std::isnan(descriptor.lower) && !std::isnan(descriptor.upper), "window bound is NaN");
   const RequestId id = next_id_++;
   uint32_t index;
   if (!free_.empty()) {
@@ -35,14 +37,11 @@ RequestId RequestTable::Register(AppId app, const ResourceDescriptor& descriptor
   Slot& slot = slots_[index];
   slot.entry = Entry{id, app, descriptor};
   slot.klass = klass;
-  slot.occupied = true;
 
   const size_t r = ResourceIndex(descriptor.resource);
-  by_id_.emplace(id, index);
+  by_id_[id] = index;
   BucketFor(r, app).push_back(index);
-  lower_index_[r].emplace(BoundKey{klass, descriptor.lower, id}, index);
-  upper_index_[r].emplace(BoundKey{klass, descriptor.upper, id}, index);
-  ++class_counts_[r][klass];
+  Index(r, index);
   return id;
 }
 
@@ -64,46 +63,103 @@ void RequestTable::Reclassify(AppId app, uint32_t klass) {
       if (slot.klass == klass) {
         continue;
       }
-      const Entry& entry = slot.entry;
-      lower_index_[r].erase(BoundKey{slot.klass, entry.descriptor.lower, entry.id});
-      upper_index_[r].erase(BoundKey{slot.klass, entry.descriptor.upper, entry.id});
-      auto& counts = class_counts_[r];
-      const auto count_it = counts.find(slot.klass);
-      if (--count_it->second == 0) {
-        counts.erase(count_it);
-      }
+      Unindex(r, index);
       slot.klass = klass;
-      lower_index_[r].emplace(BoundKey{klass, entry.descriptor.lower, entry.id}, index);
-      upper_index_[r].emplace(BoundKey{klass, entry.descriptor.upper, entry.id}, index);
-      ++counts[klass];
+      Index(r, index);
     }
+  }
+}
+
+void RequestTable::Index(size_t r, uint32_t index) {
+  const Slot& slot = slots_[index];
+  if (slot.klass >= classes_[r].size()) {
+    classes_[r].resize(slot.klass + 1);
+  }
+  ClassHeaps& heaps = classes_[r][slot.klass];
+  HeapPush(heaps[kLower], kLower, -slot.entry.descriptor.lower, index);
+  HeapPush(heaps[kUpper], kUpper, slot.entry.descriptor.upper, index);
+}
+
+void RequestTable::Unindex(size_t r, uint32_t index) {
+  const Slot& slot = slots_[index];
+  ClassHeaps& heaps = classes_[r][slot.klass];
+  HeapErase(heaps[kLower], kLower, slot.heap_pos[kLower]);
+  HeapErase(heaps[kUpper], kUpper, slot.heap_pos[kUpper]);
+}
+
+void RequestTable::Place(Heap& heap, Side side, uint32_t pos, const HeapNode& node) {
+  heap[pos] = node;
+  slots_[node.slot].heap_pos[side] = pos;
+}
+
+void RequestTable::SiftUp(Heap& heap, Side side, uint32_t pos) {
+  const HeapNode node = heap[pos];
+  while (pos > 0) {
+    const uint32_t parent = (pos - 1) / 2;
+    if (!(node.key < heap[parent].key)) {
+      break;
+    }
+    Place(heap, side, pos, heap[parent]);
+    pos = parent;
+  }
+  Place(heap, side, pos, node);
+}
+
+void RequestTable::SiftDown(Heap& heap, Side side, uint32_t pos) {
+  const HeapNode node = heap[pos];
+  const size_t size = heap.size();
+  for (;;) {
+    size_t child = 2 * static_cast<size_t>(pos) + 1;
+    if (child >= size) {
+      break;
+    }
+    if (child + 1 < size && heap[child + 1].key < heap[child].key) {
+      ++child;
+    }
+    if (!(heap[child].key < node.key)) {
+      break;
+    }
+    Place(heap, side, pos, heap[child]);
+    pos = static_cast<uint32_t>(child);
+  }
+  Place(heap, side, pos, node);
+}
+
+void RequestTable::HeapPush(Heap& heap, Side side, double key, uint32_t index) {
+  heap.push_back(HeapNode{key, index});
+  SiftUp(heap, side, static_cast<uint32_t>(heap.size() - 1));
+}
+
+void RequestTable::HeapErase(Heap& heap, Side side, uint32_t pos) {
+  const HeapNode last = heap.back();
+  heap.pop_back();
+  if (pos == heap.size()) {
+    return;  // the erased node was the last one
+  }
+  // The last node fills the hole; it may belong above or below it.
+  heap[pos] = last;
+  if (pos > 0 && last.key < heap[(pos - 1) / 2].key) {
+    SiftUp(heap, side, pos);
+  } else {
+    SiftDown(heap, side, pos);
   }
 }
 
 void RequestTable::Release(uint32_t index) {
   Slot& slot = slots_[index];
-  const Entry& entry = slot.entry;
-  const size_t r = ResourceIndex(entry.descriptor.resource);
-  lower_index_[r].erase(BoundKey{slot.klass, entry.descriptor.lower, entry.id});
-  upper_index_[r].erase(BoundKey{slot.klass, entry.descriptor.upper, entry.id});
-  auto& counts = class_counts_[r];
-  const auto count_it = counts.find(slot.klass);
-  if (--count_it->second == 0) {
-    counts.erase(count_it);
-  }
-  by_id_.erase(entry.id);
+  Unindex(ResourceIndex(slot.entry.descriptor.resource), index);
+  by_id_.Erase(slot.entry.id);
   slot.entry = Entry{};  // drops the handler closure promptly
   slot.klass = 0;
-  slot.occupied = false;
   free_.push_back(index);
 }
 
 Status RequestTable::Cancel(RequestId id) {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) {
+  const uint32_t* found = by_id_.Find(id);
+  if (found == nullptr) {
     return NotFoundError("no such request");
   }
-  const uint32_t index = it->second;
+  const uint32_t index = *found;
   const Entry& entry = slots_[index].entry;
   std::vector<uint32_t>& bucket = BucketFor(ResourceIndex(entry.descriptor.resource), entry.app);
   bucket.erase(std::find(bucket.begin(), bucket.end(), index));
@@ -161,10 +217,9 @@ std::vector<RequestTable::Entry> RequestTable::EntriesFor(AppId app, ResourceId 
 
 void RequestTable::CollectViolatedApps(ResourceId resource, double level,
                                        std::vector<AppId>* out) const {
-  // The index is class-contiguous, so "the whole table" is one scoped scan
-  // per live class.
-  for (const auto& [klass, count] : class_counts_[ResourceIndex(resource)]) {
-    (void)count;
+  // "The whole table" is one scoped walk per class.
+  const size_t classes = classes_[ResourceIndex(resource)].size();
+  for (uint32_t klass = 0; klass < classes; ++klass) {
     CollectViolatedApps(resource, klass, level, out);
   }
 }
@@ -172,23 +227,25 @@ void RequestTable::CollectViolatedApps(ResourceId resource, double level,
 void RequestTable::CollectViolatedApps(ResourceId resource, uint32_t klass, double level,
                                        std::vector<AppId>* out) const {
   const size_t r = ResourceIndex(resource);
-  // Windows with lower > level: everything past (klass, level, max id) up
-  // to the end of the class's key range in the lower-bound order.
-  const auto& lower = lower_index_[r];
-  for (auto it =
-           lower.upper_bound(BoundKey{klass, level, std::numeric_limits<RequestId>::max()});
-       it != lower.end() && std::get<0>(it->first) == klass; ++it) {
-    out->push_back(slots_[it->second].entry.app);
+  if (klass >= classes_[r].size()) {
+    return;
   }
-  // Windows with upper < level: everything in the class's range before
-  // (klass, level, 0) in the upper-bound order.
-  const auto& upper = upper_index_[r];
-  const auto stop = upper.lower_bound(BoundKey{klass, level, 0});
-  for (auto it =
-           upper.lower_bound(BoundKey{klass, -std::numeric_limits<double>::infinity(), 0});
-       it != stop; ++it) {
-    out->push_back(slots_[it->second].entry.app);
+  const ClassHeaps& heaps = classes_[r][klass];
+  // lower > level  <=>  -lower < -level;  upper < level as is.
+  CollectBelow(heaps[kLower], 0, -level, out);
+  CollectBelow(heaps[kUpper], 0, level, out);
+}
+
+void RequestTable::CollectBelow(const Heap& heap, uint32_t pos, double probe,
+                                std::vector<AppId>* out) const {
+  // Heap order: a node whose key is not below the probe has no descendant
+  // below it either, so the walk prunes there.
+  if (pos >= heap.size() || !(heap[pos].key < probe)) {
+    return;
   }
+  out->push_back(slots_[heap[pos].slot].entry.app);
+  CollectBelow(heap, 2 * pos + 1, probe, out);
+  CollectBelow(heap, 2 * pos + 2, probe, out);
 }
 
 }  // namespace odyssey

@@ -10,33 +10,36 @@
 // hot cache lines instead of exercising the allocator, and 100k concurrent
 // windows sit in one contiguous allocation.  Around the slab:
 //
+//   * a flat id map (IdMap) from RequestId to slot, for Cancel;
 //   * per-(resource, app) buckets of slot indices — one vector per
 //     resource, indexed by app id — making TakeViolated and EntriesFor
 //     O(app's windows) instead of O(table), with no lookup to find them;
-//   * per-resource interval indexes ordered by (class, window bound),
-//     letting CollectViolatedApps find every app with a violated window at
-//     a given level in O(log table + violated) — the query the indexed
-//     viceroy re-evaluation is built on.  The class is an opaque caller
-//     partition (the viceroy uses the app's connection count): idle apps
+//   * per-resource interval indexes, one pair of indexed binary heaps per
+//     window class: a max-heap on each window's lower bound and a min-heap
+//     on its upper bound.  A window violated at a level sits at the top of
+//     one of them, so CollectViolatedApps walks each heap down from the
+//     root and stops at the first node that is not violated: O(violated
+//     in class), the query the indexed viceroy re-evaluation is built on.
+//     Each slot records its two heap positions, so removing a window is an
+//     O(log class) heap erase that allocates nothing.  The class is an
+//     opaque caller partition (the viceroy uses the app's connection
+//     count) and indexes a dense vector, so it should stay small: idle apps
 //     with the same class share one availability level, so probing each
 //     class at its own level scans only that class's windows instead of
 //     sweeping windows of every other class into the candidate set.
 //
-// All result orderings are by ascending RequestId, matching the original
-// std::map-backed implementation entry for entry; slot reuse never leaks
-// into observable order.
+// TakeViolated and EntriesFor return entries by ascending RequestId, matching
+// the original std::map-backed implementation entry for entry; slot reuse
+// never leaks into their order.
 
 #ifndef SRC_CORE_REQUEST_TABLE_H_
 #define SRC_CORE_REQUEST_TABLE_H_
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <tuple>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "src/core/id_map.h"
 #include "src/core/resource.h"
 #include "src/core/status.h"
 
@@ -53,7 +56,8 @@ class RequestTable {
   // Registers a window of tolerance.  The caller has already verified the
   // current level lies within the window.  |klass| partitions the interval
   // index for scoped CollectViolatedApps queries; callers that never probe
-  // by class can leave it 0.
+  // by class can leave it 0.  Neither bound may be NaN (the index orders
+  // windows by their bounds); a NaN bound is a contract failure.
   RequestId Register(AppId app, const ResourceDescriptor& descriptor, uint32_t klass = 0);
 
   // Moves every window of |app| (all resources) to |klass|.  The viceroy
@@ -76,36 +80,59 @@ class RequestTable {
 
   // Appends the app of every entry on |resource| whose window excludes
   // |level|.  May repeat an app (one per violated window); never misses
-  // one.  Does not consume entries — the caller re-evaluates each reported
-  // app through the normal TakeViolated path.
+  // one.  The order is unspecified.  Does not consume entries — the caller
+  // re-evaluates each reported app through the normal TakeViolated path.
   void CollectViolatedApps(ResourceId resource, double level, std::vector<AppId>* out) const;
 
   // As above, restricted to windows registered (or reclassified) under
-  // |klass|.  Cost is O(log table + violated in class): other classes'
-  // windows are never touched, which is what keeps the indexed
-  // re-evaluation sublinear when classes sit at widely different levels.
+  // |klass|.  Cost is O(violated in class): other classes' windows are
+  // never touched, which is what keeps the indexed re-evaluation sublinear
+  // when classes sit at widely different levels.
   void CollectViolatedApps(ResourceId resource, uint32_t klass, double level,
                            std::vector<AppId>* out) const;
 
   size_t size() const { return by_id_.size(); }
 
  private:
+  // A class's two heaps, indexed by Side.  Both are min-heaps on a key
+  // derived from a window bound, chosen so that "violated at level" reads
+  // "key < probe": kLower keys on -lower (probe -level), making it a
+  // max-heap on lower; kUpper keys on upper (probe level).
+  enum Side : uint32_t { kLower = 0, kUpper = 1 };
+
+  struct HeapNode {
+    double key = 0.0;
+    uint32_t slot = 0;
+  };
+  using Heap = std::vector<HeapNode>;
+  using ClassHeaps = std::array<Heap, 2>;
+
   struct Slot {
     Entry entry;
     uint32_t klass = 0;
-    bool occupied = false;
+    // Where this slot's node sits in its class's kLower / kUpper heap.
+    std::array<uint32_t, 2> heap_pos{};
   };
 
   static constexpr size_t kNumResources = std::size(kAllResources);
 
-  // Index keys order by class first, then window bound with the owning id
-  // as tiebreak, so equal bounds coexist, iteration is deterministic, and
-  // one class's windows form a contiguous key range.
-  using BoundKey = std::tuple<uint32_t, double, RequestId>;
-
-  // Unlinks the slot from the id map and interval indexes and returns it to
+  // Unlinks the slot from the id map and interval index and returns it to
   // the free list.  Bucket membership is the caller's to maintain.
   void Release(uint32_t index);
+
+  // Adds / removes the slot's window in its class's heaps on resource |r|.
+  void Index(size_t r, uint32_t index);
+  void Unindex(size_t r, uint32_t index);
+
+  // Heap primitives; every node move goes through Place, which keeps the
+  // moved slot's heap_pos current.
+  void Place(Heap& heap, Side side, uint32_t pos, const HeapNode& node);
+  void SiftUp(Heap& heap, Side side, uint32_t pos);
+  void SiftDown(Heap& heap, Side side, uint32_t pos);
+  void HeapPush(Heap& heap, Side side, double key, uint32_t index);
+  void HeapErase(Heap& heap, Side side, uint32_t pos);
+  // Appends the app of every node at or below |pos| whose key is < |probe|.
+  void CollectBelow(const Heap& heap, uint32_t pos, double probe, std::vector<AppId>* out) const;
 
   // The bucket for (|r|, |app|), grown into existence.
   std::vector<uint32_t>& BucketFor(size_t r, AppId app);
@@ -117,14 +144,11 @@ class RequestTable {
 
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_;  // LIFO: the hottest slot is reused first
-  std::unordered_map<RequestId, uint32_t> by_id_;
+  IdMap<uint32_t> by_id_;
   // Slot indices per resource, indexed by app id.
   std::array<std::vector<std::vector<uint32_t>>, kNumResources> buckets_;
-  std::array<std::map<BoundKey, uint32_t>, kNumResources> lower_index_;
-  std::array<std::map<BoundKey, uint32_t>, kNumResources> upper_index_;
-  // Live window count per class, per resource — the class set the global
-  // CollectViolatedApps overload iterates.
-  std::array<std::map<uint32_t, size_t>, kNumResources> class_counts_;
+  // Interval index per resource, indexed by class.
+  std::array<std::vector<ClassHeaps>, kNumResources> classes_;
   RequestId next_id_ = 1;
 };
 

@@ -302,6 +302,38 @@ TEST_F(OracleSetTest, DetectsUnknownRequest) {
       << FormatViolations(oracles_->violations());
 }
 
+TEST_F(OracleSetTest, SecondDeliveryForConsumedRequestIsUnknown) {
+  oracles_->OnWindowRegistered(1, 10, 10.0, 20.0);
+  oracles_->OnUpcallDelivered(1, 1, 10, ResourceId::kNetworkBandwidth, 25.0, 0);
+  EXPECT_EQ(oracles_->violation_count(), 0u) << FormatViolations(oracles_->violations());
+  // In sequence, so only the ledger can object: the first delivery
+  // consumed request 10.
+  oracles_->OnUpcallDelivered(1, 2, 10, ResourceId::kNetworkBandwidth, 25.0, 0);
+  EXPECT_EQ(OracleNames(), std::vector<std::string>{"upcall-unknown-request"})
+      << FormatViolations(oracles_->violations());
+}
+
+TEST_F(OracleSetTest, DetectsDeliveryToTheWrongApp) {
+  oracles_->OnWindowRegistered(1, 10, 10.0, 20.0);
+  oracles_->OnUpcallDelivered(2, 1, 10, ResourceId::kNetworkBandwidth, 25.0, 0);
+  ASSERT_EQ(OracleNames(), std::vector<std::string>{"upcall-unknown-request"})
+      << FormatViolations(oracles_->violations());
+  const std::string& detail = oracles_->violations()[0].detail;
+  EXPECT_NE(detail.find("registered by app 1 but delivered to app 2"), std::string::npos);
+}
+
+TEST_F(OracleSetTest, CancelledRequestStaysFlaggedThroughLedgerGrowth) {
+  oracles_->OnWindowRegistered(1, 1, 10.0, 20.0);
+  oracles_->OnWindowCancelled(1);
+  // Enough later registrations to grow the ledger several times over.
+  for (RequestId id = 2; id <= 10001; ++id) {
+    oracles_->OnWindowRegistered(2, id, 10.0, 20.0);
+  }
+  oracles_->OnUpcallDelivered(1, 1, 1, ResourceId::kNetworkBandwidth, 25.0, 0);
+  EXPECT_EQ(OracleNames(), std::vector<std::string>{"upcall-after-cancel"})
+      << FormatViolations(oracles_->violations());
+}
+
 TEST_F(OracleSetTest, TieBreaksInSchedulingOrderAreCleanAndCounted) {
   oracles_->OnTieBreak(100 * kMillisecond, 0, 1);
   oracles_->OnTieBreak(100 * kMillisecond, 1, 2);

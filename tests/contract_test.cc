@@ -2,9 +2,13 @@
 // runtime invariants it guards: a violated contract must abort loudly with
 // the condition and location, never corrupt a trial silently.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/core/contract.h"
+#include "src/core/id_map.h"
+#include "src/core/request_table.h"
 #include "src/estimator/ewma.h"
 #include "src/estimator/sliding_max.h"
 #include "src/estimator/usage_meter.h"
@@ -59,6 +63,22 @@ TEST(ContractDeathTest, LinkRejectsNegativeFlowBytes) {
   Simulation sim(1);
   Link link(&sim, /*capacity_bps=*/1e6, /*latency=*/kMillisecond);
   EXPECT_DEATH(link.StartFlow(-1.0, nullptr), "negative bytes");
+}
+
+// The interval index orders windows by their bounds; NaN has no order.
+TEST(ContractDeathTest, RequestTableRejectsNanBound) {
+  RequestTable table;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const ResourceDescriptor nan_lower{ResourceId::kNetworkBandwidth, nan, 1.0, nullptr};
+  const ResourceDescriptor nan_upper{ResourceId::kNetworkBandwidth, 0.0, nan, nullptr};
+  EXPECT_DEATH(table.Register(1, nan_lower), "bound is NaN");
+  EXPECT_DEATH(table.Register(1, nan_upper), "bound is NaN");
+}
+
+// Id 0 marks an empty bucket, so it can never be stored.
+TEST(ContractDeathTest, IdMapRejectsIdZero) {
+  IdMap<int> map;
+  EXPECT_DEATH(map[0] = 1, "never a key");
 }
 
 #ifndef NDEBUG

@@ -1,18 +1,21 @@
 // Unit tests for the Odyssey core: status, resources, tsop codec, upcall
-// dispatch, the request table, and the viceroy.
+// dispatch, the request table and its id map, and the viceroy.
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/id_map.h"
 #include "src/core/request_table.h"
 #include "src/core/resource.h"
 #include "src/core/status.h"
 #include "src/core/tsop_codec.h"
 #include "src/core/upcall.h"
 #include "src/core/viceroy.h"
+#include "src/sim/random.h"
 #include "src/sim/simulation.h"
 #include "src/strategies/laissez_faire.h"
 
@@ -326,6 +329,248 @@ TEST(RequestTableTest, IdsStayUniqueAcrossSlotChurn) {
     retired.push_back(id);
   }
   EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(RequestTableTest, CancelOfIdZeroIsNotFound) {
+  RequestTable table;
+  EXPECT_EQ(table.Cancel(0).code(), StatusCode::kNotFound);
+  for (int i = 0; i < 20; ++i) {
+    table.Register(1, ResourceDescriptor{ResourceId::kNetworkBandwidth, 0.0, 1.0, nullptr});
+  }
+  // Id 0 is what a refused request carries; it never names a live window.
+  EXPECT_EQ(table.Cancel(0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(table.size(), 20u);
+}
+
+// Every operation of the table, seeded, against a reference that keeps the
+// live windows in a vector and answers each query by scanning all of them.
+TEST(RequestTableTest, MatchesBruteForceReferenceUnderSeededChurn) {
+  struct Window {
+    RequestId id;
+    AppId app;
+    ResourceId resource;
+    double lower;
+    double upper;
+    uint32_t klass;
+  };
+  const auto violates = [](const Window& w, double level) {
+    return level < w.lower || level > w.upper;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Bounds and levels share a coarse grid, so equal bounds, zero-width
+  // windows and levels exactly on a bound all come up often.
+  const double bounds[] = {-kInf, 0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, kInf};
+  const double levels[] = {-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 35.0, 50.0, 60.0, 65.0, kInf};
+  const ResourceId resources[] = {ResourceId::kNetworkBandwidth, ResourceId::kMoney};
+  constexpr AppId kApps = 24;
+  constexpr uint32_t kClasses = 5;
+
+  SplitMix64 rng(20261017);
+  const auto pick = [&rng](size_t n) { return static_cast<size_t>(rng.Next() % n); };
+  RequestTable table;
+  std::vector<Window> live;  // ascending id: ids only grow
+  std::vector<RequestId> consumed;
+  RequestId last_id = 0;
+
+  for (int op = 0; op < 20000; ++op) {
+    const ResourceId resource = resources[pick(std::size(resources))];
+    const AppId app = 1 + pick(kApps);
+    const double level = levels[pick(std::size(levels))];
+    const size_t kind = pick(100);
+    if (kind < 40) {
+      double lower = bounds[pick(std::size(bounds))];
+      double upper = bounds[pick(std::size(bounds))];
+      if (lower > upper) {
+        std::swap(lower, upper);
+      }
+      const auto klass = static_cast<uint32_t>(pick(kClasses));
+      const ResourceDescriptor descriptor{resource, lower, upper, nullptr};
+      const RequestId id = table.Register(app, descriptor, klass);
+      ASSERT_GT(id, last_id);
+      last_id = id;
+      live.push_back(Window{id, app, resource, lower, upper, klass});
+    } else if (kind < 52) {
+      // Cancel a live, a consumed, an unknown or the zero id.
+      RequestId id = 0;
+      switch (pick(4)) {
+        case 0:
+          id = live.empty() ? 0 : live[pick(live.size())].id;
+          break;
+        case 1:
+          id = consumed.empty() ? 0 : consumed[pick(consumed.size())];
+          break;
+        case 2:
+          id = last_id + 1 + pick(1000);
+          break;
+        default:
+          break;
+      }
+      auto it = live.begin();
+      while (it != live.end() && it->id != id) {
+        ++it;
+      }
+      const Status status = table.Cancel(id);
+      if (it == live.end()) {
+        ASSERT_EQ(status.code(), StatusCode::kNotFound) << "op " << op << " id " << id;
+      } else {
+        ASSERT_TRUE(status.ok()) << "op " << op << " id " << id;
+        consumed.push_back(id);
+        live.erase(it);
+      }
+    } else if (kind < 60) {
+      const auto klass = static_cast<uint32_t>(pick(kClasses));
+      table.Reclassify(app, klass);
+      for (Window& w : live) {
+        if (w.app == app) {
+          w.klass = klass;
+        }
+      }
+    } else if (kind < 75) {
+      std::vector<RequestId> want;
+      std::vector<Window> kept;
+      for (const Window& w : live) {
+        if (w.app == app && w.resource == resource && violates(w, level)) {
+          want.push_back(w.id);
+          consumed.push_back(w.id);
+        } else {
+          kept.push_back(w);
+        }
+      }
+      live = std::move(kept);
+      std::vector<RequestId> got;
+      for (const RequestTable::Entry& entry : table.TakeViolated(resource, app, level)) {
+        got.push_back(entry.id);
+      }
+      ASSERT_EQ(got, want) << "op " << op;  // both ascending
+    } else {
+      // Class-scoped or global probe, compared as sorted multisets.
+      const bool scoped = kind < 88;
+      const auto klass = static_cast<uint32_t>(pick(kClasses + 1));
+      std::vector<AppId> want;
+      for (const Window& w : live) {
+        if (w.resource == resource && (!scoped || w.klass == klass) && violates(w, level)) {
+          want.push_back(w.app);
+        }
+      }
+      std::vector<AppId> got;
+      if (scoped) {
+        table.CollectViolatedApps(resource, klass, level, &got);
+      } else {
+        table.CollectViolatedApps(resource, level, &got);
+      }
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << "op " << op << " class " << klass << " level " << level;
+    }
+    ASSERT_EQ(table.size(), live.size()) << "op " << op;
+  }
+  // The churn kept a real population, so the comparisons were not vacuous.
+  EXPECT_GT(live.size(), 50u);
+  EXPECT_GT(consumed.size(), 1000u);
+}
+
+// --- Flat id map ---
+
+TEST(IdMapTest, EraseShiftsBackAProbeRunThatWrapsPastTheEnd) {
+  IdMap<int> map;
+  map[1] = 0;  // allocates the buckets HomeOf needs
+  ASSERT_TRUE(map.Erase(1));
+  const size_t capacity = map.capacity();
+  // Three ids homed at the last bucket and one homed at bucket 0: their
+  // probe run starts at the end of the table and wraps to the front.
+  std::vector<RequestId> at_last;
+  RequestId at_first = 0;
+  for (RequestId id = 1; at_last.size() < 3 || at_first == 0; ++id) {
+    if (map.HomeOf(id) == capacity - 1 && at_last.size() < 3) {
+      at_last.push_back(id);
+    } else if (map.HomeOf(id) == 0 && at_first == 0) {
+      at_first = id;
+    }
+  }
+  map[at_last[0]] = 10;
+  map[at_last[1]] = 11;
+  map[at_last[2]] = 12;
+  map[at_first] = 20;
+  ASSERT_EQ(map.capacity(), capacity);  // no growth: the run really wraps
+
+  // Erasing the run's head pulls every later entry back across the wrap.
+  EXPECT_TRUE(map.Erase(at_last[0]));
+  EXPECT_EQ(map.Find(at_last[0]), nullptr);
+  ASSERT_NE(map.Find(at_last[1]), nullptr);
+  EXPECT_EQ(*map.Find(at_last[1]), 11);
+  ASSERT_NE(map.Find(at_last[2]), nullptr);
+  EXPECT_EQ(*map.Find(at_last[2]), 12);
+  ASSERT_NE(map.Find(at_first), nullptr);
+  EXPECT_EQ(*map.Find(at_first), 20);
+
+  // Erasing from the part of the run past the wrap keeps the rest findable.
+  EXPECT_TRUE(map.Erase(at_last[2]));
+  EXPECT_EQ(map.Find(at_last[2]), nullptr);
+  ASSERT_NE(map.Find(at_last[1]), nullptr);
+  EXPECT_EQ(*map.Find(at_last[1]), 11);
+  ASSERT_NE(map.Find(at_first), nullptr);
+  EXPECT_EQ(*map.Find(at_first), 20);
+  EXPECT_EQ(map.size(), 2u);
+}
+
+TEST(IdMapTest, GrowthRehashKeepsEveryLiveEntry) {
+  IdMap<RequestId> map;
+  for (RequestId id = 1; id <= 5000; ++id) {
+    map[id] = 3 * id;
+  }
+  for (RequestId id = 1; id <= 5000; id += 3) {
+    ASSERT_TRUE(map.Erase(id));
+  }
+  const size_t capacity = map.capacity();
+  for (RequestId id = 5001; id <= 20000; ++id) {
+    map[id] = 3 * id;
+  }
+  EXPECT_GT(map.capacity(), capacity);
+  EXPECT_LE(2 * map.size(), map.capacity());
+  EXPECT_EQ(map.size(), 20000u - 1667u);
+  for (RequestId id = 1; id <= 20000; ++id) {
+    const RequestId* value = map.Find(id);
+    if (id <= 5000 && id % 3 == 1) {
+      EXPECT_EQ(value, nullptr) << id;
+    } else {
+      ASSERT_NE(value, nullptr) << id;
+      EXPECT_EQ(*value, 3 * id);
+    }
+  }
+}
+
+TEST(IdMapTest, ErasingAnAbsentIdChangesNothing) {
+  IdMap<int> map;
+  EXPECT_FALSE(map.Erase(7));  // no buckets yet
+  map[7] = 1;
+  map[8] = 2;
+  EXPECT_FALSE(map.Erase(9));
+  EXPECT_EQ(map.size(), 2u);
+  ASSERT_NE(map.Find(7), nullptr);
+  EXPECT_EQ(*map.Find(7), 1);
+  ASSERT_NE(map.Find(8), nullptr);
+  EXPECT_EQ(*map.Find(8), 2);
+  EXPECT_TRUE(map.Erase(7));
+  EXPECT_FALSE(map.Erase(7));
+  EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(IdMapTest, IdZeroIsNeverFound) {
+  IdMap<int> map;
+  EXPECT_EQ(map.Find(0), nullptr);
+  EXPECT_FALSE(map.Erase(0));
+  // Id 0 marks an empty bucket; with live entries and empty buckets both
+  // present it must still match nothing.
+  for (RequestId id = 1; id <= 5; ++id) {
+    map[id] = static_cast<int>(id);
+  }
+  EXPECT_EQ(map.Find(0), nullptr);
+  EXPECT_FALSE(map.Erase(0));
+  EXPECT_EQ(map.size(), 5u);
+  for (RequestId id = 1; id <= 5; ++id) {
+    ASSERT_NE(map.Find(id), nullptr);
+    EXPECT_EQ(*map.Find(id), static_cast<int>(id));
+  }
 }
 
 // --- Viceroy ---
