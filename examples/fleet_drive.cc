@@ -24,8 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/apps/tracking_window.h"
 #include "src/check/oracles.h"
-#include "src/check/tracking_window.h"
 #include "src/core/object_namespace.h"
 #include "src/core/resource.h"
 #include "src/fleet/fleet_node.h"
@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
     viewer.tag = i == 0 ? "nodeA" : "nodeB";
     viewer.app.id = built->client->RegisterApplication(std::string("viewer-") + viewer.tag);
     viewer.endpoint = built->client->OpenConnection(viewer.app.id, "fleet-s0");
-    viewer.windows =
-        std::make_unique<WindowTracker>(&built->client->viceroy(), built->oracle.get());
+    viewer.windows = std::make_unique<WindowTracker>(&built->client->viceroy());
   }
   fleet.Connect();
 

@@ -1,6 +1,8 @@
-#include "src/check/tracking_window.h"
+#include "src/apps/tracking_window.h"
 
 #include <algorithm>
+
+#include "src/trace/trace_macros.h"
 
 namespace odyssey {
 
@@ -14,6 +16,8 @@ void WindowTracker::Register(TrackedApp* app, double level) {
       if (resource != ResourceId::kNetworkBandwidth) {
         return;
       }
+      Simulation* sim = viceroy_->sim();
+      ODY_TRACE_INSTANT1(sim->trace(), kApp, "adapt", sim->now(), app->id, "level", new_level);
       app->request = 0;
       Register(app, new_level);
     };
@@ -21,7 +25,6 @@ void WindowTracker::Register(TrackedApp* app, double level) {
     if (result.ok()) {
       app->request = result.id;
       ++registered_;
-      oracle_->OnWindowRegistered(app->id, result.id, descriptor.lower, descriptor.upper);
       return;
     }
     level = result.current_level;

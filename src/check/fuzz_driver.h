@@ -17,7 +17,6 @@
 
 #include "src/check/fuzz_runner.h"
 #include "src/check/fuzz_scenario.h"
-#include "src/check/oracles.h"
 #include "src/core/odyssey_client.h"
 #include "src/metrics/experiment.h"
 #include "src/net/fault_injector.h"
@@ -35,9 +34,8 @@ class FuzzDriver {
   // cascade is bounded no matter how lively the estimates are.
   static constexpr int kReregisterBudget = 128;
 
-  FuzzDriver(OdysseyClient* client, OracleSet* oracle, const FuzzApp& app, int index,
-             FuzzRunResult* result)
-      : client_(client), oracle_(oracle), app_(app), index_(index), result_(result) {}
+  FuzzDriver(OdysseyClient* client, const FuzzApp& app, int index, FuzzRunResult* result)
+      : client_(client), app_(app), index_(index), result_(result) {}
 
   FuzzDriver(const FuzzDriver&) = delete;
   FuzzDriver& operator=(const FuzzDriver&) = delete;
@@ -55,7 +53,6 @@ class FuzzDriver {
   void DoTsop(const FuzzOp& op);
 
   OdysseyClient* client_;
-  OracleSet* oracle_;
   const FuzzApp& app_;
   int index_;
   FuzzRunResult* result_;

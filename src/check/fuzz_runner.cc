@@ -87,8 +87,8 @@ FuzzRunResult RunNodes(const FuzzScenario& scenario, const FuzzRunOptions& optio
   drivers.reserve(scenario.apps.size());
   for (size_t i = 0; i < scenario.apps.size(); ++i) {
     const RunNode& node = nodes[i % nodes.size()];
-    drivers.push_back(std::make_unique<FuzzDriver>(node.client, node.oracle, scenario.apps[i],
-                                                   static_cast<int>(i), &result));
+    drivers.push_back(
+        std::make_unique<FuzzDriver>(node.client, scenario.apps[i], static_cast<int>(i), &result));
     drivers.back()->Start();
   }
 

@@ -53,6 +53,7 @@ void OracleSet::Arm(bool clock, DeliveryTap tap) {
           tap(app, seq, request, resource, level, posted_at);
         }
       });
+  viceroy_->set_window_observer(this);
   if (clock) {
     sim_->set_step_observer([this](Time when) { OnStep(when); });
     sim_->set_tie_observer(
@@ -270,6 +271,7 @@ void OracleSet::Sample() {
 void OracleSet::Finish() {
   if (armed_) {
     viceroy_->upcalls().set_delivery_observer({});
+    viceroy_->set_window_observer(nullptr);
   }
   if (armed_clock_) {
     sim_->set_step_observer({});

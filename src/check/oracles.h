@@ -13,8 +13,8 @@
 //       was still in the table, so no upcall was ever posted for it);
 //   upcall-window           a delivered level must lie outside the window
 //       it was registered with (upcalls fire on violation, never inside);
-//   upcall-unknown-request  every delivery maps to a registration the
-//       driver made;
+//   upcall-unknown-request  every delivery maps to a window the viceroy
+//       granted (Arm() feeds the ledger from the viceroy's window hook);
 //   fair-share              per-connection availability respects the
 //       fair-share floor supply/(active+1) and the supply ceiling (§6.2.1);
 //   supply-bounds           the supply estimate is finite and non-negative;
@@ -76,7 +76,7 @@ struct FuzzViolation {
 // Formats violations one per line (for assertion messages and the CLI).
 std::string FormatViolations(const std::vector<FuzzViolation>& violations);
 
-class OracleSet {
+class OracleSet : public Viceroy::WindowObserver {
  public:
   // Caps recorded violations per oracle name; later ones are counted but
   // not stored, so a systematically broken invariant cannot balloon memory.
@@ -96,11 +96,13 @@ class OracleSet {
   // Runs after the oracle's own hook on every delivery it observes.
   using DeliveryTap = UpcallDispatcher::DeliveryObserver;
 
-  // Attaches the hooks below: the viceroy's delivery observer and, with
-  // |clock|, the simulation's step and tie observers (one armed set per
-  // Simulation audits its shared clock).  |tap|, when set, sees each
-  // delivery after the oracle does.  Arming again replaces the delivery
-  // hook and its tap; Finish() removes everything Arm() installed.
+  // Attaches the hooks below: the viceroy's delivery and window observers
+  // and, with |clock|, the simulation's step and tie observers (one armed
+  // set per Simulation audits its shared clock).  The window observer feeds
+  // the ledger every window the viceroy grants or cancels, so no driver
+  // reports its registrations.  |tap|, when set, sees each delivery after
+  // the oracle does.  Arming again replaces the delivery hook and its tap;
+  // Finish() removes everything Arm() installed.
   void Arm(bool clock, DeliveryTap tap = {});
 
   // --- Hooks Arm() attaches ---
@@ -117,9 +119,10 @@ class OracleSet {
   // The tie-break contract requires prev_seq < seq (FIFO among ties).
   void OnTieBreak(Time when, uint64_t prev_seq, uint64_t seq);
 
-  // Driver bookkeeping: a successful request() / cancel() call.
-  void OnWindowRegistered(AppId app, RequestId id, double lower, double upper);
-  void OnWindowCancelled(RequestId id);
+  // From the viceroy's window observer: a granted request() and an ok
+  // cancel().  Public so a stack that never arms can feed the ledger itself.
+  void OnWindowRegistered(AppId app, RequestId id, double lower, double upper) override;
+  void OnWindowCancelled(RequestId id) override;
 
   // Periodic audit of estimator, fair-share and link-conservation bounds.
   void Sample();

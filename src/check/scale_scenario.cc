@@ -8,9 +8,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/apps/tracking_window.h"
 #include "src/check/fuzz_scenario.h"
 #include "src/check/oracles.h"
-#include "src/check/tracking_window.h"
 #include "src/core/contract.h"
 #include "src/core/resource.h"
 #include "src/core/viceroy.h"
@@ -74,14 +74,15 @@ class ScaleRig {
         viceroy_(rig_.client().viceroy()),
         strategy_(viceroy_.strategy().audit_surface()),
         oracle_(scenario_, &sim_, &viceroy_, strategy_, &rig_.link()),
-        windows_(&viceroy_, &oracle_) {
+        windows_(&viceroy_) {
     oracle_.set_max_audited_connections(params.max_audited_connections);
   }
 
   TrialMetrics Run() {
     const auto wall_start = std::chrono::steady_clock::now();
-    Build();
+    // Armed first, so the oracle's window observer sees Build()'s windows.
     oracle_.Arm(/*clock=*/true);
+    Build();
     sim_.Post(params_.feed_period, [this] { Feed(); });
     ScheduleAudits(&sim_, params_.horizon, [this] { oracle_.Sample(); });
     sim_.Post(kCancelSweepPeriod, [this] { CancelSweep(); });
@@ -176,9 +177,7 @@ class ScaleRig {
       if (app.request == 0) {
         continue;
       }
-      const RequestId cancelled = app.request;
-      if (viceroy_.Cancel(cancelled).ok()) {
-        oracle_.OnWindowCancelled(cancelled);
+      if (viceroy_.Cancel(app.request).ok()) {
         app.request = 0;
         windows_.Register(&app, viceroy_.CurrentLevel(app.id, ResourceId::kNetworkBandwidth));
       }

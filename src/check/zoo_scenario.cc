@@ -4,9 +4,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/apps/tracking_window.h"
 #include "src/check/fuzz_runner.h"
 #include "src/check/fuzz_scenario.h"
-#include "src/check/tracking_window.h"
 #include "src/core/contract.h"
 #include "src/mobility/radio_environment.h"
 #include "src/mobility/waveform_source.h"

@@ -90,6 +90,9 @@ RequestResult Viceroy::Request(AppId app, const ResourceDescriptor& descriptor) 
   if (broker != nullptr) {
     broker->OnWindowRegistered(app, result.id, descriptor);
   }
+  if (window_observer_ != nullptr) {
+    window_observer_->OnWindowRegistered(app, result.id, descriptor.lower, descriptor.upper);
+  }
   ODY_TRACE_INSTANT2(sim_->trace(), kViceroy, "request_granted", sim_->now(), app, "lower",
                      descriptor.lower, "upper", descriptor.upper);
   return result;
@@ -101,6 +104,9 @@ Status Viceroy::Cancel(RequestId id) {
   if (status.ok()) {
     if (ArbitrationStrategy* broker = strategy_->arbitration()) {
       broker->OnWindowCancelled(id);
+    }
+    if (window_observer_ != nullptr) {
+      window_observer_->OnWindowCancelled(id);
     }
   }
   return status;

@@ -40,6 +40,18 @@ enum class ReevaluateMode {
 
 class Viceroy {
  public:
+  // Observes the windows of tolerance the viceroy holds: each one Request
+  // grants, and each one an ok Cancel discards (§4.2).  Installed by the
+  // fuzzing oracles (src/check) so their ledger knows every window an
+  // upcall can be delivered against; unset (the default) costs one branch
+  // per grant or cancel.
+  class WindowObserver {
+   public:
+    virtual ~WindowObserver() = default;
+    virtual void OnWindowRegistered(AppId app, RequestId id, double lower, double upper) = 0;
+    virtual void OnWindowCancelled(RequestId id) = 0;
+  };
+
   // |strategy| decides bandwidth availability; |upcall_latency| models the
   // cost of delivering an upcall into an application.
   Viceroy(Simulation* sim, std::unique_ptr<BandwidthStrategy> strategy,
@@ -86,6 +98,9 @@ class Viceroy {
   // strategy's change notifications).
   void Reevaluate();
 
+  // Null detaches.
+  void set_window_observer(WindowObserver* observer) { window_observer_ = observer; }
+
   void set_reevaluate_mode(ReevaluateMode mode) { reevaluate_mode_ = mode; }
   ReevaluateMode reevaluate_mode() const { return reevaluate_mode_; }
 
@@ -104,6 +119,7 @@ class Viceroy {
   std::vector<std::string> apps_;
   std::map<ResourceId, double> static_levels_;
   ReevaluateMode reevaluate_mode_ = ReevaluateMode::kIndexed;
+  WindowObserver* window_observer_ = nullptr;
   // Candidate scratch, reused across re-evaluations to avoid reallocating
   // in the hot notification path.
   std::vector<AppId> candidates_;

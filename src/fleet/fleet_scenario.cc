@@ -10,9 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/apps/tracking_window.h"
 #include "src/check/fuzz_scenario.h"
 #include "src/check/oracles.h"
-#include "src/check/tracking_window.h"
 #include "src/core/contract.h"
 #include "src/core/resource.h"
 #include "src/fleet/fleet_node.h"
@@ -137,8 +137,7 @@ class FleetRig {
     wardens.push_back(std::make_unique<TelemetryWarden>(telemetry_server_.get()));
     NodeFeed feed;
     feed.node = fleet_->AddNode(std::move(node), first, std::move(wardens));
-    feed.windows = std::make_unique<WindowTracker>(&feed.node->client->viceroy(),
-                                                   feed.node->oracle.get());
+    feed.windows = std::make_unique<WindowTracker>(&feed.node->client->viceroy());
 
     SplitMix64 mix(seed_ ^ (0x61707073ULL + static_cast<uint64_t>(index)));
     for (int a = 0; a < params_.apps_per_node; ++a) {

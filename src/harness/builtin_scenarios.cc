@@ -11,6 +11,7 @@
 #include "src/apps/bitstream_app.h"
 #include "src/apps/filter_app.h"
 #include "src/apps/speech_frontend.h"
+#include "src/apps/tracking_window.h"
 #include "src/apps/video_player.h"
 #include "src/apps/web_browser.h"
 #include "src/core/battery_model.h"
@@ -28,7 +29,6 @@
 #include "src/servers/file_server.h"
 #include "src/servers/telemetry_server.h"
 #include "src/strategies/centralized.h"
-#include "src/trace/trace_macros.h"
 #include "src/trace/trace_recorder.h"
 #include "src/tracemod/waveforms.h"
 #include "src/wardens/file_warden.h"
@@ -39,10 +39,6 @@ namespace odyssey {
 namespace {
 
 constexpr Duration kAgilitySamplePeriod = 100 * kMillisecond;
-
-// The adaptive consumer tolerates a ±30% drift around its chosen level.
-constexpr double kWindowLowerFactor = 0.7;
-constexpr double kWindowUpperFactor = 1.3;
 
 // The Figure 8 acceptance rule: within ±15% of a nominal level.
 struct AcceptanceBand {
@@ -65,38 +61,15 @@ void Add(ScenarioRegistry* registry, Scenario scenario) {
   ODY_ASSERT(status.ok(), "builtin scenario registration failed");
 }
 
-// Holds a window of tolerance around |level|, re-centering on every upcall
-// (§4.2's request/upcall/re-request loop).  Each violation is one
-// adaptation, recorded as a kApp "adapt" instant.
-void RegisterAdaptiveWindow(OdysseyClient* client, AppId app, double level) {
-  ResourceDescriptor descriptor;
-  descriptor.resource = ResourceId::kNetworkBandwidth;
-  descriptor.lower = kWindowLowerFactor * level;
-  descriptor.upper = kWindowUpperFactor * level;
-  descriptor.handler = [client, app](RequestId, ResourceId, double new_level) {
-    ODY_TRACE_INSTANT1(client->sim()->trace(), kApp, "adapt", client->sim()->now(), app,
-                       "level", new_level);
-    RegisterAdaptiveWindow(client, app, new_level);
-  };
-  const RequestResult result = client->Request(app, descriptor);
-  if (!result.ok()) {
-    // The level moved since the upcall was posted; a window centered on the
-    // level the viceroy just reported always admits it, so this recursion
-    // terminates on the next call.
-    RegisterAdaptiveWindow(client, app, result.current_level);
-  }
-}
-
 // Waits (in one-second steps) for the estimator's first figures, then
-// starts the adaptive loop at the reported level.
-void StartAdaptingWhenEstimated(OdysseyClient* client, AppId app) {
-  client->sim()->Schedule(kSecond, [client, app] {
+// starts |app|'s tracking window at the reported level.
+void StartAdaptingWhenEstimated(OdysseyClient* client, WindowTracker* windows, TrackedApp* app) {
+  client->sim()->Schedule(kSecond, [client, windows, app] {
     if (!client->HasBandwidthEstimate()) {
-      StartAdaptingWhenEstimated(client, app);
+      StartAdaptingWhenEstimated(client, windows, app);
       return;
     }
-    RegisterAdaptiveWindow(client, app,
-                           client->CurrentLevel(app, ResourceId::kNetworkBandwidth));
+    windows->Register(app, client->CurrentLevel(app->id, ResourceId::kNetworkBandwidth));
   });
 }
 
@@ -111,7 +84,9 @@ TrialMetrics RunSupplyAgilityTrial(Waveform waveform, uint64_t seed, TraceRecord
   const ReplayTrace replay = MakeWaveform(waveform);
   const Time measure = rig.Replay(replay);
   app.Start();
-  StartAdaptingWhenEstimated(&rig.client(), app.app());
+  WindowTracker windows(&rig.client().viceroy());
+  TrackedApp tracked{.id = app.app()};
+  StartAdaptingWhenEstimated(&rig.client(), &windows, &tracked);
 
   Sampler sampler = SupplySampler(&rig, measure);
   // ody_lint: owned-capture
@@ -655,7 +630,9 @@ TrialMetrics RunMobilityTrackingTrial(const ReplayTrace& replay, uint64_t seed,
   const Time measure = rig.Replay(replay);
   const Time end = measure + replay.TotalDuration();
   app.Start();
-  StartAdaptingWhenEstimated(&rig.client(), app.app());
+  WindowTracker windows(&rig.client().viceroy());
+  TrackedApp tracked{.id = app.app()};
+  StartAdaptingWhenEstimated(&rig.client(), &windows, &tracked);
 
   Sampler sampler = SupplySampler(&rig, measure);
   // ody_lint: owned-capture

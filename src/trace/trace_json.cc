@@ -264,6 +264,11 @@ class Parser {
     if (end == nullptr || *end != '\0') {
       return Fail("malformed number '" + token + "'");
     }
+    // strtod turns an exponent past the double range into infinity, which
+    // JSON cannot carry back out.
+    if (!std::isfinite(value)) {
+      return Fail("number out of range '" + token + "'");
+    }
     return JsonValue::MakeNumber(value);
   }
 

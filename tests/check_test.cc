@@ -11,19 +11,19 @@
 
 #include <gtest/gtest.h>
 
+#include "src/apps/tracking_window.h"
 #include "src/check/fuzz_runner.h"
 #include "src/check/fuzz_scenario.h"
 #include "src/check/oracles.h"
 #include "src/check/shrink.h"
-#include "src/check/tracking_window.h"
 #include "src/core/resource.h"
 #include "src/core/upcall.h"
 #include "src/core/viceroy.h"
 #include "src/net/link.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
-#include "src/strategies/arbitration_strategy.h"
 #include "src/strategies/centralized.h"
+#include "tests/scripted_strategy.h"
 
 namespace odyssey {
 namespace {
@@ -223,6 +223,15 @@ TEST(FuzzRunnerTest, SelftestTiebreakMatchesCompileFlag) {
 
 // --- Oracle unit tests against a minimal hand-driven rig ---
 
+// The oracle of each recorded violation, in order.
+std::vector<std::string> NamesOf(const OracleSet& oracles) {
+  std::vector<std::string> names;
+  for (const FuzzViolation& violation : oracles.violations()) {
+    names.push_back(violation.oracle);
+  }
+  return names;
+}
+
 class OracleSetTest : public testing::Test {
  protected:
   OracleSetTest() {
@@ -236,13 +245,7 @@ class OracleSetTest : public testing::Test {
                                            link_.get());
   }
 
-  std::vector<std::string> OracleNames() const {
-    std::vector<std::string> names;
-    for (const FuzzViolation& violation : oracles_->violations()) {
-      names.push_back(violation.oracle);
-    }
-    return names;
-  }
+  std::vector<std::string> OracleNames() const { return NamesOf(*oracles_); }
 
   FuzzScenario scenario_;
   Simulation sim_;
@@ -442,43 +445,14 @@ TEST(ScheduleAuditsTest, AuditsEveryTickThroughUntilThenOneNoOpTick) {
   }
 }
 
-// --- The shared tracking window ---
+// --- The window feed: an armed oracle learns windows from the viceroy ---
 
-// A strategy whose level is set by hand, and which refuses every bandwidth
-// window while |reject| is set.  Counts its admission decisions (one per
-// registration attempt that passes the level check).
-class ScriptedStrategy : public ArbitrationStrategy {
- public:
-  std::string name() const override { return "scripted"; }
-  void AttachConnection(AppId, Endpoint*) override {}
-  void DetachConnection(Endpoint*) override {}
-  double AvailabilityFor(AppId, Time) const override { return level; }
-  bool HasEstimate() const override { return true; }
-  double TotalSupply(Time) const override { return level; }
-  Duration SmoothedRttFor(AppId) const override { return 0; }
-  AdmissionDecision DecideAdmission(AppId, const ResourceDescriptor&, Time) override {
-    ++decisions;
-    AdmissionDecision decision;
-    if (reject) {
-      decision.verdict = AdmissionVerdict::kRejected;
-    }
-    return decision;
-  }
-
-  // Moves the level and lets the viceroy re-evaluate its windows.
-  void MoveTo(double to) {
-    level = to;
-    NotifyChanged();
-  }
-
-  double level = 100.0 * 1024;
-  bool reject = false;
-  int decisions = 0;
-};
-
-class WindowTrackerTest : public testing::Test {
+// A real Viceroy with a hand-set level and an armed oracle set: every
+// window below is granted or cancelled through the viceroy's own calls, and
+// the ledger hears of it only through the window observer Arm() installs.
+class ArmedViceroyTest : public testing::Test {
  protected:
-  WindowTrackerTest() {
+  ArmedViceroyTest() {
     scenario_.horizon = 10 * kSecond;
     scenario_.segments = {TraceSegment{10 * kSecond, 120.0 * 1024, 10 * kMillisecond}};
     auto strategy = std::make_unique<ScriptedStrategy>();
@@ -487,9 +461,19 @@ class WindowTrackerTest : public testing::Test {
     link_ = std::make_unique<Link>(&sim_, 120.0 * 1024, 10 * kMillisecond);
     oracles_ =
         std::make_unique<OracleSet>(scenario_, &sim_, viceroy_.get(), nullptr, link_.get());
-    oracles_->Arm(/*clock=*/false);
-    tracker_ = std::make_unique<WindowTracker>(viceroy_.get(), oracles_.get());
-    app_.id = viceroy_->RegisterApplication("tracker");
+    app_ = viceroy_->RegisterApplication("armed");
+  }
+
+  // A [0.5x, 2x] window around the current level; must be granted.
+  RequestId Grant() {
+    ResourceDescriptor descriptor;
+    descriptor.resource = ResourceId::kNetworkBandwidth;
+    descriptor.lower = 0.5 * strategy_->level;
+    descriptor.upper = 2.0 * strategy_->level;
+    descriptor.handler = [](RequestId, ResourceId, double) {};
+    const RequestResult result = viceroy_->Request(app_, descriptor);
+    EXPECT_TRUE(result.ok());
+    return result.id;
   }
 
   // Moves the level, then lets any upcall it causes deliver.
@@ -498,66 +482,87 @@ class WindowTrackerTest : public testing::Test {
     sim_.RunUntil(sim_.now() + kSecond);
   }
 
+  std::vector<std::string> OracleNames() const { return NamesOf(*oracles_); }
+
   FuzzScenario scenario_;
   Simulation sim_;
   ScriptedStrategy* strategy_ = nullptr;
   std::unique_ptr<Viceroy> viceroy_;
   std::unique_ptr<Link> link_;
   std::unique_ptr<OracleSet> oracles_;
-  std::unique_ptr<WindowTracker> tracker_;
-  TrackedApp app_;
+  AppId app_ = 0;
 };
 
-TEST_F(WindowTrackerTest, MovedLevelRecentresOnTheReportedLevel) {
-  // The caller's level is stale: the first attempt is out of bounds, and the
-  // retry centres on the 100 KB/s the viceroy reported.
-  tracker_->Register(&app_, 10.0 * 1024);
-  ASSERT_NE(app_.request, 0u);
-  EXPECT_EQ(tracker_->registered(), 1u);
-  EXPECT_EQ(strategy_->decisions, 1);
-  const RequestId held = app_.request;
-  // Inside [70, 130] KB/s: no upcall.
-  MoveAndSettle(125.0 * 1024);
-  EXPECT_EQ(viceroy_->upcalls().delivered_count(), 0u);
-  EXPECT_EQ(app_.request, held);
-  // Past 130 KB/s: the window fires.
-  MoveAndSettle(135.0 * 1024);
+TEST_F(ArmedViceroyTest, GrantedThenViolatedWindowDeliversClean) {
+  oracles_->Arm(/*clock=*/false);
+  Grant();
+  MoveAndSettle(4.0 * strategy_->level);
+  oracles_->Finish();
   EXPECT_EQ(viceroy_->upcalls().delivered_count(), 1u);
+  EXPECT_EQ(oracles_->violation_count(), 0u) << FormatViolations(oracles_->violations());
 }
 
-TEST_F(WindowTrackerTest, DeliveredUpcallClearsTheRegistrationAndRegistersAgain) {
-  tracker_->Register(&app_, strategy_->level);
-  const RequestId first = app_.request;
-  ASSERT_NE(first, 0u);
-  MoveAndSettle(300.0 * 1024);
-  EXPECT_EQ(viceroy_->upcalls().delivered_count(), 1u);
-  EXPECT_NE(app_.request, 0u);
-  EXPECT_NE(app_.request, first);
-  EXPECT_EQ(tracker_->registered(), 2u);
-  // With registration refused, the consumed window leaves the app with none.
-  strategy_->reject = true;
-  MoveAndSettle(30.0 * 1024);
+TEST_F(ArmedViceroyTest, DeliveryAfterOkCancelIsUpcallAfterCancel) {
+  oracles_->Arm(/*clock=*/false);
+  const RequestId id = Grant();
+  ASSERT_TRUE(viceroy_->Cancel(id).ok());
+  // The viceroy never posts for a cancelled window; post one by hand, as a
+  // dispatcher bug would.
+  viceroy_->upcalls().Post(app_, id, ResourceId::kNetworkBandwidth, 0.0, nullptr);
+  sim_.RunUntil(kSecond);
+  oracles_->Finish();
+  EXPECT_EQ(OracleNames(), std::vector<std::string>{"upcall-after-cancel"})
+      << FormatViolations(oracles_->violations());
+}
+
+TEST_F(ArmedViceroyTest, GrantAfterFinishNeverReachesTheLedger) {
+  oracles_->Arm(/*clock=*/false);
+  Grant();
+  oracles_->Finish();
+  Grant();
+  // Re-armed for the deliveries only: both windows fire, and the one
+  // granted while disarmed is unknown to the ledger.
+  oracles_->Arm(/*clock=*/false);
+  MoveAndSettle(4.0 * strategy_->level);
+  oracles_->Finish();
   EXPECT_EQ(viceroy_->upcalls().delivered_count(), 2u);
-  EXPECT_EQ(app_.request, 0u);
-  EXPECT_EQ(tracker_->registered(), 2u);
+  EXPECT_EQ(OracleNames(), std::vector<std::string>{"upcall-unknown-request"})
+      << FormatViolations(oracles_->violations());
 }
 
-TEST_F(WindowTrackerTest, GivesUpAfterFourAttempts) {
-  strategy_->reject = true;
-  tracker_->Register(&app_, strategy_->level);
-  EXPECT_EQ(strategy_->decisions, WindowTracker::kMaxAttempts);
-  EXPECT_EQ(WindowTracker::kMaxAttempts, 4);
-  EXPECT_EQ(app_.request, 0u);
-  EXPECT_EQ(tracker_->registered(), 0u);
+TEST_F(ArmedViceroyTest, ReArmRecordsEachGrantOnce) {
+  // As fleet_drive does: arm with the clock, then again with a tap.
+  oracles_->Arm(/*clock=*/true);
+  uint64_t tapped = 0;
+  oracles_->Arm(/*clock=*/false, [&tapped](AppId, uint64_t, RequestId, ResourceId, double,
+                                          Time) { ++tapped; });
+  Grant();
+  Grant();
+  MoveAndSettle(4.0 * strategy_->level);
+  EXPECT_EQ(tapped, 2u);
+  EXPECT_EQ(oracles_->violation_count(), 0u) << FormatViolations(oracles_->violations());
+  // One Finish() detaches the one window hook both Arm() calls installed.
+  oracles_->Finish();
+  const RequestId late = Grant();
+  oracles_->OnUpcallDelivered(app_, 3, late, ResourceId::kNetworkBandwidth, 0.0, 0);
+  EXPECT_EQ(OracleNames(), std::vector<std::string>{"upcall-unknown-request"})
+      << FormatViolations(oracles_->violations());
 }
+
+// The tracking window (src/apps/tracking_window.h) reports nothing itself;
+// its registrations reach an armed oracle through the viceroy.
+using WindowTrackerTest = ArmedViceroyTest;
 
 TEST_F(WindowTrackerTest, EveryRegistrationReachesTheOracle) {
-  tracker_->Register(&app_, 1.0 * 1024);
+  oracles_->Arm(/*clock=*/false);
+  WindowTracker tracker(viceroy_.get());
+  TrackedApp app{.id = app_};
+  tracker.Register(&app, 1.0 * 1024);
   for (const double kbps : {300.0, 40.0, 90.0, 20.0, 500.0}) {
     MoveAndSettle(kbps * 1024);
   }
   EXPECT_EQ(viceroy_->upcalls().delivered_count(), 5u);
-  EXPECT_EQ(tracker_->registered(), 6u);
+  EXPECT_EQ(tracker.registered(), 6u);
   oracles_->Finish();
   EXPECT_EQ(oracles_->violation_count(), 0u) << FormatViolations(oracles_->violations());
 }

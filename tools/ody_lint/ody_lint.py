@@ -108,9 +108,10 @@ RULES = {
         "builder (src/fleet/fleet_node.cc); describe the rig with a RigSpec"
     ),
     "one-arm": (
-        "an oracle hook wired by hand: set_step_observer, set_tie_observer "
-        "and set_delivery_observer are called only by OracleSet::Arm "
-        "(src/check/oracles.cc); arm the oracles with Arm(clock, tap)"
+        "an oracle hook wired by hand: set_step_observer, set_tie_observer, "
+        "set_delivery_observer and set_window_observer are called only by "
+        "OracleSet::Arm (src/check/oracles.cc); arm the oracles with "
+        "Arm(clock, tap)"
     ),
 }
 
@@ -647,10 +648,10 @@ def check_one_rig(sf: SourceFile) -> list[Violation]:
 # of scope (unit tests drive the hooks directly).
 
 ONE_ARM_HOMES = ("src/check/oracles.cc", "src/sim/simulation.h", "src/sim/event_queue.h",
-                 "src/core/upcall.h")
+                 "src/core/upcall.h", "src/core/viceroy.h")
 ONE_ARM_DIRS = ("src", "examples")
 
-_ONE_ARM_RE = re.compile(r"\b(set_(?:step|tie|delivery)_observer)\s*\(")
+_ONE_ARM_RE = re.compile(r"\b(set_(?:step|tie|delivery|window)_observer)\s*\(")
 
 
 def check_one_arm(sf: SourceFile) -> list[Violation]:

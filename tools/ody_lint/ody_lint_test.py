@@ -288,16 +288,18 @@ class OdyLintTest(unittest.TestCase):
         for home in ("src/check/one_arm_bad.cc", "examples/one_arm_bad.cc"):
             rel = self.place("one_arm_bad.cc", home)
             violations = [v for v in self.lint(rel) if v.rule == "one-arm"]
-            # The step, tie and delivery setters; Arm() and Finish() stay clean.
-            self.assertEqual([v.line for v in violations], [5, 6, 9])
+            # The step, tie, delivery and window setters; Arm() and Finish()
+            # stay clean.
+            self.assertEqual([v.line for v in violations], [5, 6, 9, 10])
             messages = " ".join(v.message for v in violations)
             self.assertIn("set_step_observer", messages)
             self.assertIn("set_tie_observer", messages)
             self.assertIn("set_delivery_observer", messages)
+            self.assertIn("set_window_observer", messages)
 
     def test_one_arm_allowed_in_oracles_and_setter_homes(self):
         for home in ("src/check/oracles.cc", "src/sim/simulation.h", "src/sim/event_queue.h",
-                     "src/core/upcall.h", "tests/one_arm_bad.cc"):
+                     "src/core/upcall.h", "src/core/viceroy.h", "tests/one_arm_bad.cc"):
             rel = self.place("one_arm_bad.cc", home)
             self.assertNotIn("one-arm", self.rules_found(rel))
 

@@ -7,6 +7,7 @@ void HandArmed(Simulation* sim, Viceroy* viceroy, OracleSet* oracle) {
     oracle->OnTieBreak(when, prev_seq, seq);
   });
   viceroy->upcalls().set_delivery_observer({});
+  viceroy->set_window_observer(oracle);
   // The one way: the oracle set arms itself.
   oracle->Arm(/*clock=*/true);
   oracle->Finish();
