@@ -5,6 +5,8 @@
 // the adaptation path: event scheduling, upcall delivery, request
 // registration, estimator updates, and tsop dispatch.
 
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "src/core/odyssey_client.h"
@@ -68,6 +70,7 @@ BENCHMARK(BM_RequestRegisterCancel);
 
 void BM_RequestTableTakeViolated(benchmark::State& state) {
   // A table with many registered windows, one violated per call.
+  std::vector<RequestTable::Entry> violated;
   for (auto _ : state) {
     state.PauseTiming();
     RequestTable table;
@@ -76,8 +79,8 @@ void BM_RequestTableTakeViolated(benchmark::State& state) {
                                            static_cast<double>(i), 1e12, nullptr});
     }
     state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        table.TakeViolated(ResourceId::kNetworkBandwidth, state.range(0) - 1, 0.0));
+    table.TakeViolated(ResourceId::kNetworkBandwidth, state.range(0) - 1, 0.0, &violated);
+    benchmark::DoNotOptimize(violated.data());
   }
 }
 BENCHMARK(BM_RequestTableTakeViolated)->Arg(16)->Arg(256);

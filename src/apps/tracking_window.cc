@@ -1,6 +1,7 @@
 #include "src/apps/tracking_window.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/trace/trace_macros.h"
 
@@ -21,7 +22,7 @@ void WindowTracker::Register(TrackedApp* app, double level) {
       app->request = 0;
       Register(app, new_level);
     };
-    const RequestResult result = viceroy_->Request(app->id, descriptor);
+    const RequestResult result = viceroy_->Request(app->id, std::move(descriptor));
     if (result.ok()) {
       app->request = result.id;
       ++registered_;

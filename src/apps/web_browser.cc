@@ -103,7 +103,7 @@ void WebBrowser::RegisterWindow() {
       RegisterWindow();
     }
   };
-  const RequestResult result = client_->Request(app_, descriptor);
+  const RequestResult result = client_->Request(app_, std::move(descriptor));
   window_active_ = result.ok();
   if (result.ok()) {
     window_ = result.id;

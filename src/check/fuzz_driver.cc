@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "src/core/tsop_codec.h"
 #include "src/core/warden.h"
@@ -89,7 +90,7 @@ void FuzzDriver::DoRequest(double lo_frac, double hi_frac) {
       DoRequest(lo_frac, hi_frac);
     }
   };
-  const RequestResult granted = client_->Request(app_id_, descriptor);
+  const RequestResult granted = client_->Request(app_id_, std::move(descriptor));
   if (granted.ok()) {
     ++result_->requests_granted;
     outstanding_.push_back(granted.id);

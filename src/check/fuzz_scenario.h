@@ -125,11 +125,11 @@ struct ScenarioOptions {
   // (src/mobility) instead of the hand-rolled 2-6-segment draw, covering
   // shapes that draw never produces — long zero-bandwidth shadows and
   // rapid cell-edge tier flapping.  The generated waveform is materialized
-  // into |segments|, so the oracles (including byte conservation via
-  // IntegrateCapacityBytes) and the shrinker operate on it unchanged, and
-  // the drain guarantee below still holds (the pipeline forces a live
-  // final segment).  At the default false the generator stream is
-  // untouched: historical seeds keep producing byte-identical scenarios.
+  // into |segments|, so the oracles (including byte conservation) and the
+  // shrinker operate on it unchanged, and the drain guarantee below still
+  // holds (the pipeline forces a live final segment).  At the default false
+  // the generator stream is untouched: historical seeds keep producing
+  // byte-identical scenarios.
   bool mobility = false;
 
   // Fleet dimension: when true, roughly half the scenarios run on the

@@ -40,7 +40,11 @@ std::string FormatViolations(const std::vector<FuzzViolation>& violations) {
 
 OracleSet::OracleSet(const FuzzScenario& scenario, Simulation* sim, Viceroy* viceroy,
                      CentralizedStrategy* strategy, Link* link)
-    : scenario_(scenario), sim_(sim), viceroy_(viceroy), strategy_(strategy), link_(link) {}
+    : capacity_(scenario.segments),
+      sim_(sim),
+      viceroy_(viceroy),
+      strategy_(strategy),
+      link_(link) {}
 
 void OracleSet::Arm(bool clock, DeliveryTap tap) {
   // Every hook borrows this oracle set; Finish() detaches them all before
@@ -193,7 +197,7 @@ void OracleSet::Sample() {
     Report("byte-conservation", 0, detail.str());
   }
   last_bytes_delivered_ = bytes;
-  const double bound = IntegrateCapacityBytes(scenario_, now) * 1.01 + 8192.0;
+  const double bound = capacity_.IntegralBytes(now) * 1.01 + 8192.0;
   if (bytes > bound) {
     std::ostringstream detail;
     detail << "delivered " << bytes << " bytes > nominal capacity integral " << bound;
@@ -212,7 +216,8 @@ void OracleSet::Sample() {
     return;
   }
 
-  const std::vector<ConnectionId> connections = strategy_->AttachedConnections();
+  strategy_->AttachedConnections(&connections_);
+  const std::vector<ConnectionId>& connections = connections_;
   const int active = model.ActiveConnectionCount(now);
   if (!connections.empty() && active < 1) {
     std::ostringstream detail;

@@ -50,6 +50,7 @@
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 #include "src/strategies/centralized.h"
+#include "src/tracemod/replay_trace.h"
 
 namespace odyssey {
 
@@ -158,7 +159,9 @@ class OracleSet : public Viceroy::WindowObserver {
 
   void Report(const std::string& oracle, AppId app, std::string detail);
 
-  const FuzzScenario& scenario_;
+  // The scenario's nominal waveform, built once: the byte-conservation
+  // bound integrates it on every Sample().
+  const ReplayTrace capacity_;
   Simulation* sim_;
   Viceroy* viceroy_;
   CentralizedStrategy* strategy_;
@@ -171,6 +174,7 @@ class OracleSet : public Viceroy::WindowObserver {
   double last_bytes_delivered_ = 0.0;
   size_t max_audited_connections_ = 0;
   size_t audit_cursor_ = 0;
+  std::vector<ConnectionId> connections_;  // Sample()'s scratch, reused
   bool armed_ = false;
   bool armed_clock_ = false;
 

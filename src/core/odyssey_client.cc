@@ -56,25 +56,24 @@ void OdysseyClient::set_fault_injector(FaultInjector* injector) {
   }
 }
 
-RequestResult OdysseyClient::Request(AppId app, const ResourceDescriptor& descriptor) {
-  return viceroy_.Request(app, descriptor);
+RequestResult OdysseyClient::Request(AppId app, ResourceDescriptor descriptor) {
+  return viceroy_.Request(app, std::move(descriptor));
 }
 
 RequestResult OdysseyClient::Request(AppId app, const std::string& path,
-                                     const ResourceDescriptor& descriptor) {
+                                     ResourceDescriptor descriptor) {
   ObjectNamespace::Resolution resolution;
   if (!namespace_.Resolve(path, &resolution).ok()) {
     return RequestResult{};  // !ok, level 0: not an Odyssey object
   }
-  return viceroy_.Request(app, descriptor);
+  return viceroy_.Request(app, std::move(descriptor));
 }
 
-RequestResult OdysseyClient::RequestFd(AppId app, OdysseyFd fd,
-                                       const ResourceDescriptor& descriptor) {
+RequestResult OdysseyClient::RequestFd(AppId app, OdysseyFd fd, ResourceDescriptor descriptor) {
   if (Lookup(app, fd) == nullptr) {
     return RequestResult{};
   }
-  return viceroy_.Request(app, descriptor);
+  return viceroy_.Request(app, std::move(descriptor));
 }
 
 Status OdysseyClient::Cancel(RequestId id) { return viceroy_.Cancel(id); }

@@ -109,18 +109,19 @@ class OdysseyClient {
   void ReadFd(AppId app, OdysseyFd fd, Warden::ReadCallback done);
   void WriteFd(AppId app, OdysseyFd fd, std::string data, Warden::WriteCallback done);
 
-  // request(): expresses a resource expectation.
-  RequestResult Request(AppId app, const ResourceDescriptor& descriptor);
+  // request(): expresses a resource expectation.  Every variant takes the
+  // descriptor by value and moves it on, so a caller that passes an rvalue
+  // hands its upcall handler over without copying it.
+  RequestResult Request(AppId app, ResourceDescriptor descriptor);
 
   // The literal Figure 3(a) form: request(in path, in resource-descriptor,
   // out request-id).  The path names the Odyssey object on whose behalf
   // the expectation is expressed; it must resolve to an installed warden.
-  RequestResult Request(AppId app, const std::string& path,
-                        const ResourceDescriptor& descriptor);
+  RequestResult Request(AppId app, const std::string& path, ResourceDescriptor descriptor);
 
   // Descriptor variant (Figure 3's note: "the request and tsop calls have
   // variants that identify Odyssey objects by file descriptors").
-  RequestResult RequestFd(AppId app, OdysseyFd fd, const ResourceDescriptor& descriptor);
+  RequestResult RequestFd(AppId app, OdysseyFd fd, ResourceDescriptor descriptor);
 
   // cancel(): discards a registered expectation.
   Status Cancel(RequestId id);

@@ -22,10 +22,10 @@ bool Violates(const ResourceDescriptor& descriptor, double level) {
 
 }  // namespace
 
-RequestId RequestTable::Register(AppId app, const ResourceDescriptor& descriptor,
-                                 uint32_t klass) {
+RequestId RequestTable::Register(AppId app, ResourceDescriptor descriptor, uint32_t klass) {
   ODY_ASSERT(!std::isnan(descriptor.lower) && !std::isnan(descriptor.upper), "window bound is NaN");
   const RequestId id = next_id_++;
+  const size_t r = ResourceIndex(descriptor.resource);
   uint32_t index;
   if (!free_.empty()) {
     index = free_.back();
@@ -35,10 +35,9 @@ RequestId RequestTable::Register(AppId app, const ResourceDescriptor& descriptor
     slots_.emplace_back();
   }
   Slot& slot = slots_[index];
-  slot.entry = Entry{id, app, descriptor};
+  slot.entry = Entry{id, app, std::move(descriptor)};
   slot.klass = klass;
 
-  const size_t r = ResourceIndex(descriptor.resource);
   by_id_[id] = index;
   BucketFor(r, app).push_back(index);
   Index(r, index);
@@ -167,18 +166,19 @@ Status RequestTable::Cancel(RequestId id) {
   return OkStatus();
 }
 
-std::vector<RequestTable::Entry> RequestTable::TakeViolated(ResourceId resource, AppId app,
-                                                            double level) {
+void RequestTable::TakeViolated(ResourceId resource, AppId app, double level,
+                                std::vector<Entry>* out) {
+  out->clear();
   const size_t r = ResourceIndex(resource);
   if (app >= buckets_[r].size()) {
-    return {};
+    return;
   }
   std::vector<uint32_t>& bucket = buckets_[r][app];
-  std::vector<uint32_t> violated;
+  violated_.clear();
   size_t keep = 0;
   for (const uint32_t index : bucket) {
     if (Violates(slots_[index].entry.descriptor, level)) {
-      violated.push_back(index);
+      violated_.push_back(index);
     } else {
       bucket[keep++] = index;
     }
@@ -186,18 +186,15 @@ std::vector<RequestTable::Entry> RequestTable::TakeViolated(ResourceId resource,
   bucket.resize(keep);
   // Slot recycling scrambles in-bucket index order; the observable contract
   // is ascending id (the order the old full-scan map iteration produced).
-  std::sort(violated.begin(), violated.end(), [this](uint32_t a, uint32_t b) {
+  std::sort(violated_.begin(), violated_.end(), [this](uint32_t a, uint32_t b) {
     return slots_[a].entry.id < slots_[b].entry.id;
   });
-  std::vector<Entry> result;
-  result.reserve(violated.size());
-  for (const uint32_t index : violated) {
+  for (const uint32_t index : violated_) {
     // Moving the entry only pilfers the handler closure; the scalar fields
     // Release() keys its index erasures on are still intact.
-    result.push_back(std::move(slots_[index].entry));
+    out->push_back(std::move(slots_[index].entry));
     Release(index);
   }
-  return result;
 }
 
 std::vector<RequestTable::Entry> RequestTable::EntriesFor(AppId app, ResourceId resource) const {

@@ -58,7 +58,9 @@ class RequestTable {
   // index for scoped CollectViolatedApps queries; callers that never probe
   // by class can leave it 0.  Neither bound may be NaN (the index orders
   // windows by their bounds); a NaN bound is a contract failure.
-  RequestId Register(AppId app, const ResourceDescriptor& descriptor, uint32_t klass = 0);
+  // The descriptor (and so its upcall handler) is moved into the table,
+  // never copied.
+  RequestId Register(AppId app, ResourceDescriptor descriptor, uint32_t klass = 0);
 
   // Moves every window of |app| (all resources) to |klass|.  The viceroy
   // calls this when an app's connection count changes, keeping each
@@ -69,10 +71,11 @@ class RequestTable {
   // been consumed by an upcall already).
   Status Cancel(RequestId id);
 
-  // Removes and returns every entry for (|app|, |resource|) whose window
-  // excludes |level|, in ascending id order.  The caller posts upcalls for
-  // the returned entries.
-  std::vector<Entry> TakeViolated(ResourceId resource, AppId app, double level);
+  // Removes every entry for (|app|, |resource|) whose window excludes
+  // |level| and moves them into |out| (cleared first), in ascending id
+  // order.  The caller posts upcalls for them; a caller that reuses |out|
+  // takes windows without allocating.
+  void TakeViolated(ResourceId resource, AppId app, double level, std::vector<Entry>* out);
 
   // Entries registered for |app| on |resource| (diagnostics/tests), in
   // ascending id order.
@@ -144,6 +147,7 @@ class RequestTable {
 
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_;  // LIFO: the hottest slot is reused first
+  std::vector<uint32_t> violated_;  // TakeViolated's scratch, reused
   IdMap<uint32_t> by_id_;
   // Slot indices per resource, indexed by app id.
   std::array<std::vector<std::vector<uint32_t>>, kNumResources> buckets_;

@@ -71,17 +71,20 @@ void UpcallDispatcher::ScheduleDelivery(AppId app) {
     batches_.back().apps.push_back(app);
     return;
   }
-  batches_.push_back(Batch{due, {app}});
+  batches_.push_back(Batch{due, std::exchange(spare_apps_, {})});
+  batches_.back().apps.push_back(app);
   sim_->Post(delivery_latency_, [this] { FireBatch(); });
 }
 
 void UpcallDispatcher::FireBatch() {
   ODY_ASSERT(!batches_.empty(), "upcall batch event with no batch");
-  Batch batch = std::move(batches_.front());
+  std::vector<AppId> apps = std::move(batches_.front().apps);
   batches_.pop_front();
-  for (const AppId app : batch.apps) {
+  for (const AppId app : apps) {
     DeliverNext(app);
   }
+  apps.clear();
+  spare_apps_ = std::move(apps);
 }
 
 void UpcallDispatcher::DeliverNext(AppId app) {

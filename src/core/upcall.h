@@ -129,6 +129,11 @@ class UpcallDispatcher {
   DeliveryObserver observer_;
   std::vector<AppQueue> queues_;  // indexed by app id
   std::deque<Batch> batches_;
+  // A fired batch leaves its emptied app list here for the next new batch,
+  // so batches that follow one another allocate nothing.  Only one list is
+  // kept: a pool of them would hold an app list per overlapping batch for
+  // the rest of the run.
+  std::vector<AppId> spare_apps_;
   uint64_t delivered_ = 0;
   size_t queued_ = 0;
   Duration latency_total_ = 0;

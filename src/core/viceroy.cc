@@ -60,7 +60,7 @@ uint32_t Viceroy::WindowClassOf(AppId app) const {
   return count > 0 ? static_cast<uint32_t>(count) : 0;
 }
 
-RequestResult Viceroy::Request(AppId app, const ResourceDescriptor& descriptor) {
+RequestResult Viceroy::Request(AppId app, ResourceDescriptor descriptor) {
   // A window of tolerance is an interval (Figure 3b); an inverted one is a
   // caller bug that would make every level "out of bounds".
   ODY_DCHECK(descriptor.lower <= descriptor.upper, "inverted window of tolerance");
@@ -86,15 +86,18 @@ RequestResult Viceroy::Request(AppId app, const ResourceDescriptor& descriptor) 
     }
   }
   result.status_ok = true;
-  result.id = requests_.Register(app, descriptor, WindowClassOf(app));
+  // The listeners below see the window's bounds; the handler itself moves
+  // into the table.
+  const ResourceDescriptor window{descriptor.resource, descriptor.lower, descriptor.upper, {}};
+  result.id = requests_.Register(app, std::move(descriptor), WindowClassOf(app));
   if (broker != nullptr) {
-    broker->OnWindowRegistered(app, result.id, descriptor);
+    broker->OnWindowRegistered(app, result.id, window);
   }
   if (window_observer_ != nullptr) {
-    window_observer_->OnWindowRegistered(app, result.id, descriptor.lower, descriptor.upper);
+    window_observer_->OnWindowRegistered(app, result.id, window.lower, window.upper);
   }
   ODY_TRACE_INSTANT2(sim_->trace(), kViceroy, "request_granted", sim_->now(), app, "lower",
-                     descriptor.lower, "upper", descriptor.upper);
+                     window.lower, "upper", window.upper);
   return result;
 }
 
@@ -204,13 +207,15 @@ void Viceroy::EvaluateApp(AppId app, ResourceId resource, double level) {
   // ...); a negative level means an estimator or accounting bug upstream.
   ODY_DCHECK(level >= 0.0, "negative resource availability");
   ArbitrationStrategy* broker = strategy_->arbitration();
-  for (const auto& entry : requests_.TakeViolated(resource, app, level)) {
+  requests_.TakeViolated(resource, app, level, &violated_);
+  for (RequestTable::Entry& entry : violated_) {
     // Windows of tolerance are one-shot: taking one out of the table to
     // deliver its upcall releases any admission commitment behind it.
     if (broker != nullptr) {
       broker->OnWindowConsumed(entry.id);
     }
-    const uint64_t seq = upcalls_.Post(app, entry.id, resource, level, entry.descriptor.handler);
+    const uint64_t seq =
+        upcalls_.Post(app, entry.id, resource, level, std::move(entry.descriptor.handler));
     ODY_DCHECK(seq > upcalls_.last_delivered_seq(app), "posted upcall not ahead of deliveries");
   }
 }

@@ -72,8 +72,9 @@ class Viceroy {
   // The request system call (§4.2, Figure 3a).  If the resource is within
   // the window, registers it and returns ok with an id.  Otherwise returns
   // !ok with the current level; the caller is expected to try again with a
-  // window appropriate to a new fidelity.
-  RequestResult Request(AppId app, const ResourceDescriptor& descriptor);
+  // window appropriate to a new fidelity.  A granted descriptor, upcall
+  // handler included, is moved into the request table, never copied.
+  RequestResult Request(AppId app, ResourceDescriptor descriptor);
 
   // The cancel system call: discards a registration.
   Status Cancel(RequestId id);
@@ -120,9 +121,10 @@ class Viceroy {
   std::map<ResourceId, double> static_levels_;
   ReevaluateMode reevaluate_mode_ = ReevaluateMode::kIndexed;
   WindowObserver* window_observer_ = nullptr;
-  // Candidate scratch, reused across re-evaluations to avoid reallocating
-  // in the hot notification path.
+  // Candidate and violated-window scratch, reused across re-evaluations to
+  // avoid reallocating in the hot notification path.
   std::vector<AppId> candidates_;
+  std::vector<RequestTable::Entry> violated_;
 };
 
 }  // namespace odyssey

@@ -121,14 +121,20 @@ void Link::Advance() {
 }
 
 void Link::CompleteAndReschedule() {
-  // Complete drained flows.  Callbacks may start new flows re-entrantly, so
-  // collect them first.
-  std::vector<std::function<void()>> done;
+  // One pass completes drained flows and takes the smallest residual among
+  // the survivors.  Callbacks may start new flows re-entrantly, so they are
+  // collected first, into the reused completion buffer; a nested call finds
+  // it taken and uses a fresh one.
+  std::vector<std::function<void()>> done = std::move(done_scratch_);
+  double min_remaining = std::numeric_limits<double>::max();
   size_t kept = 0;
   for (Flow& flow : flows_) {
     if (flow.remaining <= kEpsilonBytes) {
       done.push_back(std::move(flow.on_complete));
     } else {
+      if (flow.remaining < min_remaining) {
+        min_remaining = flow.remaining;
+      }
       if (&flow != &flows_[kept]) {
         flows_[kept] = std::move(flow);
       }
@@ -144,24 +150,27 @@ void Link::CompleteAndReschedule() {
   if (!done.empty()) {
     // Callbacks may have mutated the flow set; recompute from a clean slate.
     Advance();
+    min_remaining = std::numeric_limits<double>::max();
+    for (const Flow& flow : flows_) {
+      if (flow.remaining < min_remaining) {
+        min_remaining = flow.remaining;
+      }
+    }
   }
 
   pending_completion_.Cancel();
-  if (flows_.empty() || effective_capacity_bps() <= 0.0) {
-    return;  // stalled (radio shadow) or idle: wait for a capacity change
+  // Stalled (radio shadow) or idle flows wait for a capacity change.
+  const bool stalled = flows_.empty() || effective_capacity_bps() <= 0.0;
+  if (!stalled) {
+    const double rate = effective_capacity_bps() / static_cast<double>(flows_.size());
+    const Duration eta = SecondsToDuration(min_remaining / rate);
+    pending_completion_ = sim_->Schedule(eta < 1 ? 1 : eta, [this] {
+      Advance();
+      CompleteAndReschedule();
+    });
   }
-  double min_remaining = std::numeric_limits<double>::max();
-  for (const Flow& flow : flows_) {
-    if (flow.remaining < min_remaining) {
-      min_remaining = flow.remaining;
-    }
-  }
-  const double rate = effective_capacity_bps() / static_cast<double>(flows_.size());
-  const Duration eta = SecondsToDuration(min_remaining / rate);
-  pending_completion_ = sim_->Schedule(eta < 1 ? 1 : eta, [this] {
-    Advance();
-    CompleteAndReschedule();
-  });
+  done.clear();
+  done_scratch_ = std::move(done);
 }
 
 }  // namespace odyssey

@@ -109,6 +109,8 @@ class Link {
   Time last_update_ = 0;
   EventHandle pending_completion_;
   double bytes_delivered_ = 0.0;
+  // CompleteAndReschedule's completion buffer, kept (empty) between calls.
+  std::vector<std::function<void()>> done_scratch_;
 };
 
 }  // namespace odyssey

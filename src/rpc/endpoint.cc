@@ -97,42 +97,45 @@ void Endpoint::CallAttempt(double request_bytes, double response_bytes, Duration
                            int attempt, StatusDone done) {
   const Time start = sim_->now();
   auto state = std::make_shared<AttemptState>();
-  auto cb = std::make_shared<StatusDone>(std::move(done));
+  state->done = std::move(done);
   const uint64_t span = ODY_TRACE_SPAN_ID(sim_->trace());
   ODY_TRACE_BEGIN2(sim_->trace(), kRpc, "rpc_call", sim_->now(), span, "bytes",
                    request_bytes + response_bytes, "attempt", attempt);
 
   if (policy_.enabled()) {
-    ArmTimeout(AttemptBudget(policy_, request_bytes + response_bytes, server_compute), state,
-               [this, request_bytes, response_bytes, server_compute, attempt, span, cb] {
+    sim_->Post(AttemptBudget(policy_, request_bytes + response_bytes, server_compute),
+               [this, request_bytes, response_bytes, server_compute, attempt, span, state] {
+                 if (!TimeOut(state.get())) {
+                   return;
+                 }
                  ODY_TRACE_END(sim_->trace(), kRpc, "rpc_call", sim_->now(), span);
                  ODY_TRACE_INSTANT1(sim_->trace(), kRpc, "rpc_timeout", sim_->now(), id_,
                                     "attempt", attempt);
                  RetryOrFail(attempt,
-                             [this, request_bytes, response_bytes, server_compute, cb](int next) {
+                             [this, request_bytes, response_bytes, server_compute,
+                              state](int next) {
                                CallAttempt(request_bytes, response_bytes, server_compute, next,
-                                           std::move(*cb));
+                                           std::move(state->done));
                              },
-                             cb);
+                             state.get());
                });
   }
 
   // Request transmission, then one-way latency to the server.
-  SendMessage(request_bytes, state,
-              [this, start, response_bytes, server_compute, span, state, cb] {
+  SendMessage(request_bytes, state, [this, start, response_bytes, server_compute, span, state] {
     // A stalled server adds compute the client did not budget for, so a
     // stall window is visible to the retry machinery as a slow exchange.
     const Duration stall =
         injector_ != nullptr ? injector_->ServerStallExtra(sim_->now() + link_->latency()) : 0;
     sim_->Schedule(
         link_->latency() + server_compute + stall,
-        [this, start, response_bytes, server_compute, span, state, cb] {
+        [this, start, response_bytes, server_compute, span, state] {
           if (state->aborted) {
             return;
           }
           // Response transmission, then one-way latency back to the client.
-          SendMessage(response_bytes, state, [this, start, server_compute, span, state, cb] {
-            sim_->Schedule(link_->latency(), [this, start, server_compute, span, state, cb] {
+          SendMessage(response_bytes, state, [this, start, server_compute, span, state] {
+            sim_->Schedule(link_->latency(), [this, start, server_compute, span, state] {
               if (state->aborted) {
                 return;
               }
@@ -143,8 +146,8 @@ void Endpoint::CallAttempt(double request_bytes, double response_bytes, Duration
               log_.RecordRoundTrip(sim_->now(), rtt < 0 ? 0 : rtt);
               ODY_TRACE_END1(sim_->trace(), kRpc, "rpc_call", sim_->now(), span, "rtt_us",
                              static_cast<double>(rtt < 0 ? 0 : rtt));
-              if (*cb) {
-                (*cb)(OkStatus());
+              if (state->done) {
+                state->done(OkStatus());
               }
             });
           });
@@ -155,34 +158,38 @@ void Endpoint::CallAttempt(double request_bytes, double response_bytes, Duration
 void Endpoint::WindowAttempt(double bytes, int attempt, StatusDone done) {
   const Time start = sim_->now();
   auto state = std::make_shared<AttemptState>();
-  auto cb = std::make_shared<StatusDone>(std::move(done));
+  state->done = std::move(done);
   const uint64_t span = ODY_TRACE_SPAN_ID(sim_->trace());
   ODY_TRACE_BEGIN2(sim_->trace(), kRpc, "rpc_window", sim_->now(), span, "bytes", bytes,
                    "attempt", attempt);
 
   if (policy_.enabled()) {
-    ArmTimeout(AttemptBudget(policy_, bytes, 0), state, [this, bytes, attempt, span, cb] {
+    sim_->Post(AttemptBudget(policy_, bytes, 0), [this, bytes, attempt, span, state] {
+      if (!TimeOut(state.get())) {
+        return;
+      }
       ODY_TRACE_END(sim_->trace(), kRpc, "rpc_window", sim_->now(), span);
       ODY_TRACE_INSTANT1(sim_->trace(), kRpc, "rpc_timeout", sim_->now(), id_, "attempt",
                          attempt);
-      RetryOrFail(attempt,
-                  [this, bytes, cb](int next) { WindowAttempt(bytes, next, std::move(*cb)); },
-                  cb);
+      RetryOrFail(
+          attempt,
+          [this, bytes, state](int next) { WindowAttempt(bytes, next, std::move(state->done)); },
+          state.get());
     });
   }
 
   // Window request upstream...
-  SendMessage(kControlMessageBytes, state, [this, start, bytes, span, state, cb] {
+  SendMessage(kControlMessageBytes, state, [this, start, bytes, span, state] {
     // A stalled server delays its turn-around on the window request.
     const Duration stall =
         injector_ != nullptr ? injector_->ServerStallExtra(sim_->now() + link_->latency()) : 0;
-    sim_->Schedule(link_->latency() + stall, [this, start, bytes, span, state, cb] {
+    sim_->Schedule(link_->latency() + stall, [this, start, bytes, span, state] {
       if (state->aborted) {
         return;
       }
       // ...then the window's data downstream.
-      SendMessage(bytes, state, [this, start, bytes, span, state, cb] {
-        sim_->Schedule(link_->latency(), [this, start, bytes, span, state, cb] {
+      SendMessage(bytes, state, [this, start, bytes, span, state] {
+        sim_->Schedule(link_->latency(), [this, start, bytes, span, state] {
           if (state->aborted) {
             return;
           }
@@ -192,8 +199,8 @@ void Endpoint::WindowAttempt(double bytes, int attempt, StatusDone done) {
           // The logged span covers only the successful attempt.
           log_.RecordThroughput(sim_->now(), bytes, sim_->now() - start);
           ODY_TRACE_END1(sim_->trace(), kRpc, "rpc_window", sim_->now(), span, "bytes", bytes);
-          if (*cb) {
-            (*cb)(OkStatus());
+          if (state->done) {
+            state->done(OkStatus());
           }
         });
       });
@@ -216,24 +223,20 @@ void Endpoint::SendMessage(double bytes, const AttemptPtr& state, std::function<
   });
 }
 
-EventHandle Endpoint::ArmTimeout(Duration budget, const AttemptPtr& state,
-                                 std::function<void()> on_timeout) {
-  return sim_->Schedule(budget, [this, state, on_timeout = std::move(on_timeout)] {
-    if (state->completed) {
-      return;
-    }
-    state->aborted = true;
-    ++timeouts_;
-    if (state->flow != 0) {
-      link_->CancelFlow(state->flow);
-      state->flow = 0;
-    }
-    on_timeout();
-  });
+bool Endpoint::TimeOut(AttemptState* state) {
+  if (state->completed) {
+    return false;
+  }
+  state->aborted = true;
+  ++timeouts_;
+  if (state->flow != 0) {
+    link_->CancelFlow(state->flow);
+    state->flow = 0;
+  }
+  return true;
 }
 
-void Endpoint::RetryOrFail(int attempt, std::function<void(int)> retry,
-                           const std::shared_ptr<StatusDone>& done) {
+void Endpoint::RetryOrFail(int attempt, std::function<void(int)> retry, AttemptState* state) {
   if (attempt < policy_.max_attempts) {
     ++retries_;
     const Duration backoff = BackoffDelay(attempt);
@@ -245,9 +248,9 @@ void Endpoint::RetryOrFail(int attempt, std::function<void(int)> retry,
   ++exchanges_failed_;
   ODY_TRACE_INSTANT1(sim_->trace(), kRpc, "rpc_failed", sim_->now(), id_, "attempts", attempt);
   log_.RecordFailure(sim_->now(), attempt);
-  if (*done) {
-    (*done)(Status(StatusCode::kDeadlineExceeded,
-                   name_ + ": exchange exhausted " + std::to_string(attempt) + " attempts"));
+  if (state->done) {
+    state->done(Status(StatusCode::kDeadlineExceeded,
+                       name_ + ": exchange exhausted " + std::to_string(attempt) + " attempts"));
   }
 }
 

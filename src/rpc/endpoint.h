@@ -156,6 +156,9 @@ class Endpoint {
     bool aborted = false;    // the timeout fired; late completions are dropped
     bool completed = false;  // the attempt finished; the timeout is a no-op
     FlowId flow = 0;         // in-flight flow, cancelled on abort (0 = none)
+    // The exchange's completion: run once the attempt succeeds or the last
+    // one fails, or handed on to the next attempt on a retry.
+    StatusDone done;
   };
   using AttemptPtr = std::shared_ptr<AttemptState>;
 
@@ -169,14 +172,14 @@ class Endpoint {
   // injector), invoking |next| only if the attempt is still live.
   void SendMessage(double bytes, const AttemptPtr& state, std::function<void()> next);
 
-  // Arms the per-attempt timeout; |on_timeout| runs the retry-or-fail path.
-  EventHandle ArmTimeout(Duration budget, const AttemptPtr& state,
-                         std::function<void()> on_timeout);
+  // The start of an attempt's timeout event: false if the attempt already
+  // completed; otherwise aborts it, cancelling its in-flight flow, and
+  // returns true so the event goes on to the retry-or-fail path.
+  bool TimeOut(AttemptState* state);
 
-  // Retry after backoff, or fail the exchange and log the failure.  |done|
-  // is shared with the retry closure; exactly one of the two consumes it.
-  void RetryOrFail(int attempt, std::function<void(int)> retry,
-                   const std::shared_ptr<StatusDone>& done);
+  // Retry after backoff, or fail the exchange with |state|'s completion and
+  // log the failure.  The retry closure takes the completion over instead.
+  void RetryOrFail(int attempt, std::function<void(int)> retry, AttemptState* state);
 
   // Backoff before retry |attempt| (1-based retry count), jittered.
   Duration BackoffDelay(int attempt);

@@ -10,7 +10,7 @@ void TelemetryServer::CreateFeed(const std::string& name, Duration native_period
   feed.step_stddev = step_stddev;
   feed.history.clear();
   feed.history.push_back(TelemetrySample{sim_->now(), initial_value});
-  sim_->Schedule(native_period, [this, name] { Produce(name); });
+  sim_->Schedule(native_period, [this, name = name] { Produce(name); });
 }
 
 Status TelemetryServer::InjectEvent(const std::string& name, double delta) {
@@ -59,7 +59,7 @@ void TelemetryServer::Produce(const std::string& name) {
     feed.history.erase(feed.history.begin(),
                        feed.history.begin() + (feed.history.size() - kHistoryDepth));
   }
-  sim_->Schedule(feed.native_period, [this, name] { Produce(name); });
+  sim_->Schedule(feed.native_period, [this, name = name] { Produce(name); });
 }
 
 }  // namespace odyssey

@@ -58,6 +58,9 @@ class TelemetryServer {
     std::vector<TelemetrySample> history;
   };
 
+  // The produce event captures the feed name as `name = name`.  A plain
+  // `[name]` copy of the const& would be a const member, which cannot be
+  // moved, so the event queue would box every capture on the heap.
   void Produce(const std::string& name);
 
   Simulation* sim_;

@@ -55,8 +55,8 @@ class Simulation {
   }
 
   // Fire-and-forget variants: same ordering as Schedule/ScheduleAt but no
-  // cancellation handle, so the queue skips the handle bookkeeping.  Use
-  // for events that always run (dispatch ticks, samplers).
+  // cancellation handle.  Use for events that always run (dispatch ticks,
+  // samplers).
   void Post(Duration delay, EventQueue::Callback cb) {
     if (delay < 0) {
       delay = 0;

@@ -148,9 +148,11 @@ ReevalHint CentralizedStrategy::TakeReevalHint(Time now) {
 
   // Dirty: owners of connections with (possibly) unexpired usage, plus
   // every app whose rtt or connection set changed since the last hint.
-  std::vector<ConnectionId> live;
-  model_->CollectLiveConnections(now, &live);
-  for (const ConnectionId connection : live) {
+  // Both lists are sized up front, so each is one allocation.
+  live_.clear();
+  model_->CollectLiveConnections(now, &live_);
+  hint.dirty.reserve(live_.size() + rtt_dirty_.size());
+  for (const ConnectionId connection : live_) {
     if (IsAttached(connection)) {
       hint.dirty.push_back(owner_[connection]);
     }
@@ -178,6 +180,7 @@ ReevalHint CentralizedStrategy::TakeReevalHint(Time now) {
   const double unit = model_->AvailabilityFor(0, now);
   double level = 0.0;
   int folded = 0;
+  hint.idle_levels.reserve(apps_by_count_.size());
   for (const auto& [count, napps] : apps_by_count_) {
     (void)napps;
     for (; folded < count; ++folded) {
@@ -220,14 +223,13 @@ double CentralizedStrategy::ConnectionAvailability(ConnectionId connection, Time
   return model_->AvailabilityFor(connection, now);
 }
 
-std::vector<ConnectionId> CentralizedStrategy::AttachedConnections() const {
-  std::vector<ConnectionId> out;
+void CentralizedStrategy::AttachedConnections(std::vector<ConnectionId>* out) const {
+  out->clear();
   for (ConnectionId connection = 0; connection < endpoints_.size(); ++connection) {
     if (IsAttached(connection)) {
-      out.push_back(connection);
+      out->push_back(connection);
     }
   }
-  return out;
 }
 
 }  // namespace odyssey

@@ -65,9 +65,10 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
   // under the same fair-share oracle.
   virtual double ConnectionAvailability(ConnectionId connection, Time now) const;
 
-  // Every currently attached connection, in id order.  The fuzzing oracles
-  // iterate these to audit the fair-share lower bound per connection.
-  std::vector<ConnectionId> AttachedConnections() const;
+  // Replaces |out|'s contents with every currently attached connection, in
+  // id order.  The fuzzing oracles iterate these to audit the fair-share
+  // lower bound per connection, reusing one buffer across audit ticks.
+  void AttachedConnections(std::vector<ConnectionId>* out) const;
 
   const SupplyModelInterface& supply_model() const { return *model_; }
 
@@ -112,6 +113,8 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
   // and unique: |rtt_dirty_flag_| (indexed by app id) marks membership.
   std::vector<AppId> rtt_dirty_;
   std::vector<bool> rtt_dirty_flag_;
+  // TakeReevalHint's live-connection scratch, reused across hints.
+  std::vector<ConnectionId> live_;
 };
 
 }  // namespace odyssey

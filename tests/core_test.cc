@@ -192,6 +192,14 @@ TEST(UpcallTest, DeliveryLatencyApplied) {
 
 // --- Request table ---
 
+// RequestTable::TakeViolated into a fresh buffer.
+std::vector<RequestTable::Entry> TakeViolated(RequestTable& table, ResourceId resource, AppId app,
+                                              double level) {
+  std::vector<RequestTable::Entry> out;
+  table.TakeViolated(resource, app, level, &out);
+  return out;
+}
+
 TEST(RequestTableTest, RegisterAndCancel) {
   RequestTable table;
   const RequestId id = table.Register(1, ResourceDescriptor{});
@@ -207,7 +215,7 @@ TEST(RequestTableTest, TakeViolatedConsumesOnlyViolations) {
   ResourceDescriptor narrow{ResourceId::kNetworkBandwidth, 50.0, 60.0, nullptr};
   table.Register(1, in_window);
   const RequestId narrow_id = table.Register(1, narrow);
-  const auto violated = table.TakeViolated(ResourceId::kNetworkBandwidth, 1, 75.0);
+  const auto violated = TakeViolated(table, ResourceId::kNetworkBandwidth, 1, 75.0);
   ASSERT_EQ(violated.size(), 1u);
   EXPECT_EQ(violated[0].id, narrow_id);
   EXPECT_EQ(table.size(), 1u);  // the satisfied window remains
@@ -220,17 +228,17 @@ TEST(RequestTableTest, TakeViolatedScopedToAppAndResource) {
   table.Register(2, descriptor);
   descriptor.resource = ResourceId::kBatteryPower;
   table.Register(1, descriptor);
-  EXPECT_TRUE(table.TakeViolated(ResourceId::kNetworkBandwidth, 3, 0.0).empty());
-  EXPECT_EQ(table.TakeViolated(ResourceId::kNetworkBandwidth, 1, 0.0).size(), 1u);
+  EXPECT_TRUE(TakeViolated(table, ResourceId::kNetworkBandwidth, 3, 0.0).empty());
+  EXPECT_EQ(TakeViolated(table, ResourceId::kNetworkBandwidth, 1, 0.0).size(), 1u);
   EXPECT_EQ(table.size(), 2u);
 }
 
 TEST(RequestTableTest, BoundaryLevelsAreInsideWindow) {
   RequestTable table;
   table.Register(1, ResourceDescriptor{ResourceId::kNetworkBandwidth, 50.0, 60.0, nullptr});
-  EXPECT_TRUE(table.TakeViolated(ResourceId::kNetworkBandwidth, 1, 50.0).empty());
-  EXPECT_TRUE(table.TakeViolated(ResourceId::kNetworkBandwidth, 1, 60.0).empty());
-  EXPECT_EQ(table.TakeViolated(ResourceId::kNetworkBandwidth, 1, 49.999).size(), 1u);
+  EXPECT_TRUE(TakeViolated(table, ResourceId::kNetworkBandwidth, 1, 50.0).empty());
+  EXPECT_TRUE(TakeViolated(table, ResourceId::kNetworkBandwidth, 1, 60.0).empty());
+  EXPECT_EQ(TakeViolated(table, ResourceId::kNetworkBandwidth, 1, 49.999).size(), 1u);
 }
 
 TEST(RequestTableTest, EntriesForFilters) {
@@ -262,7 +270,7 @@ TEST(RequestTableTest, SlotReuseAfterCancelDropsStaleWindow) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].id, second);
   EXPECT_EQ(entries[0].descriptor.lower, 200.0);
-  const auto violated = table.TakeViolated(ResourceId::kNetworkBandwidth, 1, 55.0);
+  const auto violated = TakeViolated(table, ResourceId::kNetworkBandwidth, 1, 55.0);
   ASSERT_EQ(violated.size(), 1u);
   EXPECT_EQ(violated[0].id, second);
   EXPECT_EQ(table.size(), 0u);
@@ -438,7 +446,7 @@ TEST(RequestTableTest, MatchesBruteForceReferenceUnderSeededChurn) {
       }
       live = std::move(kept);
       std::vector<RequestId> got;
-      for (const RequestTable::Entry& entry : table.TakeViolated(resource, app, level)) {
+      for (const RequestTable::Entry& entry : TakeViolated(table, resource, app, level)) {
         got.push_back(entry.id);
       }
       ASSERT_EQ(got, want) << "op " << op;  // both ascending

@@ -1,6 +1,8 @@
 // Unit tests for the discrete-event simulation kernel.
 
+#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,6 +82,127 @@ TEST(EventQueueTest, DefaultHandleIsInert) {
   EventHandle handle;
   EXPECT_FALSE(handle.pending());
   handle.Cancel();  // no-op
+}
+
+// A handle whose event fired or was cancelled must not reach the event that
+// later reuses its slot: the free list is LIFO, so the next schedule takes
+// exactly that slot, and only the generation tells the two apart.
+TEST(EventQueueTest, StaleHandleCannotCancelTheSlotsNextEvent) {
+  EventQueue queue;
+  int cancelled_fires = 0;
+  int fired_fires = 0;
+  int fresh_fires = 0;
+  EventHandle cancelled = queue.ScheduleAt(10, [&cancelled_fires] { ++cancelled_fires; });
+  cancelled.Cancel();
+  EventHandle reuser = queue.ScheduleAt(20, [&fired_fires] { ++fired_fires; });
+  EXPECT_FALSE(cancelled.pending());
+  cancelled.Cancel();
+  EXPECT_TRUE(reuser.pending());
+
+  Time when = 0;
+  ASSERT_TRUE(queue.RunNext(&when));
+  EventHandle fresh = queue.ScheduleAt(30, [&fresh_fires] { ++fresh_fires; });
+  EXPECT_FALSE(reuser.pending());
+  reuser.Cancel();
+  cancelled.Cancel();
+  EXPECT_TRUE(fresh.pending());
+  while (queue.RunNext(&when)) {
+  }
+  EXPECT_EQ(cancelled_fires, 0);
+  EXPECT_EQ(fired_fires, 1);
+  EXPECT_EQ(fresh_fires, 1);
+}
+
+// Handles may outlive their queue (a component's member handle destroyed
+// after the simulation): every copy then reads as not pending, and Cancel
+// touches nothing of the destroyed queue.
+TEST(EventQueueTest, HandleOutlivingItsQueueIsInert) {
+  EventHandle handle;
+  EventHandle copy;
+  {
+    EventQueue queue;
+    handle = queue.ScheduleAt(10, [] {});
+    copy = handle;
+    EXPECT_TRUE(copy.pending());
+  }
+  EXPECT_FALSE(handle.pending());
+  EXPECT_FALSE(copy.pending());
+  handle.Cancel();
+  copy.Cancel();
+}
+
+// The running callback is moved out of the slab first, so it may schedule
+// enough events to reallocate the slab under itself; the new events still
+// pop in (when, seq) order.
+TEST(EventQueueTest, CallbackMayGrowTheSlabWhileItRuns) {
+  EventQueue queue;
+  constexpr int kEvents = 1000;
+  std::vector<int> order;
+  queue.ScheduleAt(1, [&queue, &order] {
+    for (int i = 0; i < kEvents; ++i) {
+      queue.ScheduleAt(2 + i % 7, [&order, i] { order.push_back(i); });
+    }
+    order.push_back(-1);
+  });
+  Time when = 0;
+  while (queue.RunNext(&when)) {
+  }
+  std::vector<int> expected = {-1};
+  for (int t = 0; t < 7; ++t) {
+    for (int i = t; i < kEvents; i += 7) {
+      expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(order, expected);
+}
+
+// Counts live instances of itself, so a leaked or doubly destroyed copy
+// leaves the tally off zero.
+class Tracked {
+ public:
+  explicit Tracked(int* live) : live_(live) { ++*live_; }
+  Tracked(const Tracked& other) : live_(other.live_) { ++*live_; }
+  Tracked(Tracked&& other) noexcept : live_(other.live_) { ++*live_; }
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { --*live_; }
+
+ private:
+  int* live_;
+};
+
+// A capture larger than the inline buffer is boxed on the heap: it still
+// fires exactly once, and exactly one instance of it is alive until it
+// fires, is cancelled, or dies with its queue.
+TEST(EventQueueTest, OversizedCaptureFiresOnceAndIsDestroyedOnce) {
+  using Pad = std::array<char, 2 * EventQueue::Callback::kInlineSize>;
+  int live = 0;
+  int fires = 0;
+  const auto oversized = [&live, &fires] {
+    return [tracked = Tracked(&live), pad = Pad{}, &fires] {
+      (void)pad;
+      ++fires;
+    };
+  };
+  static_assert(sizeof(oversized()) > EventQueue::Callback::kInlineSize);
+  {
+    EventQueue queue;
+    queue.ScheduleAt(10, oversized());
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(live, 0);  // died with its queue, unfired
+  EXPECT_EQ(fires, 0);
+
+  EventQueue queue;
+  queue.ScheduleAt(10, oversized());
+  EventHandle cancelled = queue.ScheduleAt(20, oversized());
+  EXPECT_EQ(live, 2);
+  cancelled.Cancel();
+  EXPECT_EQ(live, 1);  // a cancelled callback is destroyed at once
+  Time when = 0;
+  while (queue.RunNext(&when)) {
+  }
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(live, 0);
 }
 
 TEST(EventQueueTest, PeekSkipsTombstones) {

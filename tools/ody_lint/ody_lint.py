@@ -686,6 +686,11 @@ def check_one_arm(sf: SourceFile) -> list[Violation]:
 # callback until the event fires; Tsop completion handlers ride the RPC).
 _SEED_SINKS = frozenset({"Post", "PostAt", "Schedule", "ScheduleAt", "Tsop"})
 
+# Callable types that are classes rather than std::function aliases, so no
+# alias harvest finds them: the event queue's move-only EventQueue::Callback.
+# Seeded like an alias, so a parameter of that type marks a sink candidate.
+_SEED_CALLBACK_TYPES = frozenset({"Callback"})
+
 # Observer/handler installers: name alone marks the parameter as outliving
 # the call, whether or not the definition is visible to the scan.
 _SETTER_SINK_RE = re.compile(r"^(?:set_\w+|Set[A-Z]\w*)$")
@@ -788,7 +793,7 @@ def _stores_param(region: str, param: str) -> bool:
 def build_context(root: str, relpaths: list[str]) -> AnalysisContext:
     """Pass one: collects callback sinks, function-typed members, and
     std::function aliases across |relpaths|."""
-    ctx = AnalysisContext(set(_SEED_SINKS), set(), set())
+    ctx = AnalysisContext(set(_SEED_SINKS), set(), set(_SEED_CALLBACK_TYPES))
     texts: list[str] = []
     for relpath in relpaths:
         if not relpath.endswith(SOURCE_EXTENSIONS):
@@ -832,7 +837,7 @@ def build_context(root: str, relpaths: list[str]) -> AnalysisContext:
 
 
 def _single_file_context(sf: SourceFile) -> AnalysisContext:
-    ctx = AnalysisContext(set(_SEED_SINKS), set(), set())
+    ctx = AnalysisContext(set(_SEED_SINKS), set(), set(_SEED_CALLBACK_TYPES))
     text = "\n".join(sf.code_lines)
     for line in sf.lines:
         m = _FUNCTION_ALIAS_RE.search(line)

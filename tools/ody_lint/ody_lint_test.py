@@ -366,6 +366,13 @@ class OdyLintTest(unittest.TestCase):
         rel = self.place("escape_capture_bad.cc", "tests/escape_capture_bad.cc")
         self.assertNotIn("escape-capture", self.rules_found(rel))
 
+    def test_escape_capture_sees_event_queue_callback_sinks(self):
+        rel = self.place("escape_capture_event_callback.cc",
+                         "src/core/escape_capture_event_callback.cc")
+        violations = [v for v in ody_lint.lint_file(self.root, rel)
+                      if v.rule == "escape-capture"]
+        self.assertEqual([v.line for v in violations], [20])
+
     def test_escape_capture_cross_file_context(self):
         self.place("escape_capture_sinks.h", "src/core/escape_capture_sinks.h")
         rel = self.place("escape_capture_cross.cc", "src/core/escape_capture_cross.cc")
