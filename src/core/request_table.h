@@ -94,6 +94,14 @@ class RequestTable {
   void CollectViolatedApps(ResourceId resource, uint32_t klass, double level,
                            std::vector<AppId>* out) const;
 
+  // Whether |app| holds at least one window on |resource|.  One read of
+  // the app's bucket; the viceroy's full-scan re-evaluation asks it to skip
+  // apps that no level can owe an upcall.
+  bool HoldsWindow(AppId app, ResourceId resource) const {
+    const std::vector<uint32_t>* bucket = FindBucket(static_cast<size_t>(resource), app);
+    return bucket != nullptr && !bucket->empty();
+  }
+
   size_t size() const { return by_id_.size(); }
 
  private:

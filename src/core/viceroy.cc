@@ -183,22 +183,33 @@ void Viceroy::Reevaluate() {
       return;
     }
   }
+  // An inexact hint leaves every app a suspect, but only an app holding a
+  // network window can be owed an upcall (§4.3), so the scan visits window
+  // holders alone.  A pass only takes windows and delivers its upcalls
+  // later, so no app becomes a holder while it runs.
   candidates_.clear();
   for (AppId app = 1; app <= apps_.size(); ++app) {
-    candidates_.push_back(app);
+    if (requests_.HoldsWindow(app, ResourceId::kNetworkBandwidth) ||
+        requests_.HoldsWindow(app, ResourceId::kNetworkLatency)) {
+      candidates_.push_back(app);
+    }
   }
   EvaluateCandidates();
 }
 
 // Evaluates candidates_ in ascending AppId order with their real levels,
 // bandwidth before latency per app — the same visit order as the original
-// all-apps loop, restricted to the candidate set.
+// all-apps loop, restricted to the candidate set.  The bandwidth level is
+// read for every candidate; the rtt only for an app holding a latency
+// window, since evaluating none posts nothing.
 void Viceroy::EvaluateCandidates() {
   for (const AppId app : candidates_) {
     EvaluateApp(app, ResourceId::kNetworkBandwidth,
                 strategy_->AvailabilityFor(app, sim_->now()));
-    EvaluateApp(app, ResourceId::kNetworkLatency,
-                static_cast<double>(strategy_->SmoothedRttFor(app)));
+    if (requests_.HoldsWindow(app, ResourceId::kNetworkLatency)) {
+      EvaluateApp(app, ResourceId::kNetworkLatency,
+                  static_cast<double>(strategy_->SmoothedRttFor(app)));
+    }
   }
 }
 

@@ -28,11 +28,13 @@ namespace odyssey {
 // How Reevaluate() finds the apps whose windows a change may have
 // violated.  kIndexed consults the strategy's ReevalHint plus the request
 // table's interval index and visits only candidate apps; kFullScan visits
-// every registered app (the original behavior, kept as the reference side
-// of the differential tests).  Both visit candidates in ascending AppId
-// order and evaluate them with their real levels, and evaluating an app
-// with no violated window posts nothing — so the two modes produce
-// identical upcall sequences whenever the strategy's hint is exact.
+// every app that holds a bandwidth or latency window (an app with none
+// cannot be owed an upcall).  kFullScan is the reference side of the
+// differential tests and the path every inexact hint takes.  Both visit
+// candidates in ascending AppId order and evaluate them with their real
+// levels, and evaluating an app with no violated window posts nothing — so
+// the two modes produce identical upcall sequences whenever the strategy's
+// hint is exact.
 enum class ReevaluateMode {
   kIndexed,
   kFullScan,

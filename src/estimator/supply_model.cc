@@ -16,6 +16,7 @@ SupplyModel::SupplyModel(const SupplyModelConfig& config)
     : config_(config), supply_(config.supply_window) {}
 
 void SupplyModel::AddConnection(ConnectionId connection) {
+  ++generation_;
   if (connection >= connections_.size()) {
     connections_.resize(connection + 1);
   }
@@ -27,6 +28,7 @@ void SupplyModel::AddConnection(ConnectionId connection) {
 }
 
 void SupplyModel::RemoveConnection(ConnectionId connection) {
+  ++generation_;
   PerConnection* state = Find(connection);
   if (state == nullptr) {
     return;
@@ -41,12 +43,14 @@ void SupplyModel::RemoveConnection(ConnectionId connection) {
 }
 
 void SupplyModel::OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) {
+  ++generation_;
   if (PerConnection* state = Find(connection)) {
     state->estimator.OnRoundTrip(obs);
   }
 }
 
 void SupplyModel::OnThroughput(ConnectionId connection, const ThroughputObservation& obs) {
+  ++generation_;
   PerConnection* state = Find(connection);
   if (state == nullptr) {
     return;
@@ -73,6 +77,7 @@ void SupplyModel::OnThroughput(ConnectionId connection, const ThroughputObservat
 }
 
 void SupplyModel::OnFailure(ConnectionId connection, const FailureObservation& obs) {
+  ++generation_;
   if (Find(connection) == nullptr) {
     return;
   }
@@ -192,14 +197,17 @@ NaiveSupplyModel::NaiveSupplyModel(const SupplyModelConfig& config)
     : config_(config), supply_(config.supply_window) {}
 
 void NaiveSupplyModel::AddConnection(ConnectionId connection) {
+  ++generation_;
   connections_.try_emplace(connection, config_);
 }
 
 void NaiveSupplyModel::RemoveConnection(ConnectionId connection) {
+  ++generation_;
   connections_.erase(connection);
 }
 
 void NaiveSupplyModel::OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) {
+  ++generation_;
   auto it = connections_.find(connection);
   if (it == connections_.end()) {
     return;
@@ -208,6 +216,7 @@ void NaiveSupplyModel::OnRoundTrip(ConnectionId connection, const RoundTripObser
 }
 
 void NaiveSupplyModel::OnThroughput(ConnectionId connection, const ThroughputObservation& obs) {
+  ++generation_;
   auto it = connections_.find(connection);
   if (it == connections_.end()) {
     return;
@@ -224,6 +233,7 @@ void NaiveSupplyModel::OnThroughput(ConnectionId connection, const ThroughputObs
 }
 
 void NaiveSupplyModel::OnFailure(ConnectionId connection, const FailureObservation& obs) {
+  ++generation_;
   if (!connections_.contains(connection)) {
     return;
   }

@@ -109,6 +109,14 @@ class SupplyModelInterface {
   // these into the dirty-app set of its re-evaluation hint.
   virtual void CollectLiveConnections(Time now, std::vector<ConnectionId>* out) const = 0;
 
+  // A counter that changes whenever an AvailabilityFor answer at a fixed
+  // instant may change: every mutating call (Add/RemoveConnection and the
+  // three observation feeds) moves it, and queries never do.  A caller may
+  // memoize answers per (instant, generation).  It is not scan_ops and not
+  // the incremental model's scan-cache version, so memoizing on it moves
+  // neither.
+  virtual uint64_t generation() const = 0;
+
   // Lifetime count of per-connection meter evaluations performed by
   // aggregate scans and availability queries — a deterministic proxy for
   // the model's work, independent of the machine (the tier_scale campaign
@@ -134,6 +142,7 @@ class SupplyModel : public SupplyModelInterface {
   const ConnectionEstimator* EstimatorFor(ConnectionId connection) const override;
   double UsageRateFor(ConnectionId connection, Time now) const override;
   void CollectLiveConnections(Time now, std::vector<ConnectionId>* out) const override;
+  uint64_t generation() const override { return generation_; }
   uint64_t scan_ops() const override { return scan_ops_; }
 
  private:
@@ -186,6 +195,7 @@ class SupplyModel : public SupplyModelInterface {
   mutable int cached_active_ = 0;
 
   uint64_t version_ = 0;  // bumped whenever a meter or the live set changes
+  uint64_t generation_ = 0;  // bumped by every mutating call
   mutable uint64_t scan_ops_ = 0;
 };
 
@@ -208,6 +218,7 @@ class NaiveSupplyModel : public SupplyModelInterface {
   const ConnectionEstimator* EstimatorFor(ConnectionId connection) const override;
   double UsageRateFor(ConnectionId connection, Time now) const override;
   void CollectLiveConnections(Time now, std::vector<ConnectionId>* out) const override;
+  uint64_t generation() const override { return generation_; }
   uint64_t scan_ops() const override { return scan_ops_; }
 
  private:
@@ -222,6 +233,7 @@ class NaiveSupplyModel : public SupplyModelInterface {
   SupplyModelConfig config_;
   std::map<ConnectionId, PerConnection> connections_;
   SlidingMax supply_;
+  uint64_t generation_ = 0;  // bumped by every mutating call
   mutable uint64_t scan_ops_ = 0;
 };
 

@@ -80,6 +80,7 @@ void FleetAggregator::OnMessage(const FleetMessage& message) {
   // function of the delivered set.
   if (it == slot.end() || message.seq > it->second.seq) {
     slot[message.origin] = message;
+    ++reports_accepted_;
   }
 }
 

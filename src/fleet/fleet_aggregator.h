@@ -97,6 +97,10 @@ class FleetAggregator {
 
   FleetNodeId self() const { return self_; }
   uint64_t reports_broadcast() const { return reports_broadcast_; }
+  // Estimate reports that entered the table (a new origin, or a strictly
+  // higher seq), the node's own included.  Only these move ViewOf at a
+  // fixed instant.
+  uint64_t reports_accepted() const { return reports_accepted_; }
 
  private:
   void Tick();
@@ -110,6 +114,7 @@ class FleetAggregator {
   ReportSource source_;
   uint64_t next_seq_ = 1;
   uint64_t reports_broadcast_ = 0;
+  uint64_t reports_accepted_ = 0;
   // Latest report per (server, origin); highest seq wins.
   std::map<FleetServerId, std::map<FleetNodeId, FleetMessage>> reports_;
   // Per-server membership from announces and estimates alike.

@@ -9,11 +9,13 @@ FleetSupplyModel::FleetSupplyModel(FleetAggregator* aggregator, const SupplyMode
 
 void FleetSupplyModel::MapConnection(ConnectionId connection, FleetServerId server) {
   server_of_[connection] = server;
+  ++mapping_changes_;
 }
 
 void FleetSupplyModel::RemoveConnection(ConnectionId connection) {
   local_.RemoveConnection(connection);
   server_of_.erase(connection);
+  ++mapping_changes_;
 }
 
 double FleetSupplyModel::ServerCapFor(FleetServerId server, Time now) const {

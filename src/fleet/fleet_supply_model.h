@@ -80,12 +80,21 @@ class FleetSupplyModel : public SupplyModelInterface {
   void CollectLiveConnections(Time now, std::vector<ConnectionId>* out) const override {
     local_.CollectLiveConnections(now, out);
   }
+  // The local model's generation, plus this model's own MapConnection /
+  // RemoveConnection changes, plus the reports the aggregator has accepted:
+  // those are all that move an AvailabilityFor answer at a fixed instant.
+  // Each term only grows, so the sum moves whenever any of them does.
+  uint64_t generation() const override {
+    return local_.generation() + mapping_changes_ +
+           (aggregator_ == nullptr ? 0 : aggregator_->reports_accepted());
+  }
   uint64_t scan_ops() const override { return local_.scan_ops(); }
 
  private:
   SupplyModel local_;
   FleetAggregator* aggregator_;
   std::map<ConnectionId, FleetServerId> server_of_;
+  uint64_t mapping_changes_ = 0;
 };
 
 }  // namespace odyssey

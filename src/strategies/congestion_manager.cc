@@ -11,39 +11,53 @@ std::string CongestionManagerStrategy::ServerKeyOf(const std::string& service) {
 
 void CongestionManagerStrategy::AttachConnection(AppId app, Endpoint* endpoint) {
   CentralizedStrategy::AttachConnection(app, endpoint);
-  const std::string server = ServerKeyOf(endpoint->name());
-  server_of_[endpoint->id()] = server;
-  std::vector<ConnectionId>& flows = flows_[server];
-  flows.insert(std::lower_bound(flows.begin(), flows.end(), endpoint->id()), endpoint->id());
+  const std::string key = ServerKeyOf(endpoint->name());
+  auto row = std::find_if(servers_.begin(), servers_.end(),
+                          [&key](const Server& server) { return server.key == key; });
+  if (row == servers_.end()) {
+    row = servers_.insert(row, Server{key, {}, {}});
+  }
+  const ConnectionId id = endpoint->id();
+  if (id >= server_index_.size()) {
+    server_index_.resize(id + 1, kNoServer);
+  }
+  server_index_[id] = static_cast<uint32_t>(row - servers_.begin());
+  row->flows.insert(std::lower_bound(row->flows.begin(), row->flows.end(), id), id);
+  row->memo.reset();
 }
 
 void CongestionManagerStrategy::DetachConnection(Endpoint* endpoint) {
-  const auto it = server_of_.find(endpoint->id());
-  if (it != server_of_.end()) {
-    const auto flows_it = flows_.find(it->second);
-    std::vector<ConnectionId>& flows = flows_it->second;
-    flows.erase(std::find(flows.begin(), flows.end(), endpoint->id()));
-    if (flows.empty()) {
-      flows_.erase(flows_it);
-    }
-    server_of_.erase(it);
+  const ConnectionId id = endpoint->id();
+  if (ServerFor(id) != nullptr) {
+    Server& server = servers_[server_index_[id]];
+    server.flows.erase(std::find(server.flows.begin(), server.flows.end(), id));
+    server.memo.reset();
+    server_index_[id] = kNoServer;
   }
   CentralizedStrategy::DetachConnection(endpoint);
 }
 
+double CongestionManagerStrategy::BudgetOf(const Server& server, Time now) const {
+  const uint64_t generation = model()->generation();
+  if (server.memo && server.memo->at == now && server.memo->generation == generation) {
+    return server.memo->budget;
+  }
+  double budget = 0.0;
+  for (const ConnectionId flow : server.flows) {
+    budget += CentralizedStrategy::ConnectionAvailability(flow, now);
+  }
+  server.memo = Memo{now, generation, budget};
+  return budget;
+}
+
 double CongestionManagerStrategy::ConnectionAvailability(ConnectionId connection, Time now) const {
-  const auto it = server_of_.find(connection);
-  if (it == server_of_.end()) {
+  const Server* server = ServerFor(connection);
+  if (server == nullptr) {
     // Unknown flow: the model's hypothetical-extra-connection fair share,
     // same as the seed strategy.
     return CentralizedStrategy::ConnectionAvailability(connection, now);
   }
-  const std::vector<ConnectionId>& flows = flows_.at(it->second);
-  double budget = 0.0;
-  for (const ConnectionId flow : flows) {
-    budget += CentralizedStrategy::ConnectionAvailability(flow, now);
-  }
-  return budget / static_cast<double>(flows.size());
+  return BudgetOf(*server, now) / static_cast<double>(server->flows.size());
 }
 
 double CongestionManagerStrategy::AvailabilityFor(AppId app, Time now) const {
@@ -66,13 +80,17 @@ ReevalHint CongestionManagerStrategy::TakeReevalHint(Time now) {
 }
 
 std::string CongestionManagerStrategy::ServerOf(ConnectionId connection) const {
-  const auto it = server_of_.find(connection);
-  return it == server_of_.end() ? std::string() : it->second;
+  const Server* server = ServerFor(connection);
+  return server == nullptr ? std::string() : server->key;
 }
 
 std::vector<ConnectionId> CongestionManagerStrategy::FlowsOf(const std::string& server) const {
-  const auto it = flows_.find(server);
-  return it == flows_.end() ? std::vector<ConnectionId>() : it->second;
+  for (const Server& row : servers_) {
+    if (row.key == server) {
+      return row.flows;
+    }
+  }
+  return {};
 }
 
 }  // namespace odyssey

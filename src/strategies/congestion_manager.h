@@ -22,15 +22,25 @@
 // bit-identical to the seed CentralizedStrategy — the differential test
 // pins that.  Equal-split shares never drop below the model's fair-share
 // floor (each per-flow availability the budget sums is itself >= the
-// floor), so the fair-share oracle stays armed.  Redistribution breaks the
-// incremental idle-level bookkeeping, so reevaluation hints are inexact
-// and the viceroy full-scans — same upcalls, linear scan.
+// floor), so the fair-share oracle stays armed.
+//
+// Query path: each connection maps to a dense server index (a vector by
+// connection id), and each server row holds its key, its flows in
+// ascending id order and a memo of its budget at one (instant, model
+// generation).  A server's budget is therefore summed once per instant and
+// model change, in the same flow order, however many of its flows are
+// asked about: a full scan over k apps on one server costs O(flows), not
+// O(k x flows).  Attach and detach look the key up and clear the server's
+// memo.  Redistribution breaks the incremental idle-level bookkeeping, so
+// reevaluation hints are inexact and the viceroy full-scans its window
+// holders.
 
 #ifndef SRC_STRATEGIES_CONGESTION_MANAGER_H_
 #define SRC_STRATEGIES_CONGESTION_MANAGER_H_
 
-#include <map>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,8 +75,33 @@ class CongestionManagerStrategy : public CentralizedStrategy {
   static std::string ServerKeyOf(const std::string& service);
 
  private:
-  std::map<ConnectionId, std::string> server_of_;          // flow -> server key
-  std::map<std::string, std::vector<ConnectionId>> flows_;  // server -> flows, ascending
+  static constexpr uint32_t kNoServer = UINT32_MAX;
+
+  // A server's budget as last summed, and the (instant, model generation)
+  // it holds for.
+  struct Memo {
+    Time at = 0;
+    uint64_t generation = 0;
+    double budget = 0.0;
+  };
+
+  struct Server {
+    std::string key;
+    std::vector<ConnectionId> flows;  // ascending
+    mutable std::optional<Memo> memo;  // cleared when |flows| changes
+  };
+
+  // The server row of |connection|, or nullptr if it is not attached.
+  const Server* ServerFor(ConnectionId connection) const {
+    return connection < server_index_.size() && server_index_[connection] != kNoServer
+               ? &servers_[server_index_[connection]]
+               : nullptr;
+  }
+  // The sum of the model's availabilities over |server|'s flows at |now|.
+  double BudgetOf(const Server& server, Time now) const;
+
+  std::vector<uint32_t> server_index_;  // by connection id; kNoServer if unattached
+  std::vector<Server> servers_;         // rows stay once made; a key keeps its index
 };
 
 }  // namespace odyssey

@@ -1,7 +1,9 @@
 #include "src/tracemod/replay_trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -87,13 +89,30 @@ ReplayTrace ReplayTrace::ScaledBandwidth(double factor) const {
   return scaled;
 }
 
+namespace {
+
+// |value| at 15 significant digits (full microsecond fidelity for durations
+// of any length) when that text reads back as the same double, else at 17,
+// which always does.  Values that round-trip at 15 keep their short text.
+std::string RoundTripNumber(double value) {
+  char buffer[32];
+  char* end = std::to_chars(buffer, std::end(buffer), value, std::chars_format::general, 15).ptr;
+  double parsed = 0.0;
+  std::from_chars(buffer, end, parsed);
+  if (parsed != value) {
+    end = std::to_chars(buffer, std::end(buffer), value, std::chars_format::general, 17).ptr;
+  }
+  return std::string(buffer, end);
+}
+
+}  // namespace
+
 std::string ReplayTrace::Serialize() const {
   std::ostringstream os;
-  os.precision(15);  // full microsecond fidelity for durations of any length
   os << "# odyssey replay trace: <seconds> <bytes_per_sec> <latency_us>\n";
   for (const auto& segment : segments_) {
-    os << DurationToSeconds(segment.duration) << " " << segment.bandwidth_bps << " "
-       << segment.latency << "\n";
+    os << RoundTripNumber(DurationToSeconds(segment.duration)) << " "
+       << RoundTripNumber(segment.bandwidth_bps) << " " << segment.latency << "\n";
   }
   return os.str();
 }

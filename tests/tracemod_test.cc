@@ -125,6 +125,19 @@ TEST(ReplayTraceTest, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed, trace);
 }
 
+// 0.1 * 3.0 * 1024 is 307.20000000000005: its 15-digit text reads back
+// as 307.2, so Serialize falls back to 17 digits for it and only for it.
+TEST(ReplayTraceTest, SerializeRoundTripsABandwidthThatNeedsSeventeenDigits) {
+  ReplayTrace trace;
+  trace.Append(kSecond, 0.1 * 3.0 * 1024, 500).Append(kSecond, 307.2, 500);
+  const std::string text = trace.Serialize();
+  ReplayTrace parsed;
+  ASSERT_TRUE(ReplayTrace::Parse(text, &parsed));
+  EXPECT_EQ(parsed, trace);
+  EXPECT_NE(text.find("1 307.20000000000005 500\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("1 307.2 500\n"), std::string::npos) << text;
+}
+
 TEST(ReplayTraceTest, ParseIgnoresCommentsAndBlanks) {
   ReplayTrace parsed;
   ASSERT_TRUE(ReplayTrace::Parse("# comment\n\n1.5 1000 250  # trailing\n", &parsed));
