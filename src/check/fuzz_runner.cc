@@ -30,17 +30,16 @@ struct RunNode {
 // Appends one availability sample to |log|: now, the total supply, then
 // the per-connection figures when |strategy| exposes an audit surface, or
 // else the per-app figures the viceroy itself consults (apps register 1..N
-// in driver order).  |connections| is scratch the caller reuses.
+// in scenario order).
 void RecordSample(DifferentialLog* log, Simulation* sim, BandwidthStrategy* strategy,
-                  size_t app_count, std::vector<ConnectionId>* connections) {
+                  size_t app_count) {
   const Time now = sim->now();
   log->samples.push_back(static_cast<double>(now));
   if (CentralizedStrategy* audit = strategy->audit_surface(); audit != nullptr) {
     log->samples.push_back(audit->TotalSupply(now));
     log->samples.push_back(
         static_cast<double>(audit->supply_model().ActiveConnectionCount(now)));
-    audit->AttachedConnections(connections);
-    for (const ConnectionId connection : *connections) {
+    for (const ConnectionId connection : audit->AttachedConnections()) {
       log->samples.push_back(audit->ConnectionAvailability(connection, now));
     }
     return;
@@ -74,15 +73,14 @@ FuzzRunResult RunNodes(const FuzzScenario& scenario, const FuzzRunOptions& optio
   BandwidthStrategy* strategy = &nodes.front().client->viceroy().strategy();
   const size_t app_count = scenario.apps.size();
   ScheduleAudits(sim, end,
-                 [sim, lead, fleet, differential, strategy, app_count,
-                  connections = std::vector<ConnectionId>()]() mutable {
+                 [sim, lead, fleet, differential, strategy, app_count] {
                    if (fleet != nullptr) {
                      fleet->SampleOracles();
                    } else {
                      lead->Sample();
                    }
                    if (differential != nullptr) {
-                     RecordSample(differential, sim, strategy, app_count, &connections);
+                     RecordSample(differential, sim, strategy, app_count);
                    }
                  });
 

@@ -197,7 +197,7 @@ void OracleSet::Sample() {
     Report("byte-conservation", 0, detail.str());
   }
   last_bytes_delivered_ = bytes;
-  const double bound = capacity_.IntegralBytes(now) * 1.01 + 8192.0;
+  const double bound = capacity_bytes_.IntegralBytes(now) * 1.01 + 8192.0;
   if (bytes > bound) {
     std::ostringstream detail;
     detail << "delivered " << bytes << " bytes > nominal capacity integral " << bound;
@@ -216,8 +216,7 @@ void OracleSet::Sample() {
     return;
   }
 
-  strategy_->AttachedConnections(&connections_);
-  const std::vector<ConnectionId>& connections = connections_;
+  const std::vector<ConnectionId>& connections = strategy_->AttachedConnections();
   const int active = model.ActiveConnectionCount(now);
   if (!connections.empty() && active < 1) {
     std::ostringstream detail;

@@ -160,8 +160,10 @@ class OracleSet : public Viceroy::WindowObserver {
   void Report(const std::string& oracle, AppId app, std::string detail);
 
   // The scenario's nominal waveform, built once: the byte-conservation
-  // bound integrates it on every Sample().
+  // bound integrates it on every Sample(), through a cursor that resumes
+  // where the previous sample's integral stopped.
   const ReplayTrace capacity_;
+  IntegralCursor capacity_bytes_{&capacity_};
   Simulation* sim_;
   Viceroy* viceroy_;
   CentralizedStrategy* strategy_;
@@ -174,7 +176,6 @@ class OracleSet : public Viceroy::WindowObserver {
   double last_bytes_delivered_ = 0.0;
   size_t max_audited_connections_ = 0;
   size_t audit_cursor_ = 0;
-  std::vector<ConnectionId> connections_;  // Sample()'s scratch, reused
   bool armed_ = false;
   bool armed_clock_ = false;
 

@@ -34,16 +34,6 @@ double AdmissionBrokerStrategy::AvailabilityFor(AppId app, Time now) const {
   return base < it->second ? base : it->second;
 }
 
-ReevalHint AdmissionBrokerStrategy::TakeReevalHint(Time now) {
-  // Degradation caps sit outside the inner strategy's idle-level
-  // bookkeeping, so its exact hints do not describe what AvailabilityFor
-  // reports.  Drain the inner hint but degrade it to the full-scan form.
-  ReevalHint hint = inner_->TakeReevalHint(now);
-  hint.exact = false;
-  hint.idle_levels.clear();
-  return hint;
-}
-
 double AdmissionBrokerStrategy::CommittedTotal() const {
   double total = 0.0;
   for (const auto& [id, commitment] : commitments_) {

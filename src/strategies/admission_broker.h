@@ -71,7 +71,14 @@ class AdmissionBrokerStrategy : public ArbitrationStrategy {
   Duration SmoothedRttFor(AppId app) const override { return inner_->SmoothedRttFor(app); }
   int ConnectionCountFor(AppId app) const override { return inner_->ConnectionCountFor(app); }
   AppId OwnerOf(ConnectionId connection) const override { return inner_->OwnerOf(connection); }
-  ReevalHint TakeReevalHint(Time now) override;
+  // Degradation caps sit outside the inner strategy's idle-level
+  // bookkeeping, so its exact hints would not describe what AvailabilityFor
+  // reports: drain the inner hint unbuilt and return the full-scan form.
+  ReevalHint TakeReevalHint(Time now) override {
+    (void)now;
+    inner_->DrainReevalHint();
+    return {};
+  }
   CentralizedStrategy* audit_surface() override { return inner_->audit_surface(); }
 
   // ArbitrationStrategy:

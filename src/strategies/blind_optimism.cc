@@ -1,5 +1,7 @@
 #include "src/strategies/blind_optimism.h"
 
+#include <algorithm>
+
 namespace odyssey {
 
 BlindOptimismStrategy::BlindOptimismStrategy(Modulator* modulator, const EstimatorConfig& config)
@@ -11,25 +13,14 @@ BlindOptimismStrategy::BlindOptimismStrategy(Modulator* modulator, const Estimat
   });
 }
 
-BlindOptimismStrategy::~BlindOptimismStrategy() {
-  for (auto& [connection, endpoint] : endpoints_) {
-    endpoint->log().RemoveListener(this);
-  }
-}
-
 void BlindOptimismStrategy::AttachConnection(AppId app, Endpoint* endpoint) {
-  rtt_estimators_.try_emplace(endpoint->id(), config_);
-  owner_[endpoint->id()] = app;
-  endpoints_[endpoint->id()] = endpoint;
-  endpoint->log().AddListener(this);
+  const ConnectionId id = endpoint->id();
+  rtt_estimators_.resize(std::max(rtt_estimators_.size(), id + 1));
+  rtt_estimators_[id] = ConnectionEstimator(config_);
+  table_.Attach(app, endpoint);
 }
 
-void BlindOptimismStrategy::DetachConnection(Endpoint* endpoint) {
-  endpoint->log().RemoveListener(this);
-  rtt_estimators_.erase(endpoint->id());
-  owner_.erase(endpoint->id());
-  endpoints_.erase(endpoint->id());
-}
+void BlindOptimismStrategy::DetachConnection(Endpoint* endpoint) { table_.Detach(endpoint); }
 
 double BlindOptimismStrategy::AvailabilityFor(AppId app, Time now) const {
   (void)app;
@@ -43,21 +34,13 @@ double BlindOptimismStrategy::TotalSupply(Time now) const {
 }
 
 Duration BlindOptimismStrategy::SmoothedRttFor(AppId app) const {
-  for (const auto& [connection, owner] : owner_) {
-    if (owner == app) {
-      const auto it = rtt_estimators_.find(connection);
-      if (it != rtt_estimators_.end()) {
-        return it->second.smoothed_rtt();
-      }
-    }
-  }
-  return 0;
+  const std::span<const ConnectionId> connections = table_.ConnectionsOf(app);
+  return connections.empty() ? 0 : rtt_estimators_[connections.front()].smoothed_rtt();
 }
 
 void BlindOptimismStrategy::OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) {
-  auto it = rtt_estimators_.find(connection);
-  if (it != rtt_estimators_.end()) {
-    it->second.OnRoundTrip(obs);
+  if (table_.IsAttached(connection)) {
+    rtt_estimators_[connection].OnRoundTrip(obs);
   }
 }
 

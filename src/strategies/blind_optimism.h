@@ -9,12 +9,13 @@
 #ifndef SRC_STRATEGIES_BLIND_OPTIMISM_H_
 #define SRC_STRATEGIES_BLIND_OPTIMISM_H_
 
-#include <map>
+#include <vector>
 
 #include "src/core/bandwidth_strategy.h"
 #include "src/estimator/connection_estimator.h"
 #include "src/net/modulator.h"
 #include "src/rpc/observation_log.h"
+#include "src/strategies/connection_table.h"
 
 namespace odyssey {
 
@@ -24,7 +25,6 @@ class BlindOptimismStrategy : public BandwidthStrategy, public LogListener {
   // becomes an immediate availability change.
   explicit BlindOptimismStrategy(Modulator* modulator,
                                  const EstimatorConfig& config = {});
-  ~BlindOptimismStrategy() override;
 
   // BandwidthStrategy:
   std::string name() const override { return "blind-optimism"; }
@@ -44,9 +44,8 @@ class BlindOptimismStrategy : public BandwidthStrategy, public LogListener {
   EstimatorConfig config_;
   double theoretical_bps_ = 0.0;
   bool informed_ = false;  // any transition notification received
-  std::map<ConnectionId, ConnectionEstimator> rtt_estimators_;
-  std::map<ConnectionId, AppId> owner_;
-  std::map<ConnectionId, Endpoint*> endpoints_;
+  ConnectionTable table_{this};
+  std::vector<ConnectionEstimator> rtt_estimators_;  // by connection id; valid while attached
 };
 
 }  // namespace odyssey

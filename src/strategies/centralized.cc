@@ -1,21 +1,13 @@
 #include "src/strategies/centralized.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
-#include "src/core/contract.h"
 #include "src/trace/trace_macros.h"
 
 namespace odyssey {
 namespace {
-
-// Grows |table| so |id| indexes it.
-template <typename T>
-void EnsureSlot(std::vector<T>* table, uint64_t id) {
-  if (id >= table->size()) {
-    table->resize(id + 1);
-  }
-}
 
 // Estimator state is sampled after each observation folds in, so the trace
 // shows the EWMA inputs (the observation) next to its outputs (the
@@ -47,14 +39,6 @@ CentralizedStrategy::CentralizedStrategy(Simulation* sim,
                                          std::unique_ptr<SupplyModelInterface> model)
     : sim_(sim), model_(std::move(model)) {}
 
-CentralizedStrategy::~CentralizedStrategy() {
-  for (Endpoint* endpoint : endpoints_) {
-    if (endpoint != nullptr) {
-      endpoint->log().RemoveListener(this);
-    }
-  }
-}
-
 void CentralizedStrategy::BumpCount(int from, int to) {
   if (from > 0) {
     const auto it = apps_by_count_.find(from);
@@ -68,46 +52,27 @@ void CentralizedStrategy::BumpCount(int from, int to) {
 }
 
 void CentralizedStrategy::MarkRttDirty(AppId app) {
-  EnsureSlot(&rtt_dirty_flag_, app);
+  rtt_dirty_flag_.resize(std::max(rtt_dirty_flag_.size(), app + 1));
   if (!rtt_dirty_flag_[app]) {
     rtt_dirty_flag_[app] = true;
     rtt_dirty_.push_back(app);
   }
 }
 
-const std::vector<ConnectionId>& CentralizedStrategy::ConnectionsOf(AppId app) const {
-  static const std::vector<ConnectionId> kNone;
-  return app < app_connections_.size() ? app_connections_[app] : kNone;
-}
-
 void CentralizedStrategy::AttachConnection(AppId app, Endpoint* endpoint) {
-  const ConnectionId id = endpoint->id();
-  model_->AddConnection(id);
-  EnsureSlot(&owner_, id);
-  EnsureSlot(&endpoints_, id);
-  owner_[id] = app;
-  endpoints_[id] = endpoint;
-  EnsureSlot(&app_connections_, app);
-  std::vector<ConnectionId>& conns = app_connections_[app];
-  const int before = static_cast<int>(conns.size());
-  conns.insert(std::lower_bound(conns.begin(), conns.end(), id), id);
-  BumpCount(before, before + 1);
+  model_->AddConnection(endpoint->id());
+  table_.Attach(app, endpoint);
+  const int count = ConnectionCountFor(app);
+  BumpCount(count - 1, count);
   MarkRttDirty(app);
-  endpoint->log().AddListener(this);
 }
 
 void CentralizedStrategy::DetachConnection(Endpoint* endpoint) {
-  const ConnectionId id = endpoint->id();
-  endpoint->log().RemoveListener(this);
-  model_->RemoveConnection(id);
-  if (IsAttached(id)) {
-    const AppId app = owner_[id];
-    std::vector<ConnectionId>& conns = app_connections_[app];
-    conns.erase(std::find(conns.begin(), conns.end(), id));
-    BumpCount(static_cast<int>(conns.size()) + 1, static_cast<int>(conns.size()));
+  model_->RemoveConnection(endpoint->id());
+  if (const AppId app = table_.Detach(endpoint); app != 0) {
+    const int count = ConnectionCountFor(app);
+    BumpCount(count + 1, count);
     MarkRttDirty(app);
-    owner_[id] = 0;
-    endpoints_[id] = nullptr;
   }
 }
 
@@ -134,40 +99,34 @@ Duration CentralizedStrategy::SmoothedRttFor(AppId app) const {
   return 0;
 }
 
-int CentralizedStrategy::ConnectionCountFor(AppId app) const {
-  return static_cast<int>(ConnectionsOf(app).size());
-}
-
-AppId CentralizedStrategy::OwnerOf(ConnectionId connection) const {
-  return connection < owner_.size() ? owner_[connection] : 0;
-}
-
 ReevalHint CentralizedStrategy::TakeReevalHint(Time now) {
   ReevalHint hint;
   hint.exact = fast_model_ != nullptr;
 
   // Dirty: owners of connections with (possibly) unexpired usage, plus
   // every app whose rtt or connection set changed since the last hint.
-  // Both lists are sized up front, so each is one allocation.
+  // The owners overwrite the live connections in place.  Each list is
+  // sorted only when out of order, then both merge into the hint.
   live_.clear();
   model_->CollectLiveConnections(now, &live_);
-  hint.dirty.reserve(live_.size() + rtt_dirty_.size());
+  size_t owners = 0;
   for (const ConnectionId connection : live_) {
-    if (IsAttached(connection)) {
-      hint.dirty.push_back(owner_[connection]);
+    if (table_.IsAttached(connection)) {
+      live_[owners++] = table_.OwnerOf(connection);
     }
   }
-  for (const AppId app : rtt_dirty_) {
-    rtt_dirty_flag_[app] = false;
+  live_.resize(owners);
+  if (!std::is_sorted(live_.begin(), live_.end())) {
+    std::sort(live_.begin(), live_.end());
   }
-  hint.dirty.insert(hint.dirty.end(), rtt_dirty_.begin(), rtt_dirty_.end());
-  rtt_dirty_.clear();
-  // In steady state the live owners are already ascending and no rtt is
-  // dirty, so the sort is skipped.
-  if (!std::is_sorted(hint.dirty.begin(), hint.dirty.end())) {
-    std::sort(hint.dirty.begin(), hint.dirty.end());
+  if (!std::is_sorted(rtt_dirty_.begin(), rtt_dirty_.end())) {
+    std::sort(rtt_dirty_.begin(), rtt_dirty_.end());
   }
+  hint.dirty.reserve(live_.size() + rtt_dirty_.size());
+  std::merge(live_.begin(), live_.end(), rtt_dirty_.begin(), rtt_dirty_.end(),
+             std::back_inserter(hint.dirty));
   hint.dirty.erase(std::unique(hint.dirty.begin(), hint.dirty.end()), hint.dirty.end());
+  DrainReevalHint();
   if (!hint.exact) {
     return hint;
   }
@@ -191,12 +150,19 @@ ReevalHint CentralizedStrategy::TakeReevalHint(Time now) {
   return hint;
 }
 
+void CentralizedStrategy::DrainReevalHint() {
+  for (const AppId app : rtt_dirty_) {
+    rtt_dirty_flag_[app] = false;
+  }
+  rtt_dirty_.clear();
+}
+
 void CentralizedStrategy::OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) {
   ODY_TRACE_INSTANT1(sim_->trace(), kEstimator, "rtt_obs", sim_->now(), connection, "rtt_us",
                      static_cast<double>(obs.rtt));
   model_->OnRoundTrip(connection, obs);
-  if (IsAttached(connection)) {
-    MarkRttDirty(owner_[connection]);
+  if (table_.IsAttached(connection)) {
+    MarkRttDirty(table_.OwnerOf(connection));
   }
   TraceEstimatorState(sim_, *model_, connection);
   NotifyChanged();
@@ -221,15 +187,6 @@ void CentralizedStrategy::OnFailure(ConnectionId connection, const FailureObserv
 
 double CentralizedStrategy::ConnectionAvailability(ConnectionId connection, Time now) const {
   return model_->AvailabilityFor(connection, now);
-}
-
-void CentralizedStrategy::AttachedConnections(std::vector<ConnectionId>* out) const {
-  out->clear();
-  for (ConnectionId connection = 0; connection < endpoints_.size(); ++connection) {
-    if (IsAttached(connection)) {
-      out->push_back(connection);
-    }
-  }
 }
 
 }  // namespace odyssey

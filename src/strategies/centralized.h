@@ -6,27 +6,28 @@
 // part proportional to recent use).
 //
 // The strategy also keeps the incremental bookkeeping behind the viceroy's
-// indexed re-evaluation (TakeReevalHint): per-app connection lists, a
-// histogram of apps by connection count, and the apps whose rtt may have
-// moved since the last hint.  Per-connection and per-app tables are dense
-// vectors indexed by id (connection and app ids are counters that start at
-// 1), so a per-app query on the re-evaluation path is array reads.  An app
-// none of whose connections has recent usage or a fresh rtt sample sees
-// availability of exactly (connection count) x (idle fair share) — the
-// hint reports those idle levels so the viceroy can probe the request
-// table's interval index instead of re-deriving every app's availability.
+// indexed re-evaluation (TakeReevalHint): per-app connection lists (a
+// ConnectionTable, so a per-app query is array reads), a histogram of apps
+// by connection count, and the apps whose rtt may have moved since the
+// last hint.  An app none of whose connections has recent usage or a fresh
+// rtt sample sees availability of exactly (connection count) x (idle fair
+// share) — the hint reports those idle levels so the viceroy can probe the
+// request table's interval index instead of re-deriving every app's
+// availability.
 
 #ifndef SRC_STRATEGIES_CENTRALIZED_H_
 #define SRC_STRATEGIES_CENTRALIZED_H_
 
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/bandwidth_strategy.h"
 #include "src/estimator/supply_model.h"
 #include "src/rpc/observation_log.h"
 #include "src/sim/simulation.h"
+#include "src/strategies/connection_table.h"
 
 namespace odyssey {
 
@@ -41,7 +42,6 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
   // from src/fleet).  Hints are inexact for injected models, so the viceroy
   // falls back to its full-scan re-evaluation for candidate discovery.
   CentralizedStrategy(Simulation* sim, std::unique_ptr<SupplyModelInterface> model);
-  ~CentralizedStrategy() override;
 
   // BandwidthStrategy:
   std::string name() const override { return "odyssey"; }
@@ -51,9 +51,14 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
   bool HasEstimate() const override { return model_->has_supply(); }
   double TotalSupply(Time now) const override;
   Duration SmoothedRttFor(AppId app) const override;
-  int ConnectionCountFor(AppId app) const override;
-  AppId OwnerOf(ConnectionId connection) const override;
+  int ConnectionCountFor(AppId app) const override {
+    return static_cast<int>(table_.ConnectionsOf(app).size());
+  }
+  AppId OwnerOf(ConnectionId connection) const override { return table_.OwnerOf(connection); }
   ReevalHint TakeReevalHint(Time now) override;
+  // Clears what the next hint would report without building it, for
+  // wrappers whose hints are inexact (the viceroy reads nothing from those).
+  void DrainReevalHint();
 
   // LogListener:
   void OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) override;
@@ -65,10 +70,9 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
   // under the same fair-share oracle.
   virtual double ConnectionAvailability(ConnectionId connection, Time now) const;
 
-  // Replaces |out|'s contents with every currently attached connection, in
-  // id order.  The fuzzing oracles iterate these to audit the fair-share
-  // lower bound per connection, reusing one buffer across audit ticks.
-  void AttachedConnections(std::vector<ConnectionId>* out) const;
+  // Every currently attached connection, in id order.  The fuzzing oracles
+  // iterate these to audit the fair-share lower bound per connection.
+  const std::vector<ConnectionId>& AttachedConnections() const { return table_.attached(); }
 
   const SupplyModelInterface& supply_model() const { return *model_; }
 
@@ -80,7 +84,7 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
   // directly rather than duplicating the tables.
   //
   // |app|'s attached connections in ascending id order (empty if none).
-  const std::vector<ConnectionId>& ConnectionsOf(AppId app) const;
+  std::span<const ConnectionId> ConnectionsOf(AppId app) const { return table_.ConnectionsOf(app); }
   const SupplyModelInterface* model() const { return model_.get(); }
   Simulation* simulation() const { return sim_; }
 
@@ -89,23 +93,13 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
   void BumpCount(int from, int to);
   // Adds |app| to the rtt-dirty set.
   void MarkRttDirty(AppId app);
-  bool IsAttached(ConnectionId connection) const {
-    return connection < endpoints_.size() && endpoints_[connection] != nullptr;
-  }
 
   Simulation* sim_;
   std::unique_ptr<SupplyModelInterface> model_;
   // Non-null when |model_| is the incremental implementation; its live-set
   // bookkeeping is what makes TakeReevalHint's result exact.
   SupplyModel* fast_model_ = nullptr;
-  // Indexed by connection id: the owning app (0 if unattached) and the
-  // endpoint (null if unattached, unsubscribed on destruction).
-  std::vector<AppId> owner_;
-  std::vector<Endpoint*> endpoints_;
-  // Indexed by app id: connection ids per app, ascending — the same visit
-  // order the original filter over the connection->app map produced, so
-  // per-app availability sums are bit-identical.
-  std::vector<std::vector<ConnectionId>> app_connections_;
+  ConnectionTable table_{this};
   // connection count -> number of apps with that count (zero-count apps
   // and empty buckets omitted).  The support of the hint's idle_levels.
   std::map<int, int> apps_by_count_;
@@ -113,7 +107,8 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
   // and unique: |rtt_dirty_flag_| (indexed by app id) marks membership.
   std::vector<AppId> rtt_dirty_;
   std::vector<bool> rtt_dirty_flag_;
-  // TakeReevalHint's live-connection scratch, reused across hints.
+  // TakeReevalHint's scratch, reused across hints: the live connections,
+  // then (in place) their owners.
   std::vector<ConnectionId> live_;
 };
 

@@ -68,17 +68,6 @@ double CongestionManagerStrategy::AvailabilityFor(AppId app, Time now) const {
   return total;
 }
 
-ReevalHint CongestionManagerStrategy::TakeReevalHint(Time now) {
-  // Redistribution invalidates the idle-level bookkeeping: an idle flow
-  // sharing a server with a busy one no longer sits at the pure fair-share
-  // level.  Drain the base hint (it clears the dirty set) but degrade it to
-  // inexact so the viceroy full-scans.
-  ReevalHint hint = CentralizedStrategy::TakeReevalHint(now);
-  hint.exact = false;
-  hint.idle_levels.clear();
-  return hint;
-}
-
 std::string CongestionManagerStrategy::ServerOf(ConnectionId connection) const {
   const Server* server = ServerFor(connection);
   return server == nullptr ? std::string() : server->key;

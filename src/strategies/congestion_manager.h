@@ -64,7 +64,15 @@ class CongestionManagerStrategy : public CentralizedStrategy {
 
   double AvailabilityFor(AppId app, Time now) const override;
   double ConnectionAvailability(ConnectionId connection, Time now) const override;
-  ReevalHint TakeReevalHint(Time now) override;
+  // Redistribution invalidates the idle-level bookkeeping (an idle flow
+  // sharing a server with a busy one is not at the fair-share level): drain
+  // the base hint unbuilt and return the inexact one, so the viceroy
+  // full-scans.
+  ReevalHint TakeReevalHint(Time now) override {
+    (void)now;
+    DrainReevalHint();
+    return {};
+  }
 
   // The server group a connection belongs to ("" if unknown), and the
   // flows of one server in ascending id order.  Exposed for tests.

@@ -1,46 +1,30 @@
 #include "src/strategies/laissez_faire.h"
 
+#include <algorithm>
+
 namespace odyssey {
 
-LaissezFaireStrategy::LaissezFaireStrategy(const EstimatorConfig& config) : config_(config) {}
-
-LaissezFaireStrategy::~LaissezFaireStrategy() {
-  for (auto& [connection, endpoint] : endpoints_) {
-    endpoint->log().RemoveListener(this);
-  }
-}
-
 void LaissezFaireStrategy::AttachConnection(AppId app, Endpoint* endpoint) {
-  estimators_.try_emplace(endpoint->id(), config_);
-  owner_[endpoint->id()] = app;
-  endpoints_[endpoint->id()] = endpoint;
-  endpoint->log().AddListener(this);
+  const ConnectionId id = endpoint->id();
+  estimators_.resize(std::max(estimators_.size(), id + 1));
+  estimators_[id] = ConnectionEstimator(config_);
+  table_.Attach(app, endpoint);
 }
 
-void LaissezFaireStrategy::DetachConnection(Endpoint* endpoint) {
-  endpoint->log().RemoveListener(this);
-  estimators_.erase(endpoint->id());
-  owner_.erase(endpoint->id());
-  endpoints_.erase(endpoint->id());
-}
+void LaissezFaireStrategy::DetachConnection(Endpoint* endpoint) { table_.Detach(endpoint); }
 
 double LaissezFaireStrategy::AvailabilityFor(AppId app, Time now) const {
   (void)now;
   double total = 0.0;
-  for (const auto& [connection, owner] : owner_) {
-    if (owner == app) {
-      const auto it = estimators_.find(connection);
-      if (it != estimators_.end()) {
-        total += it->second.bandwidth_bps();
-      }
-    }
+  for (const ConnectionId connection : table_.ConnectionsOf(app)) {
+    total += estimators_[connection].bandwidth_bps();
   }
   return total;
 }
 
 bool LaissezFaireStrategy::HasEstimate() const {
-  for (const auto& [connection, estimator] : estimators_) {
-    if (estimator.has_bandwidth()) {
+  for (const ConnectionId connection : table_.attached()) {
+    if (estimators_[connection].has_bandwidth()) {
       return true;
     }
   }
@@ -52,43 +36,30 @@ double LaissezFaireStrategy::TotalSupply(Time now) const {
   // No coordination: there is no meaningful notion of total supply; report
   // the largest single-connection estimate.
   double best = 0.0;
-  for (const auto& [connection, estimator] : estimators_) {
-    if (estimator.bandwidth_bps() > best) {
-      best = estimator.bandwidth_bps();
-    }
+  for (const ConnectionId connection : table_.attached()) {
+    best = std::max(best, estimators_[connection].bandwidth_bps());
   }
   return best;
 }
 
 Duration LaissezFaireStrategy::SmoothedRttFor(AppId app) const {
-  for (const auto& [connection, owner] : owner_) {
-    if (owner == app) {
-      const auto it = estimators_.find(connection);
-      if (it != estimators_.end()) {
-        return it->second.smoothed_rtt();
-      }
-    }
-  }
-  return 0;
+  const std::span<const ConnectionId> connections = table_.ConnectionsOf(app);
+  return connections.empty() ? 0 : estimators_[connections.front()].smoothed_rtt();
 }
 
 void LaissezFaireStrategy::OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) {
-  auto it = estimators_.find(connection);
-  if (it == estimators_.end()) {
-    return;
+  if (table_.IsAttached(connection)) {
+    estimators_[connection].OnRoundTrip(obs);
+    NotifyChanged();
   }
-  it->second.OnRoundTrip(obs);
-  NotifyChanged();
 }
 
 void LaissezFaireStrategy::OnThroughput(ConnectionId connection,
                                         const ThroughputObservation& obs) {
-  auto it = estimators_.find(connection);
-  if (it == estimators_.end()) {
-    return;
+  if (table_.IsAttached(connection)) {
+    estimators_[connection].OnThroughput(obs);
+    NotifyChanged();
   }
-  it->second.OnThroughput(obs);
-  NotifyChanged();
 }
 
 }  // namespace odyssey

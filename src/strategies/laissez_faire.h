@@ -10,18 +10,18 @@
 #ifndef SRC_STRATEGIES_LAISSEZ_FAIRE_H_
 #define SRC_STRATEGIES_LAISSEZ_FAIRE_H_
 
-#include <map>
+#include <vector>
 
 #include "src/core/bandwidth_strategy.h"
 #include "src/estimator/connection_estimator.h"
 #include "src/rpc/observation_log.h"
+#include "src/strategies/connection_table.h"
 
 namespace odyssey {
 
 class LaissezFaireStrategy : public BandwidthStrategy, public LogListener {
  public:
-  explicit LaissezFaireStrategy(const EstimatorConfig& config = {});
-  ~LaissezFaireStrategy() override;
+  explicit LaissezFaireStrategy(const EstimatorConfig& config = {}) : config_(config) {}
 
   // BandwidthStrategy:
   std::string name() const override { return "laissez-faire"; }
@@ -38,9 +38,8 @@ class LaissezFaireStrategy : public BandwidthStrategy, public LogListener {
 
  private:
   EstimatorConfig config_;
-  std::map<ConnectionId, ConnectionEstimator> estimators_;
-  std::map<ConnectionId, AppId> owner_;
-  std::map<ConnectionId, Endpoint*> endpoints_;
+  ConnectionTable table_{this};
+  std::vector<ConnectionEstimator> estimators_;  // by connection id; valid while attached
 };
 
 }  // namespace odyssey

@@ -12,11 +12,14 @@
 namespace odyssey {
 namespace {
 
-std::unique_ptr<CentralizedStrategy> MakeCentralized(StrategyContext&& ctx) {
+// A centralized-family strategy over the context's injected supply model,
+// or else over one built from its config.
+template <typename Strategy>
+std::unique_ptr<Strategy> MakeCentralized(StrategyContext&& ctx) {
   if (ctx.injected_model != nullptr) {
-    return std::make_unique<CentralizedStrategy>(ctx.sim, std::move(ctx.injected_model));
+    return std::make_unique<Strategy>(ctx.sim, std::move(ctx.injected_model));
   }
-  return std::make_unique<CentralizedStrategy>(ctx.sim, ctx.supply, ctx.supply_kind);
+  return std::make_unique<Strategy>(ctx.sim, ctx.supply, ctx.supply_kind);
 }
 
 StrategyRegistry MakeBuiltin() {
@@ -25,7 +28,7 @@ StrategyRegistry MakeBuiltin() {
       {"odyssey", "odyssey",
        "centralized supply model with per-connection fair shares (the paper)",
        [](StrategyContext&& ctx) -> std::unique_ptr<BandwidthStrategy> {
-         return MakeCentralized(std::move(ctx));
+         return MakeCentralized<CentralizedStrategy>(std::move(ctx));
        }});
   registry.Register({"laissez-faire", "laissez",
                      "each connection estimates in isolation (Figure 14's over-estimator)",
@@ -44,18 +47,15 @@ StrategyRegistry MakeBuiltin() {
       {"congestion-manager", "cm",
        "per-server shared congestion state, hierarchical server->app->connection allocation",
        [](StrategyContext&& ctx) -> std::unique_ptr<BandwidthStrategy> {
-         if (ctx.injected_model != nullptr) {
-           return std::make_unique<CongestionManagerStrategy>(ctx.sim,
-                                                              std::move(ctx.injected_model));
-         }
-         return std::make_unique<CongestionManagerStrategy>(ctx.sim, ctx.supply, ctx.supply_kind);
+         return MakeCentralized<CongestionManagerStrategy>(std::move(ctx));
        }});
   registry.Register(
       {"admission-broker", "broker",
        "QoS admission control (admit/degrade/reject) over centralized estimation",
        [](StrategyContext&& ctx) -> std::unique_ptr<BandwidthStrategy> {
          Simulation* sim = ctx.sim;
-         return std::make_unique<AdmissionBrokerStrategy>(sim, MakeCentralized(std::move(ctx)));
+         return std::make_unique<AdmissionBrokerStrategy>(
+             sim, MakeCentralized<CentralizedStrategy>(std::move(ctx)));
        }});
   return registry;
 }

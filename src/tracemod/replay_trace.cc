@@ -62,6 +62,29 @@ double ReplayTrace::IntegralBytes(Time until) const {
   return bytes;
 }
 
+double IntegralCursor::IntegralBytes(Time until) {
+  if (until < last_until_) {
+    next_ = 0;
+    start_ = 0;
+    whole_ = 0.0;
+  }
+  last_until_ = until;
+  // ReplayTrace::IntegralBytes' loop, resumed where the last call left it:
+  // a segment that starts before |until| and ends by it adds its whole
+  // area; the first one that does not is cut at |until|.
+  const std::vector<TraceSegment>& segments = trace_->segments();
+  for (; next_ < segments.size() && start_ < until && segments[next_].duration <= until - start_;
+       ++next_) {
+    whole_ += segments[next_].bandwidth_bps * DurationToSeconds(segments[next_].duration);
+    start_ += segments[next_].duration;
+  }
+  if (start_ >= until || segments.empty()) {
+    return whole_;
+  }
+  const TraceSegment& cut = next_ < segments.size() ? segments[next_] : segments.back();
+  return whole_ + cut.bandwidth_bps * DurationToSeconds(until - start_);
+}
+
 ReplayTrace ReplayTrace::WithPriming(Duration lead) const {
   ReplayTrace primed;
   if (lead > 0 && !segments_.empty()) {

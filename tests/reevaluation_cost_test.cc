@@ -275,14 +275,14 @@ TEST(CongestionManagerCostTest, FullScanOverOneServerCostsLinearScanOps) {
   sim.RunUntil(kSecond + kMillisecond);
 
   // One pass asks about every app's one flow, but the server's budget is
-  // summed once: one op per flow and one live-set scan, plus the op the
-  // base hint spends on its idle level.  Summing per app would cost
-  // kApps x kApps.
+  // summed once: one op per flow and one live-set scan.  The inexact hint
+  // is drained without being built, so it spends no op on an idle level.
+  // Summing per app would cost kApps x kApps.
   const uint64_t before = strategy->supply_model().scan_ops();
   viceroy.Reevaluate();
   const uint64_t ops = strategy->supply_model().scan_ops() - before;
   EXPECT_GE(ops, static_cast<uint64_t>(kApps));
-  EXPECT_LE(ops, static_cast<uint64_t>(2 * kApps + 1));
+  EXPECT_LE(ops, static_cast<uint64_t>(2 * kApps));
 }
 
 }  // namespace

@@ -226,11 +226,7 @@ class StrategyPair {
       EXPECT_EQ(fast_.ConnectionAvailability(id, now), naive_.ConnectionAvailability(id, now))
           << "connection " << id << " at " << now;
     }
-    std::vector<ConnectionId> fast_connections;
-    std::vector<ConnectionId> naive_connections;
-    fast_.AttachedConnections(&fast_connections);
-    naive_.AttachedConnections(&naive_connections);
-    EXPECT_EQ(fast_connections, naive_connections);
+    EXPECT_EQ(fast_.AttachedConnections(), naive_.AttachedConnections());
 
     const ReevalHint hint = fast_.TakeReevalHint(now);
     const ReevalHint reference = naive_.TakeReevalHint(now);

@@ -1,6 +1,10 @@
 // Unit tests for replay traces and the paper's reference waveforms.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +89,85 @@ TEST(ReplayTraceTest, IntegralBytesZeroBandwidthShadowIsFlat) {
 TEST(ReplayTraceTest, IntegralBytesEmptyTraceIsZero) {
   ReplayTrace trace;
   EXPECT_DOUBLE_EQ(trace.IntegralBytes(100 * kSecond), 0.0);
+}
+
+// Expects |cursor| to agree with |trace|.IntegralBytes at each of |instants|,
+// bit for bit, asked in the given order.
+void ExpectCursorMatches(const ReplayTrace& trace, const std::vector<Time>& instants) {
+  IntegralCursor cursor(&trace);
+  for (const Time t : instants) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(cursor.IntegralBytes(t)),
+              std::bit_cast<uint64_t>(trace.IntegralBytes(t)))
+        << "at " << t << "us over " << trace.segments().size() << " segments";
+  }
+}
+
+TEST(IntegralCursorTest, MatchesIntegralBytesOnBoundariesAndPastTheEnd) {
+  ReplayTrace trace;
+  trace.Append(0, 900.0, 0);  // zero-duration lead-in
+  trace.Append(3 * kSecond, 123.456, 0);
+  trace.Append(0, 77.0, 0);
+  trace.Append(0, 88.0, 0);
+  trace.Append(kSecond / 3, 0.0, 0);  // shadow
+  trace.Append(2 * kSecond, 1e5 / 3.0, 0);
+  std::vector<Time> instants = {0, 0, 1};
+  Time boundary = 0;
+  for (const TraceSegment& segment : trace.segments()) {
+    boundary += segment.duration;
+    instants.insert(instants.end(), {boundary - 1, boundary, boundary, boundary + 1});
+  }
+  instants.insert(instants.end(), {boundary + kSecond, 100 * kSecond});
+  ExpectCursorMatches(trace, instants);
+}
+
+TEST(IntegralCursorTest, RestartsWhenTimeGoesBackwards) {
+  ReplayTrace trace;
+  trace.Append(kSecond, 10.0, 0).Append(kSecond, 0.1, 0).Append(kSecond, 1e-3, 0);
+  ExpectCursorMatches(trace, {2500 * kMillisecond, 500 * kMillisecond, 10 * kSecond, 0,
+                              kSecond, kSecond, 3 * kSecond, 2 * kSecond + 1});
+}
+
+TEST(IntegralCursorTest, EmptyTraceIsZero) {
+  ExpectCursorMatches(ReplayTrace(), {0, kSecond, 0, 5 * kSecond});
+}
+
+TEST(IntegralCursorTest, MatchesIntegralBytesOnRandomWaveforms) {
+  std::mt19937_64 rng(25);
+  for (int round = 0; round < 200; ++round) {
+    ReplayTrace trace;
+    const int segments = static_cast<int>(rng() % 12);
+    Time total = 0;
+    for (int i = 0; i < segments; ++i) {
+      // About one segment in four has zero duration; bandwidths carry
+      // fractional bits so the order of the additions shows.
+      const Duration duration = rng() % 4 == 0 ? 0 : static_cast<Duration>(rng() % (3 * kSecond));
+      const double bandwidth = std::ldexp(static_cast<double>(rng() % 1000000), -7);
+      trace.Append(duration, bandwidth, 0);
+      total += duration;
+    }
+    std::vector<Time> instants;
+    for (int i = 0; i < 40; ++i) {
+      const uint64_t pick = rng() % 8;
+      if (pick == 0 && !instants.empty()) {
+        instants.push_back(instants.back());  // the same instant again
+      } else if (pick == 1 && !trace.empty()) {
+        // A segment boundary.
+        Time boundary = 0;
+        const size_t end = rng() % (trace.segments().size() + 1);
+        for (size_t j = 0; j < end; ++j) {
+          boundary += trace.segments()[j].duration;
+        }
+        instants.push_back(boundary);
+      } else if (pick == 2) {
+        instants.push_back(static_cast<Time>(rng() % (total + 1)));  // may go backwards
+      } else {
+        // Mostly forward steps, some past the end.
+        const Time last = instants.empty() ? 0 : instants.back();
+        instants.push_back(last + static_cast<Time>(rng() % (kSecond / 2)));
+      }
+    }
+    ExpectCursorMatches(trace, instants);
+  }
 }
 
 TEST(ReplayTraceTest, WithPrimingPrefixesFirstSegment) {
