@@ -282,8 +282,4 @@ FuzzScenario GenerateScenario(uint64_t seed, const ScenarioOptions& options) {
   return scenario;
 }
 
-double IntegrateCapacityBytes(const FuzzScenario& scenario, Time until) {
-  return ReplayTrace(scenario.segments).IntegralBytes(until);
-}
-
 }  // namespace odyssey

@@ -156,13 +156,6 @@ struct ScenarioOptions {
 FuzzScenario GenerateScenario(uint64_t seed);
 FuzzScenario GenerateScenario(uint64_t seed, const ScenarioOptions& options);
 
-// Upper bound on bytes the link can deliver by |until|: the integral of the
-// nominal waveform (the final segment persists past the end of the trace,
-// matching Modulator semantics).  Faults only reduce delivery, so this
-// bound holds for every fault schedule; the byte-conservation oracle checks
-// the link never exceeds it.
-double IntegrateCapacityBytes(const FuzzScenario& scenario, Time until);
-
 }  // namespace odyssey
 
 #endif  // SRC_CHECK_FUZZ_SCENARIO_H_

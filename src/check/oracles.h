@@ -149,7 +149,9 @@ class OracleSet : public Viceroy::WindowObserver {
   // One ledger entry per id OnWindowRegistered reported.  A consumed
   // registration leaves the ledger; a cancelled one stays for the rest of
   // the run, flagged, so a later delivery for it reads as
-  // upcall-after-cancel rather than upcall-unknown-request.
+  // upcall-after-cancel rather than upcall-unknown-request.  Once newer ids
+  // pass it, a cancelled entry sits in the IdMap's side map, where it costs
+  // the live ids nothing.
   struct Window {
     AppId app = 0;
     double lower = 0.0;

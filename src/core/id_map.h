@@ -1,17 +1,19 @@
-// A flat hash map keyed by RequestId.
+// A flat map keyed by RequestId.
 //
 // Request ids come from one counter per table that starts at 1, so the live
-// ids of a run are a sliding, mostly dense range.  The map takes an id's
-// home bucket as the id modulo the (power-of-two) capacity, which keeps
-// consecutive ids in consecutive buckets: registration, delivery and
-// consumption walk the table nearly in order.  Collisions resolve by linear
-// probing with Robin Hood insertion, which keeps every probe run ordered by
-// home bucket; a run of consecutive live ids is then one long run of entries
-// all at home, and both a miss and an erase stop at the first of them rather
-// than scanning to the run's end.  Erase uses backward-shift deletion, so no
-// tombstones build up under the register/consume churn the viceroy runs.
-// The table doubles once it would be over half full; growth reinserts every
-// live entry.
+// ids of a run are a sliding, mostly dense range.  The map is a ring of
+// power-of-two capacity in which id i can only live in bucket
+// i % capacity(): two ids less than capacity() apart never share a bucket,
+// so there is nothing to probe.  An id that stays while newer ids churn a
+// whole ring past it (a straggler) moves to an ordered side map, once:
+//   * an insert whose bucket holds an older id moves that entry to the side;
+//   * an insert of an id older than its bucket's occupant goes to the side
+//     directly.
+// A lookup reads one bucket, and consults the side map only for an id no
+// newer than the newest straggler, so the common case never pays for it.
+// The ring doubles once the map would be over half full.  Ids in distinct
+// buckets modulo c stay distinct modulo 2c, so growth moves every ring entry
+// without a collision; stragglers stay where they are.
 //
 // Id 0 is what a refused or rejected request carries, never a registered
 // one, so it marks an empty bucket: Find(0) finds nothing, Erase(0) erases
@@ -21,6 +23,7 @@
 #define SRC_CORE_ID_MAP_H_
 
 #include <cstddef>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -33,47 +36,59 @@ template <typename V>
 class IdMap {
  public:
   size_t size() const { return size_; }
-  // Buckets allocated (0 or a power of two).
-  size_t capacity() const { return buckets_.size(); }
-  // The bucket a probe for |id| starts at: id % capacity().  Only
-  // meaningful once the map has buckets (capacity() > 0).
-  size_t HomeOf(RequestId id) const { return static_cast<size_t>(id) & (buckets_.size() - 1); }
+  // Ring buckets allocated (0 or a power of two).
+  size_t capacity() const { return ring_.size(); }
+  // Entries that live in the side map.
+  size_t stragglers() const { return side_.size(); }
 
-  V* Find(RequestId id) {
-    const size_t i = IndexOf(id);
-    return i == kAbsent ? nullptr : &buckets_[i].value;
-  }
+  V* Find(RequestId id) { return const_cast<V*>(std::as_const(*this).Find(id)); }
   const V* Find(RequestId id) const {
-    const size_t i = IndexOf(id);
-    return i == kAbsent ? nullptr : &buckets_[i].value;
+    if (id == 0 || ring_.empty()) {
+      return nullptr;
+    }
+    const Bucket& bucket = BucketOf(id);
+    if (bucket.key == id) {
+      return &bucket.value;
+    }
+    if (!MayBeStraggler(id)) {
+      return nullptr;
+    }
+    const auto it = side_.find(id);
+    return it == side_.end() ? nullptr : &it->second;
   }
 
   // The value stored under |id|, value-initialised first if |id| is absent.
   V& operator[](RequestId id) {
     ODY_ASSERT(id != 0, "request id 0 is never a key");
-    if (const size_t i = IndexOf(id); i != kAbsent) {
-      return buckets_[i].value;
+    if (V* found = Find(id)) {
+      return *found;
     }
-    if ((size_ + 1) * 2 > buckets_.size()) {
+    if ((size_ + 1) * 2 > ring_.size()) {
       Grow();
     }
     ++size_;
-    return buckets_[Insert(Bucket{id, V{}})].value;
+    Bucket& bucket = BucketOf(id);
+    if (bucket.key > id) {
+      return side_[id];
+    }
+    if (bucket.key != 0) {
+      side_.emplace(bucket.key, std::move(bucket.value));
+    }
+    bucket = Bucket{id, V{}};
+    return bucket.value;
   }
 
   // Removes |id|; false if it was absent.
   bool Erase(RequestId id) {
-    size_t hole = IndexOf(id);
-    if (hole == kAbsent) {
+    if (id == 0 || ring_.empty()) {
       return false;
     }
-    // Backward shift: pull each following displaced entry one bucket closer
-    // to home, up to the first empty bucket or entry already at home.
-    for (size_t i = Next(hole); buckets_[i].key != 0 && Displacement(i) > 0; i = Next(i)) {
-      buckets_[hole] = std::move(buckets_[i]);
-      hole = i;
+    Bucket& bucket = BucketOf(id);
+    if (bucket.key == id) {
+      bucket = Bucket{};
+    } else if (!MayBeStraggler(id) || side_.erase(id) == 0) {
+      return false;
     }
-    buckets_[hole] = Bucket{};
     --size_;
     return true;
   }
@@ -82,68 +97,30 @@ class IdMap {
   // Capacity of the first allocation (the map allocates nothing until the
   // first insert).
   static constexpr size_t kInitialCapacity = 16;
-  static constexpr size_t kAbsent = static_cast<size_t>(-1);
 
   struct Bucket {
     RequestId key = 0;  // 0 = empty
     V value{};
   };
 
-  size_t Next(size_t i) const { return (i + 1) & (buckets_.size() - 1); }
-  // How far the entry in occupied bucket |i| sits past its home bucket.
-  size_t Displacement(size_t i) const {
-    return (i - HomeOf(buckets_[i].key)) & (buckets_.size() - 1);
-  }
-
-  // The bucket holding |id|, or kAbsent.  Entries along a probe run are
-  // ordered by home bucket, so the probe stops at the first entry closer to
-  // its home than |id| would be.
-  size_t IndexOf(RequestId id) const {
-    if (id == 0 || buckets_.empty()) {
-      return kAbsent;
-    }
-    for (size_t i = HomeOf(id), dist = 0;; i = Next(i), ++dist) {
-      if (buckets_[i].key == id) {
-        return i;
-      }
-      if (buckets_[i].key == 0 || Displacement(i) < dist) {
-        return kAbsent;
-      }
-    }
-  }
-
-  // Inserts an absent key Robin Hood style: walking its probe run, it takes
-  // the bucket of the first entry closer to home than itself and carries
-  // that entry on.  Returns the bucket |incoming| itself landed in.
-  size_t Insert(Bucket incoming) {
-    size_t landed = kAbsent;
-    for (size_t i = HomeOf(incoming.key), dist = 0;; i = Next(i), ++dist) {
-      if (buckets_[i].key == 0) {
-        buckets_[i] = std::move(incoming);
-        return landed == kAbsent ? i : landed;
-      }
-      const size_t theirs = Displacement(i);
-      if (theirs < dist) {
-        std::swap(buckets_[i], incoming);
-        if (landed == kAbsent) {
-          landed = i;
-        }
-        dist = theirs;
-      }
-    }
-  }
+  Bucket& BucketOf(RequestId id) { return ring_[id & (ring_.size() - 1)]; }
+  const Bucket& BucketOf(RequestId id) const { return ring_[id & (ring_.size() - 1)]; }
+  // False when |id| is newer than every straggler, so the side map cannot
+  // hold it.
+  bool MayBeStraggler(RequestId id) const { return !side_.empty() && id <= side_.rbegin()->first; }
 
   void Grow() {
-    std::vector<Bucket> old = std::move(buckets_);
-    buckets_.assign(old.empty() ? kInitialCapacity : old.size() * 2, Bucket{});
+    std::vector<Bucket> old = std::move(ring_);
+    ring_.assign(old.empty() ? kInitialCapacity : old.size() * 2, Bucket{});
     for (Bucket& bucket : old) {
       if (bucket.key != 0) {
-        Insert(std::move(bucket));
+        BucketOf(bucket.key) = std::move(bucket);
       }
     }
   }
 
-  std::vector<Bucket> buckets_;
+  std::vector<Bucket> ring_;
+  std::map<RequestId, V> side_;
   size_t size_ = 0;
 };
 

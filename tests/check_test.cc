@@ -80,18 +80,6 @@ TEST(FuzzScenarioTest, ElementCountSumsParts) {
   EXPECT_EQ(scenario.ElementCount(), 5u);  // 1 segment + 1 app + 2 ops + 1 fault
 }
 
-TEST(FuzzScenarioTest, IntegrateCapacityBytesMatchesHandComputation) {
-  FuzzScenario scenario;
-  scenario.horizon = 20 * kSecond;
-  scenario.segments = {TraceSegment{10 * kSecond, 1000.0, 0},
-                       TraceSegment{5 * kSecond, 2000.0, 0}};
-  EXPECT_DOUBLE_EQ(IntegrateCapacityBytes(scenario, 10 * kSecond), 10000.0);
-  EXPECT_DOUBLE_EQ(IntegrateCapacityBytes(scenario, 15 * kSecond), 20000.0);
-  // Past the end of the trace the final segment persists (Modulator
-  // semantics), so the bound keeps growing at the last segment's rate.
-  EXPECT_DOUBLE_EQ(IntegrateCapacityBytes(scenario, 20 * kSecond), 30000.0);
-}
-
 // --- The mobility dimension (ScenarioOptions::mobility) ---
 
 TEST(FuzzScenarioTest, MobilityOffMatchesDefaultGenerator) {
@@ -334,6 +322,25 @@ TEST_F(OracleSetTest, CancelledRequestStaysFlaggedThroughLedgerGrowth) {
   }
   oracles_->OnUpcallDelivered(1, 1, 1, ResourceId::kNetworkBandwidth, 25.0, 0);
   EXPECT_EQ(OracleNames(), std::vector<std::string>{"upcall-after-cancel"})
+      << FormatViolations(oracles_->violations());
+}
+
+// The ledger never holds more than two entries here, so its ring stays at
+// its first size and 5,000 newer ids pass the cancelled one hundreds of
+// times over: it moves out to the side map, and the verdicts must not move.
+TEST_F(OracleSetTest, CancelledAndConsumedVerdictsSurviveIdsChurningPast) {
+  oracles_->OnWindowRegistered(1, 1, 10.0, 20.0);
+  oracles_->OnWindowCancelled(1);
+  uint64_t seq = 0;
+  for (RequestId id = 2; id <= 5001; ++id) {
+    oracles_->OnWindowRegistered(2, id, 10.0, 20.0);
+    oracles_->OnUpcallDelivered(2, ++seq, id, ResourceId::kNetworkBandwidth, 25.0, 0);
+  }
+  ASSERT_EQ(oracles_->violation_count(), 0u) << FormatViolations(oracles_->violations());
+  oracles_->OnUpcallDelivered(1, 1, 1, ResourceId::kNetworkBandwidth, 25.0, 0);
+  oracles_->OnUpcallDelivered(2, ++seq, 3000, ResourceId::kNetworkBandwidth, 25.0, 0);
+  EXPECT_EQ(OracleNames(),
+            (std::vector<std::string>{"upcall-after-cancel", "upcall-unknown-request"}))
       << FormatViolations(oracles_->violations());
 }
 

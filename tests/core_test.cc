@@ -479,46 +479,137 @@ TEST(RequestTableTest, MatchesBruteForceReferenceUnderSeededChurn) {
 
 // --- Flat id map ---
 
-TEST(IdMapTest, EraseShiftsBackAProbeRunThatWrapsPastTheEnd) {
+TEST(IdMapTest, EntryMovedOutByANewerIdStaysFindableAndErasable) {
   IdMap<int> map;
-  map[1] = 0;  // allocates the buckets HomeOf needs
-  ASSERT_TRUE(map.Erase(1));
+  map[1] = 10;
   const size_t capacity = map.capacity();
-  // Three ids homed at the last bucket and one homed at bucket 0: their
-  // probe run starts at the end of the table and wraps to the front.
-  std::vector<RequestId> at_last;
-  RequestId at_first = 0;
-  for (RequestId id = 1; at_last.size() < 3 || at_first == 0; ++id) {
-    if (map.HomeOf(id) == capacity - 1 && at_last.size() < 3) {
-      at_last.push_back(id);
-    } else if (map.HomeOf(id) == 0 && at_first == 0) {
-      at_first = id;
+  const RequestId newer = 1 + capacity;  // same bucket as id 1
+  map[newer] = 20;
+  ASSERT_EQ(map.capacity(), capacity);
+  EXPECT_EQ(map.stragglers(), 1u);
+  EXPECT_EQ(map.size(), 2u);
+  ASSERT_NE(map.Find(1), nullptr);
+  EXPECT_EQ(*map.Find(1), 10);
+  ASSERT_NE(map.Find(newer), nullptr);
+  EXPECT_EQ(*map.Find(newer), 20);
+  EXPECT_EQ(map[1], 10);  // found in the side map, not re-inserted
+  EXPECT_EQ(map.size(), 2u);
+
+  EXPECT_TRUE(map.Erase(1));
+  EXPECT_EQ(map.Find(1), nullptr);
+  EXPECT_FALSE(map.Erase(1));
+  EXPECT_EQ(map.stragglers(), 0u);
+  EXPECT_EQ(map.size(), 1u);
+  ASSERT_NE(map.Find(newer), nullptr);
+  EXPECT_EQ(*map.Find(newer), 20);
+}
+
+TEST(IdMapTest, AbsentIdOlderThanItsBucketsOccupantLandsInTheSideMap) {
+  IdMap<int> map;
+  map[17] = 20;
+  const size_t capacity = map.capacity();
+  const RequestId older = 17 - capacity;  // same bucket as id 17
+  ASSERT_GT(older, 0u);
+  EXPECT_EQ(map.Find(older), nullptr);
+  EXPECT_EQ(map[older], 0);  // value-initialised
+  map[older] = 10;
+  EXPECT_EQ(map.stragglers(), 1u);
+  EXPECT_EQ(map.size(), 2u);
+  ASSERT_NE(map.Find(older), nullptr);
+  EXPECT_EQ(*map.Find(older), 10);
+  ASSERT_NE(map.Find(17), nullptr);
+  EXPECT_EQ(*map.Find(17), 20);
+  // The older id was the one moved out: erasing it empties the side map.
+  EXPECT_TRUE(map.Erase(older));
+  EXPECT_EQ(map.stragglers(), 0u);
+  ASSERT_NE(map.Find(17), nullptr);
+  EXPECT_EQ(*map.Find(17), 20);
+}
+
+TEST(IdMapTest, ErasingAStragglerWhoseBucketIsEmpty) {
+  IdMap<int> map;
+  map[1] = 10;
+  const RequestId newer = 1 + map.capacity();
+  map[newer] = 20;
+  ASSERT_EQ(map.stragglers(), 1u);
+  EXPECT_TRUE(map.Erase(newer));  // empties the bucket id 1 shares
+  ASSERT_NE(map.Find(1), nullptr);
+  EXPECT_EQ(*map.Find(1), 10);
+  EXPECT_TRUE(map.Erase(1));
+  EXPECT_EQ(map.Find(1), nullptr);
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.stragglers(), 0u);
+  // The emptied bucket takes an id again.
+  map[1] = 30;
+  EXPECT_EQ(map.stragglers(), 0u);
+  ASSERT_NE(map.Find(1), nullptr);
+  EXPECT_EQ(*map.Find(1), 30);
+}
+
+TEST(IdMapTest, GrowthKeepsRingAndSideMapEntries) {
+  IdMap<RequestId> map;
+  map[1] = 3;
+  const size_t capacity = map.capacity();
+  const RequestId first_ring = 1 + capacity;
+  for (RequestId id = first_ring; id < first_ring + capacity; ++id) {
+    map[id] = 3 * id;
+  }
+  EXPECT_GT(map.capacity(), capacity);
+  EXPECT_LE(2 * map.size(), map.capacity());
+  EXPECT_EQ(map.stragglers(), 1u);  // only id 1 was ever moved out
+  EXPECT_EQ(map.size(), capacity + 1);
+  ASSERT_NE(map.Find(1), nullptr);
+  EXPECT_EQ(*map.Find(1), 3u);
+  for (RequestId id = first_ring; id < first_ring + capacity; ++id) {
+    ASSERT_NE(map.Find(id), nullptr) << id;
+    EXPECT_EQ(*map.Find(id), 3 * id);
+  }
+  for (RequestId id = 2; id < first_ring; ++id) {
+    EXPECT_EQ(map.Find(id), nullptr) << id;
+  }
+}
+
+// The structure's cost must not depend on how old the live ids are: ids
+// that are never erased while 100k newer ids slide past them each move to
+// the side map exactly once, and the sliding ids never follow them there.
+TEST(IdMapTest, StragglersMoveOutOnceWhileTheLiveRangeSlides) {
+  constexpr RequestId kIds = 100000;
+  // Sliding ids alive at once.
+  constexpr RequestId kLive = 64;
+  // Stragglers are drawn from ids 1..kStragglerSpan.
+  constexpr RequestId kStragglerSpan = 30000;
+  for (const RequestId stragglers : {0u, 10u, 1000u, 20000u}) {
+    SCOPED_TRACE(stragglers);
+    const RequestId stride = stragglers == 0 ? kIds + 1 : kStragglerSpan / stragglers;
+    const auto is_straggler = [&](RequestId id) {
+      return (id - 1) % stride == 0 && (id - 1) / stride < stragglers;
+    };
+    IdMap<RequestId> map;
+    size_t peak = 0;
+    for (RequestId id = 1; id <= kIds; ++id) {
+      map[id] = 7 * id;
+      peak = std::max(peak, map.size());
+      const RequestId* found = map.Find(id);
+      ASSERT_NE(found, nullptr) << id;
+      ASSERT_EQ(*found, 7 * id);
+      if (id > kLive && !is_straggler(id - kLive)) {
+        ASSERT_TRUE(map.Erase(id - kLive)) << id - kLive;
+      }
+      ASSERT_LE(map.stragglers(), stragglers) << "a sliding id left the ring at " << id;
+    }
+    EXPECT_EQ(map.stragglers(), stragglers);
+    EXPECT_EQ(map.size(), stragglers + kLive);
+    EXPECT_LE(map.capacity(), 4 * peak);
+    for (RequestId id = 1; id <= kIds; ++id) {
+      const RequestId* found = map.Find(id);
+      if (is_straggler(id) || id > kIds - kLive) {
+        ASSERT_NE(found, nullptr) << id;
+        EXPECT_EQ(*found, 7 * id);
+      } else {
+        ASSERT_EQ(found, nullptr) << id;
+      }
     }
   }
-  map[at_last[0]] = 10;
-  map[at_last[1]] = 11;
-  map[at_last[2]] = 12;
-  map[at_first] = 20;
-  ASSERT_EQ(map.capacity(), capacity);  // no growth: the run really wraps
-
-  // Erasing the run's head pulls every later entry back across the wrap.
-  EXPECT_TRUE(map.Erase(at_last[0]));
-  EXPECT_EQ(map.Find(at_last[0]), nullptr);
-  ASSERT_NE(map.Find(at_last[1]), nullptr);
-  EXPECT_EQ(*map.Find(at_last[1]), 11);
-  ASSERT_NE(map.Find(at_last[2]), nullptr);
-  EXPECT_EQ(*map.Find(at_last[2]), 12);
-  ASSERT_NE(map.Find(at_first), nullptr);
-  EXPECT_EQ(*map.Find(at_first), 20);
-
-  // Erasing from the part of the run past the wrap keeps the rest findable.
-  EXPECT_TRUE(map.Erase(at_last[2]));
-  EXPECT_EQ(map.Find(at_last[2]), nullptr);
-  ASSERT_NE(map.Find(at_last[1]), nullptr);
-  EXPECT_EQ(*map.Find(at_last[1]), 11);
-  ASSERT_NE(map.Find(at_first), nullptr);
-  EXPECT_EQ(*map.Find(at_first), 20);
-  EXPECT_EQ(map.size(), 2u);
 }
 
 TEST(IdMapTest, GrowthRehashKeepsEveryLiveEntry) {

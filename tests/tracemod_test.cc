@@ -91,6 +91,16 @@ TEST(ReplayTraceTest, IntegralBytesEmptyTraceIsZero) {
   EXPECT_DOUBLE_EQ(trace.IntegralBytes(100 * kSecond), 0.0);
 }
 
+TEST(ReplayTraceTest, IntegralBytesMatchesHandComputation) {
+  const ReplayTrace trace({TraceSegment{10 * kSecond, 1000.0, 0},
+                           TraceSegment{5 * kSecond, 2000.0, 0}});
+  EXPECT_DOUBLE_EQ(trace.IntegralBytes(10 * kSecond), 10000.0);
+  EXPECT_DOUBLE_EQ(trace.IntegralBytes(15 * kSecond), 20000.0);
+  // Past the end of the trace the final segment persists (Modulator
+  // semantics), so the bound keeps growing at the last segment's rate.
+  EXPECT_DOUBLE_EQ(trace.IntegralBytes(20 * kSecond), 30000.0);
+}
+
 // Expects |cursor| to agree with |trace|.IntegralBytes at each of |instants|,
 // bit for bit, asked in the given order.
 void ExpectCursorMatches(const ReplayTrace& trace, const std::vector<Time>& instants) {
