@@ -32,13 +32,20 @@ struct RunNode {
 // else the per-app figures the viceroy itself consults (apps register 1..N
 // in scenario order).
 void RecordSample(DifferentialLog* log, Simulation* sim, BandwidthStrategy* strategy,
-                  size_t app_count) {
+                  const OracleSet& oracle, size_t app_count) {
   const Time now = sim->now();
   log->samples.push_back(static_cast<double>(now));
   if (CentralizedStrategy* audit = strategy->audit_surface(); audit != nullptr) {
     log->samples.push_back(audit->TotalSupply(now));
     log->samples.push_back(
         static_cast<double>(audit->supply_model().ActiveConnectionCount(now)));
+    // The oracle audits this strategy: when it has just asked for every
+    // attached connection's availability, the log takes those values.
+    if (const std::vector<double>* audited = oracle.AuditedAvailabilities(now);
+        audited != nullptr) {
+      log->samples.insert(log->samples.end(), audited->begin(), audited->end());
+      return;
+    }
     for (const ConnectionId connection : audit->AttachedConnections()) {
       log->samples.push_back(audit->ConnectionAvailability(connection, now));
     }
@@ -80,7 +87,7 @@ FuzzRunResult RunNodes(const FuzzScenario& scenario, const FuzzRunOptions& optio
                      lead->Sample();
                    }
                    if (differential != nullptr) {
-                     RecordSample(differential, sim, strategy, app_count);
+                     RecordSample(differential, sim, strategy, *lead, app_count);
                    }
                  });
 

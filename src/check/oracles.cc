@@ -186,6 +186,7 @@ void OracleSet::OnWindowCancelled(RequestId id) { ledger_[id].cancelled = true; 
 
 void OracleSet::Sample() {
   const Time now = sim_->now();
+  audited_at_ = -1;
 
   // Byte conservation: the link cannot deliver more than the nominal
   // waveform's integral (faults only take bandwidth away), and the lifetime
@@ -238,9 +239,11 @@ void OracleSet::Sample() {
     count = max_audited_connections_;
     audit_cursor_ += count;
   }
+  audited_.clear();
   for (size_t i = 0; i < count; ++i) {
     const ConnectionId connection = connections[(begin + i) % connections.size()];
     const double availability = strategy_->ConnectionAvailability(connection, now);
+    audited_.push_back(availability);
     if (availability + eps < floor) {
       std::ostringstream detail;
       detail << "connection " << connection << " availability " << availability
@@ -269,6 +272,9 @@ void OracleSet::Sample() {
         Report("ewma-bounds", 0, detail.str());
       }
     }
+  }
+  if (count == connections.size()) {
+    audited_at_ = now;
   }
 }
 

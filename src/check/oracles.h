@@ -128,6 +128,15 @@ class OracleSet : public Viceroy::WindowObserver {
   // Periodic audit of estimator, fair-share and link-conservation bounds.
   void Sample();
 
+  // The availabilities the last Sample() computed, one per
+  // AttachedConnections() entry in its order, if that sample ran at |now|
+  // and audited every attached connection; null otherwise (no estimate yet,
+  // or a rotating window).  The fuzz runner's differential log reads them
+  // instead of asking the strategy a second time.
+  const std::vector<double>* AuditedAvailabilities(Time now) const {
+    return audited_at_ == now ? &audited_ : nullptr;
+  }
+
   // Caps how many connections one Sample() audits for the fair-share and
   // ewma bounds (0 = all).  Above the cap, samples audit a rotating window
   // so every connection is still covered across consecutive samples; the
@@ -178,6 +187,8 @@ class OracleSet : public Viceroy::WindowObserver {
   double last_bytes_delivered_ = 0.0;
   size_t max_audited_connections_ = 0;
   size_t audit_cursor_ = 0;
+  std::vector<double> audited_;  // the last Sample()'s availabilities
+  Time audited_at_ = -1;         // when they covered every connection; -1 = not
   bool armed_ = false;
   bool armed_clock_ = false;
 

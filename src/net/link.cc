@@ -54,7 +54,7 @@ std::vector<FlowId> Link::ActiveFlowIds() const {
   return ids;
 }
 
-FlowId Link::StartFlow(double bytes, std::function<void()> on_complete) {
+FlowId Link::StartFlow(double bytes, EventQueue::Callback on_complete) {
   // Byte accounting is non-negative end to end: flows are created with a
   // non-negative size and only ever drained (see Advance).
   ODY_ASSERT(bytes >= 0.0, "flow created with negative bytes");
@@ -65,11 +65,9 @@ FlowId Link::StartFlow(double bytes, std::function<void()> on_complete) {
     // never fires before StartFlow returns.  The handle is kept so that
     // CancelFlow honors its contract for zero-byte flows too.
     zero_byte_flows_[id] =
-        sim_->Schedule(0, [this, id, cb = std::move(on_complete)] {
+        sim_->Schedule(0, [this, id, cb = std::move(on_complete)]() mutable {
           zero_byte_flows_.erase(id);
-          if (cb) {
-            cb();
-          }
+          cb();
         });
     return id;
   }
@@ -125,7 +123,7 @@ void Link::CompleteAndReschedule() {
   // the survivors.  Callbacks may start new flows re-entrantly, so they are
   // collected first, into the reused completion buffer; a nested call finds
   // it taken and uses a fresh one.
-  std::vector<std::function<void()>> done = std::move(done_scratch_);
+  std::vector<EventQueue::Callback> done = std::move(done_scratch_);
   double min_remaining = std::numeric_limits<double>::max();
   size_t kept = 0;
   for (Flow& flow : flows_) {
@@ -142,10 +140,8 @@ void Link::CompleteAndReschedule() {
     }
   }
   flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept), flows_.end());
-  for (auto& cb : done) {
-    if (cb) {
-      cb();
-    }
+  for (EventQueue::Callback& cb : done) {
+    cb();
   }
   if (!done.empty()) {
     // Callbacks may have mutated the flow set; recompute from a clean slate.

@@ -15,7 +15,6 @@
 #define SRC_NET_LINK_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -71,7 +70,7 @@ class Link {
   // Starts transferring |bytes| through the shared link.  |on_complete| fires
   // when the last byte clears the link.  Zero-byte flows complete after the
   // next event-loop turn.  Returns an id usable with CancelFlow().
-  FlowId StartFlow(double bytes, std::function<void()> on_complete);
+  FlowId StartFlow(double bytes, EventQueue::Callback on_complete);
 
   // Abandons an in-flight flow; its completion callback never fires.
   // Unknown ids are ignored (the flow may have completed already).
@@ -84,7 +83,7 @@ class Link {
   struct Flow {
     FlowId id = 0;
     double remaining = 0.0;
-    std::function<void()> on_complete;
+    EventQueue::Callback on_complete;
   };
 
   // Applies progress to all flows for time elapsed since |last_update_|.
@@ -110,7 +109,7 @@ class Link {
   EventHandle pending_completion_;
   double bytes_delivered_ = 0.0;
   // CompleteAndReschedule's completion buffer, kept (empty) between calls.
-  std::vector<std::function<void()>> done_scratch_;
+  std::vector<EventQueue::Callback> done_scratch_;
 };
 
 }  // namespace odyssey

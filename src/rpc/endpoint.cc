@@ -1,5 +1,6 @@
 #include "src/rpc/endpoint.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -32,7 +33,8 @@ Endpoint::Endpoint(Simulation* sim, Link* link, std::string name)
 
 void Endpoint::Call(double request_bytes, double response_bytes, Duration server_compute,
                     StatusDone done) {
-  CallAttempt(request_bytes, response_bytes, server_compute, 1, std::move(done));
+  const double payload = request_bytes + response_bytes;  // the budget counts both messages
+  SendUp({request_bytes, response_bytes, server_compute, payload, false}, 1, std::move(done));
 }
 
 void Endpoint::Ping(StatusDone done) {
@@ -40,37 +42,33 @@ void Endpoint::Ping(StatusDone done) {
 }
 
 void Endpoint::FetchWindow(double bytes, StatusDone done) {
-  WindowAttempt(bytes, 1, std::move(done));
+  // A window request upstream, then the window's data downstream.
+  SendUp({kControlMessageBytes, bytes, 0, bytes, true}, 1, std::move(done));
 }
 
 void Endpoint::Fetch(double total_bytes, Duration server_compute, StatusDone done) {
   // The transfer request is a small exchange: it logs a round trip and
   // absorbs the server's compute time before data begins to flow.
   Call(kControlMessageBytes, kControlMessageBytes, server_compute,
-       [this, total_bytes, done = std::move(done)](Status status) mutable {
-         if (!status.ok()) {
-           if (done) {
-             done(std::move(status));
-           }
-           return;
-         }
-         TransferWindows(total_bytes, std::move(done));
-       });
+       ThenWindows(total_bytes, std::move(done)));
 }
 
 void Endpoint::Send(double total_bytes, Duration server_compute, StatusDone done) {
   // Under the shared-capacity link model an upstream window is timed the
   // same way as a downstream one: control message one way, data the other.
-  Call(kControlMessageBytes, kControlMessageBytes, server_compute,
-       [this, total_bytes, done = std::move(done)](Status status) mutable {
-         if (!status.ok()) {
-           if (done) {
-             done(std::move(status));
-           }
-           return;
-         }
-         TransferWindows(total_bytes, std::move(done));
-       });
+  Fetch(total_bytes, server_compute, std::move(done));
+}
+
+Endpoint::StatusDone Endpoint::ThenWindows(double remaining, StatusDone done) {
+  return [this, remaining, done = std::move(done)](Status status) mutable {
+    if (!status.ok()) {
+      if (done) {
+        done(std::move(status));
+      }
+      return;
+    }
+    TransferWindows(remaining, std::move(done));
+  };
 }
 
 void Endpoint::TransferWindows(double remaining, StatusDone done) {
@@ -81,176 +79,123 @@ void Endpoint::TransferWindows(double remaining, StatusDone done) {
     return;
   }
   const double this_window = remaining < window_bytes_ ? remaining : window_bytes_;
-  FetchWindow(this_window,
-              [this, remaining, this_window, done = std::move(done)](Status status) mutable {
-                if (!status.ok()) {
-                  if (done) {
-                    done(std::move(status));
-                  }
-                  return;
-                }
-                TransferWindows(remaining - this_window, std::move(done));
-              });
+  FetchWindow(this_window, ThenWindows(remaining - this_window, std::move(done)));
 }
 
-void Endpoint::CallAttempt(double request_bytes, double response_bytes, Duration server_compute,
-                           int attempt, StatusDone done) {
-  const Time start = sim_->now();
-  auto state = std::make_shared<AttemptState>();
-  state->done = std::move(done);
-  const uint64_t span = ODY_TRACE_SPAN_ID(sim_->trace());
-  ODY_TRACE_BEGIN2(sim_->trace(), kRpc, "rpc_call", sim_->now(), span, "bytes",
-                   request_bytes + response_bytes, "attempt", attempt);
-
-  if (policy_.enabled()) {
-    sim_->Post(AttemptBudget(policy_, request_bytes + response_bytes, server_compute),
-               [this, request_bytes, response_bytes, server_compute, attempt, span, state] {
-                 if (!TimeOut(state.get())) {
-                   return;
-                 }
-                 ODY_TRACE_END(sim_->trace(), kRpc, "rpc_call", sim_->now(), span);
-                 ODY_TRACE_INSTANT1(sim_->trace(), kRpc, "rpc_timeout", sim_->now(), id_,
-                                    "attempt", attempt);
-                 RetryOrFail(attempt,
-                             [this, request_bytes, response_bytes, server_compute,
-                              state](int next) {
-                               CallAttempt(request_bytes, response_bytes, server_compute, next,
-                                           std::move(state->done));
-                             },
-                             state.get());
-               });
+void Endpoint::SendUp(const Exchange& exchange, int number, StatusDone done) {
+  auto attempt = std::make_shared<Attempt>();
+  attempt->exchange = exchange;
+  attempt->number = number;
+  attempt->start = sim_->now();
+  attempt->done = std::move(done);
+  attempt->span = ODY_TRACE_SPAN_ID(sim_->trace());
+  if (exchange.window) {
+    ODY_TRACE_BEGIN2(sim_->trace(), kRpc, "rpc_window", sim_->now(), attempt->span, "bytes",
+                     exchange.payload, "attempt", number);
+  } else {
+    ODY_TRACE_BEGIN2(sim_->trace(), kRpc, "rpc_call", sim_->now(), attempt->span, "bytes",
+                     exchange.payload, "attempt", number);
   }
-
-  // Request transmission, then one-way latency to the server.
-  SendMessage(request_bytes, state, [this, start, response_bytes, server_compute, span, state] {
-    // A stalled server adds compute the client did not budget for, so a
-    // stall window is visible to the retry machinery as a slow exchange.
-    const Duration stall =
-        injector_ != nullptr ? injector_->ServerStallExtra(sim_->now() + link_->latency()) : 0;
-    sim_->Schedule(
-        link_->latency() + server_compute + stall,
-        [this, start, response_bytes, server_compute, span, state] {
-          if (state->aborted) {
-            return;
-          }
-          // Response transmission, then one-way latency back to the client.
-          SendMessage(response_bytes, state, [this, start, server_compute, span, state] {
-            sim_->Schedule(link_->latency(), [this, start, server_compute, span, state] {
-              if (state->aborted) {
-                return;
-              }
-              state->completed = true;
-              // Only this attempt's own span is logged, so retransmissions
-              // never inflate the estimator's round-trip samples.
-              const Duration rtt = (sim_->now() - start) - server_compute;
-              log_.RecordRoundTrip(sim_->now(), rtt < 0 ? 0 : rtt);
-              ODY_TRACE_END1(sim_->trace(), kRpc, "rpc_call", sim_->now(), span, "rtt_us",
-                             static_cast<double>(rtt < 0 ? 0 : rtt));
-              if (state->done) {
-                state->done(OkStatus());
-              }
-            });
-          });
-        });
-  });
-}
-
-void Endpoint::WindowAttempt(double bytes, int attempt, StatusDone done) {
-  const Time start = sim_->now();
-  auto state = std::make_shared<AttemptState>();
-  state->done = std::move(done);
-  const uint64_t span = ODY_TRACE_SPAN_ID(sim_->trace());
-  ODY_TRACE_BEGIN2(sim_->trace(), kRpc, "rpc_window", sim_->now(), span, "bytes", bytes,
-                   "attempt", attempt);
-
   if (policy_.enabled()) {
-    sim_->Post(AttemptBudget(policy_, bytes, 0), [this, bytes, attempt, span, state] {
-      if (!TimeOut(state.get())) {
-        return;
-      }
-      ODY_TRACE_END(sim_->trace(), kRpc, "rpc_window", sim_->now(), span);
-      ODY_TRACE_INSTANT1(sim_->trace(), kRpc, "rpc_timeout", sim_->now(), id_, "attempt",
-                         attempt);
-      RetryOrFail(
-          attempt,
-          [this, bytes, state](int next) { WindowAttempt(bytes, next, std::move(state->done)); },
-          state.get());
-    });
+    sim_->Post(AttemptBudget(policy_, exchange.payload, exchange.server_compute),
+               [this, attempt] { TimeOut(attempt); });
   }
-
-  // Window request upstream...
-  SendMessage(kControlMessageBytes, state, [this, start, bytes, span, state] {
-    // A stalled server delays its turn-around on the window request.
-    const Duration stall =
-        injector_ != nullptr ? injector_->ServerStallExtra(sim_->now() + link_->latency()) : 0;
-    sim_->Schedule(link_->latency() + stall, [this, start, bytes, span, state] {
-      if (state->aborted) {
-        return;
-      }
-      // ...then the window's data downstream.
-      SendMessage(bytes, state, [this, start, bytes, span, state] {
-        sim_->Schedule(link_->latency(), [this, start, bytes, span, state] {
-          if (state->aborted) {
-            return;
-          }
-          state->completed = true;
-          ODY_DCHECK(bytes >= 0.0, "window completed with negative bytes");
-          bytes_transferred_ += bytes;
-          // The logged span covers only the successful attempt.
-          log_.RecordThroughput(sim_->now(), bytes, sim_->now() - start);
-          ODY_TRACE_END1(sim_->trace(), kRpc, "rpc_window", sim_->now(), span, "bytes", bytes);
-          if (state->done) {
-            state->done(OkStatus());
-          }
-        });
-      });
-    });
-  });
+  SendMessage(exchange.up_bytes, attempt, &Endpoint::ServerTurn);
 }
 
-void Endpoint::SendMessage(double bytes, const AttemptPtr& state, std::function<void()> next) {
+void Endpoint::ServerTurn(const AttemptPtr& attempt) {
+  // A stalled server adds compute the client did not budget for, so a
+  // stall window is visible to the retry machinery as a slow exchange.
+  const Duration stall =
+      injector_ != nullptr ? injector_->ServerStallExtra(sim_->now() + link_->latency()) : 0;
+  sim_->Schedule(link_->latency() + attempt->exchange.server_compute + stall,
+                 [this, attempt] { SendDown(attempt); });
+}
+
+void Endpoint::SendDown(const AttemptPtr& attempt) {
+  if (attempt->aborted) {
+    return;
+  }
+  SendMessage(attempt->exchange.down_bytes, attempt, &Endpoint::ClientArrival);
+}
+
+void Endpoint::ClientArrival(const AttemptPtr& attempt) {
+  sim_->Schedule(link_->latency(), [this, attempt] { Finish(attempt); });
+}
+
+void Endpoint::Finish(const AttemptPtr& attempt) {
+  if (attempt->aborted) {
+    return;
+  }
+  attempt->completed = true;
+  // Only this attempt's own span is logged, so retransmissions never
+  // inflate the estimator's round-trip or throughput samples.
+  const Exchange& exchange = attempt->exchange;
+  const Duration elapsed = sim_->now() - attempt->start;
+  if (exchange.window) {
+    ODY_DCHECK(exchange.down_bytes >= 0.0, "window completed with negative bytes");
+    bytes_transferred_ += exchange.down_bytes;
+    log_.RecordThroughput(sim_->now(), exchange.down_bytes, elapsed);
+    ODY_TRACE_END1(sim_->trace(), kRpc, "rpc_window", sim_->now(), attempt->span, "bytes",
+                   exchange.down_bytes);
+  } else {
+    const Duration rtt = std::max<Duration>(elapsed - exchange.server_compute, 0);
+    log_.RecordRoundTrip(sim_->now(), rtt);
+    ODY_TRACE_END1(sim_->trace(), kRpc, "rpc_call", sim_->now(), attempt->span, "rtt_us",
+                   static_cast<double>(rtt));
+  }
+  if (attempt->done) {
+    attempt->done(OkStatus());
+  }
+}
+
+void Endpoint::SendMessage(double bytes, const AttemptPtr& attempt, Step next) {
   if (injector_ != nullptr && injector_->ShouldDropMessage()) {
     // Lost in transit: nothing progresses until the attempt's timeout
     // settles it (or forever, under the fair-weather protocol).
     return;
   }
-  state->flow = link_->StartFlow(bytes, [state, next = std::move(next)] {
-    state->flow = 0;
-    if (state->aborted) {
-      return;
+  attempt->flow = link_->StartFlow(bytes, [this, attempt, next] {
+    attempt->flow = 0;
+    if (!attempt->aborted) {
+      (this->*next)(attempt);
     }
-    next();
   });
 }
 
-bool Endpoint::TimeOut(AttemptState* state) {
-  if (state->completed) {
-    return false;
+void Endpoint::TimeOut(const AttemptPtr& attempt) {
+  if (attempt->completed) {
+    return;
   }
-  state->aborted = true;
+  attempt->aborted = true;
   ++timeouts_;
-  if (state->flow != 0) {
-    link_->CancelFlow(state->flow);
-    state->flow = 0;
+  if (attempt->flow != 0) {
+    link_->CancelFlow(attempt->flow);
+    attempt->flow = 0;
   }
-  return true;
-}
-
-void Endpoint::RetryOrFail(int attempt, std::function<void(int)> retry, AttemptState* state) {
-  if (attempt < policy_.max_attempts) {
+  const int number = attempt->number;
+  if (attempt->exchange.window) {
+    ODY_TRACE_END(sim_->trace(), kRpc, "rpc_window", sim_->now(), attempt->span);
+  } else {
+    ODY_TRACE_END(sim_->trace(), kRpc, "rpc_call", sim_->now(), attempt->span);
+  }
+  ODY_TRACE_INSTANT1(sim_->trace(), kRpc, "rpc_timeout", sim_->now(), id_, "attempt", number);
+  if (number < policy_.max_attempts) {
     ++retries_;
-    const Duration backoff = BackoffDelay(attempt);
-    ODY_TRACE_INSTANT2(sim_->trace(), kRpc, "rpc_retry", sim_->now(), id_, "attempt",
-                       attempt, "backoff_us", static_cast<double>(backoff));
-    sim_->Schedule(backoff, [retry = std::move(retry), attempt] { retry(attempt + 1); });
+    const Duration backoff = BackoffDelay(number);
+    ODY_TRACE_INSTANT2(sim_->trace(), kRpc, "rpc_retry", sim_->now(), id_, "attempt", number,
+                       "backoff_us", static_cast<double>(backoff));
+    sim_->Schedule(backoff, [this, attempt] {
+      SendUp(attempt->exchange, attempt->number + 1, std::move(attempt->done));
+    });
     return;
   }
   ++exchanges_failed_;
-  ODY_TRACE_INSTANT1(sim_->trace(), kRpc, "rpc_failed", sim_->now(), id_, "attempts", attempt);
-  log_.RecordFailure(sim_->now(), attempt);
-  if (state->done) {
-    state->done(Status(StatusCode::kDeadlineExceeded,
-                       name_ + ": exchange exhausted " + std::to_string(attempt) + " attempts"));
+  ODY_TRACE_INSTANT1(sim_->trace(), kRpc, "rpc_failed", sim_->now(), id_, "attempts", number);
+  log_.RecordFailure(sim_->now(), number);
+  if (attempt->done) {
+    attempt->done(Status(StatusCode::kDeadlineExceeded,
+                         name_ + ": exchange exhausted " + std::to_string(number) + " attempts"));
   }
 }
 

@@ -150,42 +150,64 @@ class Endpoint {
   uint64_t timeouts() const { return timeouts_; }
 
  private:
-  // Per-attempt bookkeeping shared between an attempt's continuations and
-  // its timeout event, so exactly one of them settles the attempt.
-  struct AttemptState {
-    bool aborted = false;    // the timeout fired; late completions are dropped
+  // What one exchange moves: |up_bytes| to the server, |server_compute| of
+  // server time, |down_bytes| back.  |payload| is the bytes the attempt's
+  // budget and trace span count.  A window logs a throughput entry for its
+  // down bytes; a call logs a round trip.
+  struct Exchange {
+    double up_bytes = 0.0;
+    double down_bytes = 0.0;
+    Duration server_compute = 0;
+    double payload = 0.0;
+    bool window = false;
+  };
+
+  // One attempt of an exchange, shared by its steps and its timeout event
+  // so that exactly one of them settles it.  A retry starts a new attempt.
+  struct Attempt {
+    Exchange exchange;
+    int number = 1;
+    Time start = 0;
+    uint64_t span = 0;
+    bool aborted = false;    // the timeout fired; late steps are dropped
     bool completed = false;  // the attempt finished; the timeout is a no-op
     FlowId flow = 0;         // in-flight flow, cancelled on abort (0 = none)
     // The exchange's completion: run once the attempt succeeds or the last
     // one fails, or handed on to the next attempt on a retry.
     StatusDone done;
   };
-  using AttemptPtr = std::shared_ptr<AttemptState>;
+  using AttemptPtr = std::shared_ptr<Attempt>;
+  // An attempt's step, run once its message clears the link.
+  using Step = void (Endpoint::*)(const AttemptPtr&);
 
-  // One attempt of the request/response exchange.
-  void CallAttempt(double request_bytes, double response_bytes, Duration server_compute,
-                   int attempt, StatusDone done);
-  // One attempt of the windowed transfer.
-  void WindowAttempt(double bytes, int attempt, StatusDone done);
+  // Attempt |number| of |exchange|: arms its timeout and sends the request up.
+  void SendUp(const Exchange& exchange, int number, StatusDone done);
+  // The request cleared the link; the server answers after one-way latency,
+  // its compute and any injected stall.
+  void ServerTurn(const AttemptPtr& attempt);
+  // The server answers: sends the response down, unless the attempt aborted.
+  void SendDown(const AttemptPtr& attempt);
+  // The response cleared the link; it reaches the client after one-way latency.
+  void ClientArrival(const AttemptPtr& attempt);
+  // Logs the attempt's own span and completes the exchange.
+  void Finish(const AttemptPtr& attempt);
+  // The attempt's deadline: a no-op once it completed; otherwise aborts it,
+  // cancelling its in-flight flow, then retries the exchange after backoff
+  // or fails it and logs the failure.
+  void TimeOut(const AttemptPtr& attempt);
 
   // Starts |bytes| through the link (or silently loses them, per the
-  // injector), invoking |next| only if the attempt is still live.
-  void SendMessage(double bytes, const AttemptPtr& state, std::function<void()> next);
-
-  // The start of an attempt's timeout event: false if the attempt already
-  // completed; otherwise aborts it, cancelling its in-flight flow, and
-  // returns true so the event goes on to the retry-or-fail path.
-  bool TimeOut(AttemptState* state);
-
-  // Retry after backoff, or fail the exchange with |state|'s completion and
-  // log the failure.  The retry closure takes the completion over instead.
-  void RetryOrFail(int attempt, std::function<void(int)> retry, AttemptState* state);
+  // injector), taking step |next| only if the attempt is still live.
+  void SendMessage(double bytes, const AttemptPtr& attempt, Step next);
 
   // Backoff before retry |attempt| (1-based retry count), jittered.
   Duration BackoffDelay(int attempt);
 
   // Runs the window pipeline for |remaining| bytes, then |done|.
   void TransferWindows(double remaining, StatusDone done);
+  // The completion of the exchange before them: on success it runs the
+  // window pipeline for |remaining| bytes; a failure goes to |done| at once.
+  StatusDone ThenWindows(double remaining, StatusDone done);
 
   Simulation* sim_;
   Link* link_;

@@ -118,13 +118,12 @@ class EventQueue {
  public:
   // A move-only void() callable.  Captures of up to kInlineSize bytes are
   // stored in place; larger (or over-aligned, or throwing-move) ones are
-  // boxed on the heap.  The size covers every hot lambda: the endpoint's
-  // attempt timeout (up to 64 bytes: this, sizes, attempt, span id and the
-  // attempt's shared_ptr) and its continuations (48-56), the link's
-  // zero-byte completion and the audit tick (48), the retry (40), upcall
-  // batch delivery and link completion (8).  Move-only so a handler is
-  // never copied behind the caller's back: copying one is a compile error
-  // (tests/compile_fail/copy_event_callback.cc).
+  // boxed on the heap.  The size covers every hot lambda: the audit tick
+  // (48), the endpoint's flow continuation (40: this, the attempt's
+  // shared_ptr and its next step), its timeout, retry and latency steps
+  // (24), upcall batch delivery and link completion (8).  Move-only so a
+  // handler is never copied behind the caller's back: copying one is a
+  // compile error (tests/compile_fail/copy_event_callback.cc).
   class Callback {
    public:
     static constexpr size_t kInlineSize = 72;

@@ -5,8 +5,9 @@
 // makes once its buffers have grown: none for an event schedule/fire or
 // schedule/cancel, none for an oracle audit tick, none for a telemetry
 // feed's sample, and none for an upcall handler's trip through the request
-// table and the dispatcher, which moves the handler rather than copying it.  The counting operators are linked
-// into this test binary only.
+// table and the dispatcher, which moves the handler rather than copying it;
+// and one, the attempt record, for an RPC exchange.  The counting operators
+// are linked into this test binary only.
 
 #include <array>
 #include <atomic>
@@ -26,6 +27,8 @@
 #include "src/core/resource.h"
 #include "src/core/upcall.h"
 #include "src/metrics/experiment.h"
+#include "src/net/link.h"
+#include "src/rpc/endpoint.h"
 #include "src/servers/telemetry_server.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulation.h"
@@ -177,6 +180,66 @@ TEST(AllocBudgetTest, UpcallHandlerMovesThroughTableAndDispatcher) {
   UpcallHandler handler = make_handler();
   EXPECT_EQ(AllocationsIn([&] { cycle(std::move(handler)); }), 0u);
   EXPECT_EQ(delivered, 6);
+}
+
+// Allocations made by each of |n| exchanges that |start| begins and the
+// simulation runs to completion.  The endpoint's log is a vector that
+// doubles as observations arrive, so an exchange whose entry reallocated
+// |log| is charged that one amortized allocation less.
+template <typename Observation, typename Start>
+std::vector<uint64_t> AllocationsPerExchange(Simulation* sim, const std::vector<Observation>& log,
+                                             int n, Start start) {
+  std::vector<uint64_t> counts;
+  counts.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const size_t capacity = log.capacity();
+    uint64_t count = AllocationsIn([&] {
+      start();
+      sim->Run();
+    });
+    if (log.capacity() != capacity) {
+      --count;
+    }
+    counts.push_back(count);
+  }
+  return counts;
+}
+
+// A steady-state exchange allocates its attempt record and nothing else:
+// every step, the flow continuation and the (never-cancelled) timeout are
+// stored in place, in the event slab or the link's flow list.
+void ExpectOneAllocationPerAttempt(const RetryPolicy& policy) {
+  constexpr int kExchanges = 64;
+  Simulation sim;
+  Link link(&sim, 120.0 * 1024.0, 10500);
+  Endpoint endpoint(&sim, &link, "server");
+  endpoint.set_retry_policy(policy);
+  int completed = 0;
+  const Endpoint::StatusDone done = [&completed](Status status) {
+    EXPECT_TRUE(status.ok());
+    ++completed;
+  };
+  for (int i = 0; i < 4; ++i) {  // grows the event slab and the link's buffers
+    endpoint.Ping(done);
+    endpoint.FetchWindow(8.0 * 1024.0, done);
+    sim.Run();
+  }
+  const auto ping = [&] { endpoint.Ping(done); };
+  const auto window = [&] { endpoint.FetchWindow(8.0 * 1024.0, done); };
+  const ObservationLog& log = endpoint.log();
+  const std::vector<uint64_t> one_each(kExchanges, 1);
+  EXPECT_EQ(AllocationsPerExchange(&sim, log.round_trips(), kExchanges, ping), one_each);
+  EXPECT_EQ(AllocationsPerExchange(&sim, log.throughputs(), kExchanges, window), one_each);
+  EXPECT_EQ(completed, 8 + 2 * kExchanges);
+  EXPECT_EQ(endpoint.timeouts(), 0u);
+}
+
+TEST(AllocBudgetTest, ExchangeAllocatesOnlyItsAttempt) {
+  ExpectOneAllocationPerAttempt(RetryPolicy());
+}
+
+TEST(AllocBudgetTest, ExchangeWithRetryPolicyAllocatesOnlyItsAttempt) {
+  ExpectOneAllocationPerAttempt(RetryPolicy::Default());
 }
 
 TEST(AllocBudgetTest, OracleAuditTickAllocatesNothing) {

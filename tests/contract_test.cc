@@ -62,7 +62,7 @@ TEST(ContractDeathTest, EwmaRejectsAlphaOutsideUnitInterval) {
 TEST(ContractDeathTest, LinkRejectsNegativeFlowBytes) {
   Simulation sim(1);
   Link link(&sim, /*capacity_bps=*/1e6, /*latency=*/kMillisecond);
-  EXPECT_DEATH(link.StartFlow(-1.0, nullptr), "negative bytes");
+  EXPECT_DEATH(link.StartFlow(-1.0, [] {}), "negative bytes");
 }
 
 // The interval index orders windows by their bounds; NaN has no order.

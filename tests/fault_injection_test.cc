@@ -26,6 +26,8 @@
 #include "src/rpc/endpoint.h"
 #include "src/sim/simulation.h"
 #include "src/strategies/centralized.h"
+#include "src/trace/trace_event.h"
+#include "src/trace/trace_recorder.h"
 
 namespace odyssey {
 namespace {
@@ -344,6 +346,104 @@ TEST(EndpointRetryTest, BackoffGrowsExponentially) {
   sim.Run();
   // 4 attempts x 500 ms timeout + backoffs 100 + 200 + 400 ms = 2.7 s.
   EXPECT_EQ(failed_at, 2700 * kMillisecond);
+}
+
+// An endpoint under total loss with no jitter, whose exchanges fail after
+// |max_attempts| attempts.
+struct TotalLossRig {
+  explicit TotalLossRig(int max_attempts) {
+    injector.Arm(FaultPlan().WithDropProbability(1.0));
+    RetryPolicy policy = ExactPolicy();
+    policy.max_attempts = max_attempts;
+    endpoint.set_retry_policy(policy);
+    endpoint.set_fault_injector(&injector);
+  }
+
+  // A completion that records the instant its exchange failed.
+  Endpoint::StatusDone RecordFailure() {
+    return [this](Status status) {
+      EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+      failed_at = sim.now();
+    };
+  }
+
+  Simulation sim;
+  Link link{&sim, 120.0 * kKb, 10500};
+  FaultInjector injector{&sim, &link};
+  Endpoint endpoint{&sim, &link, "server"};
+  Time failed_at = -1;
+};
+
+TEST(EndpointRetryTest, AttemptBudgetCountsPayloadAtTheFloorRate) {
+  // Budget = 500 ms timeout + server compute + payload / 16 KB/s floor.
+  // A call's payload is both messages: a ping's 128 B earn 7,812.5 us.
+  TotalLossRig ping(1);
+  ping.endpoint.Ping(ping.RecordFailure());
+  ping.sim.Run();
+  EXPECT_EQ(ping.failed_at, 500 * kMillisecond + 7813);
+
+  // 64 + 1,024 B earn 66,406.25 us, and the server's 300 ms come on top.
+  TotalLossRig call(1);
+  call.endpoint.Call(64.0, 1024.0, 300 * kMillisecond, call.RecordFailure());
+  call.sim.Run();
+  EXPECT_EQ(call.failed_at, 800 * kMillisecond + 66406);
+
+  // A window's payload is its data alone: 4 KB earn 250 ms, and the 64 B
+  // window request earns nothing.
+  TotalLossRig window(1);
+  window.endpoint.FetchWindow(4.0 * kKb, window.RecordFailure());
+  window.sim.Run();
+  EXPECT_EQ(window.failed_at, 750 * kMillisecond);
+
+  for (const TotalLossRig* rig : {&ping, &call, &window}) {
+    EXPECT_EQ(rig->endpoint.timeouts(), 1u);
+    EXPECT_EQ(rig->endpoint.retries(), 0u);
+    EXPECT_EQ(rig->endpoint.exchanges_failed(), 1u);
+  }
+}
+
+// The endpoint's trace events, one "ts phase name [#span] args" line each.
+std::string RpcTrace(const TraceRecorder& recorder) {
+  std::ostringstream out;
+  for (const TraceEvent& event : recorder.Snapshot()) {
+    if (event.category != TraceCategory::kRpc) {
+      continue;
+    }
+    out << event.ts << ' ' << TracePhaseCode(event.phase) << ' ' << event.name;
+    if (event.phase != TracePhase::kInstant) {
+      out << " #" << event.id;
+    }
+    if (event.arg0_name != nullptr) {
+      out << ' ' << event.arg0_name << '=' << event.arg0;
+    }
+    if (event.arg1_name != nullptr) {
+      out << ' ' << event.arg1_name << '=' << event.arg1;
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+TEST(EndpointRetryTest, TimedOutWindowClosesItsSpanBeforeRetrying) {
+  TotalLossRig rig(2);
+  TraceRecorder recorder;
+  rig.sim.set_trace(&recorder);
+  rig.endpoint.FetchWindow(4.0 * kKb, rig.RecordFailure());
+  rig.sim.Run();
+
+  // Each attempt is its own rpc_window span, closed at its 750 ms budget;
+  // the retry opens attempt 2 after the 100 ms backoff.
+  const std::string expected =
+      "0 b rpc_window #1 bytes=4096 attempt=1\n"
+      "750000 e rpc_window #1\n"
+      "750000 i rpc_timeout attempt=1\n"
+      "750000 i rpc_retry attempt=1 backoff_us=100000\n"
+      "850000 b rpc_window #2 bytes=4096 attempt=2\n"
+      "1600000 e rpc_window #2\n"
+      "1600000 i rpc_timeout attempt=2\n"
+      "1600000 i rpc_failed attempts=2\n";
+  EXPECT_EQ(RpcTrace(recorder), expected);
+  EXPECT_EQ(rig.failed_at, 1600 * kMillisecond);
 }
 
 // --- The fault matrix ----------------------------------------------------

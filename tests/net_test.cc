@@ -335,8 +335,8 @@ TEST(LinkTest, FairShareRateAccountsForFlows) {
   Simulation sim;
   Link link(&sim, 100.0, 0);
   EXPECT_DOUBLE_EQ(link.FairShareRate(), 100.0);
-  link.StartFlow(1000.0, nullptr);
-  link.StartFlow(1000.0, nullptr);
+  link.StartFlow(1000.0, [] {});
+  link.StartFlow(1000.0, [] {});
   EXPECT_DOUBLE_EQ(link.FairShareRate(), 50.0);
 }
 
