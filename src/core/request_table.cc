@@ -39,12 +39,14 @@ RequestId RequestTable::Register(AppId app, ResourceDescriptor descriptor, uint3
   slot.klass = klass;
 
   by_id_[id] = index;
-  BucketFor(r, app).push_back(index);
+  Bucket& bucket = BucketFor(r, app);
+  bucket.slots.push_back(index);
+  bucket.Fold(slot.entry.descriptor);
   Index(r, index);
   return id;
 }
 
-std::vector<uint32_t>& RequestTable::BucketFor(size_t r, AppId app) {
+RequestTable::Bucket& RequestTable::BucketFor(size_t r, AppId app) {
   if (app >= buckets_[r].size()) {
     buckets_[r].resize(app + 1);
   }
@@ -53,11 +55,11 @@ std::vector<uint32_t>& RequestTable::BucketFor(size_t r, AppId app) {
 
 void RequestTable::Reclassify(AppId app, uint32_t klass) {
   for (size_t r = 0; r < kNumResources; ++r) {
-    const std::vector<uint32_t>* bucket = FindBucket(r, app);
+    const Bucket* bucket = FindBucket(r, app);
     if (bucket == nullptr) {
       continue;
     }
-    for (const uint32_t index : *bucket) {
+    for (const uint32_t index : bucket->slots) {
       Slot& slot = slots_[index];
       if (slot.klass == klass) {
         continue;
@@ -160,8 +162,12 @@ Status RequestTable::Cancel(RequestId id) {
   }
   const uint32_t index = *found;
   const Entry& entry = slots_[index].entry;
-  std::vector<uint32_t>& bucket = BucketFor(ResourceIndex(entry.descriptor.resource), entry.app);
-  bucket.erase(std::find(bucket.begin(), bucket.end(), index));
+  Bucket& bucket = BucketFor(ResourceIndex(entry.descriptor.resource), entry.app);
+  bucket.slots.erase(std::find(bucket.slots.begin(), bucket.slots.end(), index));
+  bucket.ResetEnvelope();
+  for (const uint32_t kept : bucket.slots) {
+    bucket.Fold(slots_[kept].entry.descriptor);
+  }
   Release(index);
   return OkStatus();
 }
@@ -169,21 +175,23 @@ Status RequestTable::Cancel(RequestId id) {
 void RequestTable::TakeViolated(ResourceId resource, AppId app, double level,
                                 std::vector<Entry>* out) {
   out->clear();
-  const size_t r = ResourceIndex(resource);
-  if (app >= buckets_[r].size()) {
-    return;
+  if (!IsViolated(resource, app, level)) {
+    return;  // inside every window (or holding none)
   }
-  std::vector<uint32_t>& bucket = buckets_[r][app];
+  Bucket& bucket = buckets_[ResourceIndex(resource)][app];
   violated_.clear();
+  bucket.ResetEnvelope();
   size_t keep = 0;
-  for (const uint32_t index : bucket) {
-    if (Violates(slots_[index].entry.descriptor, level)) {
+  for (const uint32_t index : bucket.slots) {
+    const ResourceDescriptor& descriptor = slots_[index].entry.descriptor;
+    if (Violates(descriptor, level)) {
       violated_.push_back(index);
     } else {
-      bucket[keep++] = index;
+      bucket.slots[keep++] = index;
+      bucket.Fold(descriptor);
     }
   }
-  bucket.resize(keep);
+  bucket.slots.resize(keep);
   // Slot recycling scrambles in-bucket index order; the observable contract
   // is ascending id (the order the old full-scan map iteration produced).
   std::sort(violated_.begin(), violated_.end(), [this](uint32_t a, uint32_t b) {
@@ -198,13 +206,13 @@ void RequestTable::TakeViolated(ResourceId resource, AppId app, double level,
 }
 
 std::vector<RequestTable::Entry> RequestTable::EntriesFor(AppId app, ResourceId resource) const {
-  const std::vector<uint32_t>* bucket = FindBucket(ResourceIndex(resource), app);
+  const Bucket* bucket = FindBucket(ResourceIndex(resource), app);
   if (bucket == nullptr) {
     return {};
   }
   std::vector<Entry> matching;
-  matching.reserve(bucket->size());
-  for (const uint32_t index : *bucket) {
+  matching.reserve(bucket->slots.size());
+  for (const uint32_t index : bucket->slots) {
     matching.push_back(slots_[index].entry);
   }
   std::sort(matching.begin(), matching.end(),

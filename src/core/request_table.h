@@ -13,7 +13,12 @@
 //   * a flat id map (IdMap) from RequestId to slot, for Cancel;
 //   * per-(resource, app) buckets of slot indices — one vector per
 //     resource, indexed by app id — making TakeViolated and EntriesFor
-//     O(app's windows) instead of O(table), with no lookup to find them;
+//     O(app's windows) instead of O(table), with no lookup to find them.
+//     Each bucket also keeps its windows' envelope: the largest lower
+//     bound and the smallest upper bound.  Some window excludes a level
+//     exactly when the level lies outside the envelope (max and min are
+//     exact), so IsViolated is two comparisons, and TakeViolated returns
+//     without reading a slot when nothing is violated;
 //   * per-resource interval indexes, one pair of indexed binary heaps per
 //     window class: a max-heap on each window's lower bound and a min-heap
 //     on its upper bound.  A window violated at a level sits at the top of
@@ -37,6 +42,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/core/id_map.h"
@@ -77,6 +83,14 @@ class RequestTable {
   // takes windows without allocating.
   void TakeViolated(ResourceId resource, AppId app, double level, std::vector<Entry>* out);
 
+  // Whether some window of |app| on |resource| excludes |level|: exactly
+  // the test TakeViolated applies to each window, answered from the
+  // bucket's envelope in O(1).
+  bool IsViolated(ResourceId resource, AppId app, double level) const {
+    const Bucket* bucket = FindBucket(static_cast<size_t>(resource), app);
+    return bucket != nullptr && (level < bucket->max_lower || level > bucket->min_upper);
+  }
+
   // Entries registered for |app| on |resource| (diagnostics/tests), in
   // ascending id order.
   std::vector<Entry> EntriesFor(AppId app, ResourceId resource) const;
@@ -98,8 +112,8 @@ class RequestTable {
   // the app's bucket; the viceroy's full-scan re-evaluation asks it to skip
   // apps that no level can owe an upcall.
   bool HoldsWindow(AppId app, ResourceId resource) const {
-    const std::vector<uint32_t>* bucket = FindBucket(static_cast<size_t>(resource), app);
-    return bucket != nullptr && !bucket->empty();
+    const Bucket* bucket = FindBucket(static_cast<size_t>(resource), app);
+    return bucket != nullptr && !bucket->slots.empty();
   }
 
   size_t size() const { return by_id_.size(); }
@@ -125,6 +139,29 @@ class RequestTable {
     std::array<uint32_t, 2> heap_pos{};
   };
 
+  // One app's windows on one resource, and their envelope.  An empty
+  // bucket's envelope is the whole line, which excludes no level.
+  struct Bucket {
+    std::vector<uint32_t> slots;
+    double max_lower = -std::numeric_limits<double>::infinity();
+    double min_upper = std::numeric_limits<double>::infinity();
+
+    // Widens the envelope back to the whole line.
+    void ResetEnvelope() {
+      max_lower = -std::numeric_limits<double>::infinity();
+      min_upper = std::numeric_limits<double>::infinity();
+    }
+    // Narrows the envelope to fit |descriptor|'s window too.
+    void Fold(const ResourceDescriptor& descriptor) {
+      if (descriptor.lower > max_lower) {
+        max_lower = descriptor.lower;
+      }
+      if (descriptor.upper < min_upper) {
+        min_upper = descriptor.upper;
+      }
+    }
+  };
+
   static constexpr size_t kNumResources = std::size(kAllResources);
 
   // Unlinks the slot from the id map and interval index and returns it to
@@ -146,10 +183,10 @@ class RequestTable {
   void CollectBelow(const Heap& heap, uint32_t pos, double probe, std::vector<AppId>* out) const;
 
   // The bucket for (|r|, |app|), grown into existence.
-  std::vector<uint32_t>& BucketFor(size_t r, AppId app);
+  Bucket& BucketFor(size_t r, AppId app);
   // The bucket for (|r|, |app|), or nullptr if |app| is past the end of
   // |r|'s buckets (it has no windows there).
-  const std::vector<uint32_t>* FindBucket(size_t r, AppId app) const {
+  const Bucket* FindBucket(size_t r, AppId app) const {
     return app < buckets_[r].size() ? &buckets_[r][app] : nullptr;
   }
 
@@ -157,8 +194,8 @@ class RequestTable {
   std::vector<uint32_t> free_;  // LIFO: the hottest slot is reused first
   std::vector<uint32_t> violated_;  // TakeViolated's scratch, reused
   IdMap<uint32_t> by_id_;
-  // Slot indices per resource, indexed by app id.
-  std::array<std::vector<std::vector<uint32_t>>, kNumResources> buckets_;
+  // Buckets per resource, indexed by app id.
+  std::array<std::vector<Bucket>, kNumResources> buckets_;
   // Interval index per resource, indexed by class.
   std::array<std::vector<ClassHeaps>, kNumResources> classes_;
   RequestId next_id_ = 1;

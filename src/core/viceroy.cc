@@ -135,6 +135,7 @@ void Viceroy::SetStaticLevel(ResourceId resource, double level) {
   static_levels_[resource] = level;
   ODY_TRACE_INSTANT1(sim_->trace(), kViceroy, "static_level", sim_->now(),
                      static_cast<uint64_t>(resource), "level", level);
+  ArbitrationStrategy* broker = strategy_->arbitration();
   if (reevaluate_mode_ == ReevaluateMode::kIndexed) {
     // A static level is the same for every app, so the interval index
     // answers "whose windows does this violate" directly.
@@ -143,12 +144,12 @@ void Viceroy::SetStaticLevel(ResourceId resource, double level) {
     std::sort(candidates_.begin(), candidates_.end());
     candidates_.erase(std::unique(candidates_.begin(), candidates_.end()), candidates_.end());
     for (const AppId app : candidates_) {
-      EvaluateApp(app, resource, level);
+      EvaluateApp(app, resource, level, broker);
     }
     return;
   }
   for (AppId app = 1; app <= apps_.size(); ++app) {
-    EvaluateApp(app, resource, level);
+    EvaluateApp(app, resource, level, broker);
   }
 }
 
@@ -203,21 +204,22 @@ void Viceroy::Reevaluate() {
 // read for every candidate; the rtt only for an app holding a latency
 // window, since evaluating none posts nothing.
 void Viceroy::EvaluateCandidates() {
+  ArbitrationStrategy* broker = strategy_->arbitration();
   for (const AppId app : candidates_) {
     EvaluateApp(app, ResourceId::kNetworkBandwidth,
-                strategy_->AvailabilityFor(app, sim_->now()));
+                strategy_->AvailabilityFor(app, sim_->now()), broker);
     if (requests_.HoldsWindow(app, ResourceId::kNetworkLatency)) {
       EvaluateApp(app, ResourceId::kNetworkLatency,
-                  static_cast<double>(strategy_->SmoothedRttFor(app)));
+                  static_cast<double>(strategy_->SmoothedRttFor(app)), broker);
     }
   }
 }
 
-void Viceroy::EvaluateApp(AppId app, ResourceId resource, double level) {
+void Viceroy::EvaluateApp(AppId app, ResourceId resource, double level,
+                          ArbitrationStrategy* broker) {
   // Availability is a physical quantity (bytes/s, microseconds, kilobytes,
   // ...); a negative level means an estimator or accounting bug upstream.
   ODY_DCHECK(level >= 0.0, "negative resource availability");
-  ArbitrationStrategy* broker = strategy_->arbitration();
   requests_.TakeViolated(resource, app, level, &violated_);
   for (RequestTable::Entry& entry : violated_) {
     // Windows of tolerance are one-shot: taking one out of the table to

@@ -108,7 +108,10 @@ class Viceroy {
   ReevaluateMode reevaluate_mode() const { return reevaluate_mode_; }
 
  private:
-  void EvaluateApp(AppId app, ResourceId resource, double level);
+  // Takes |app|'s windows on |resource| that exclude |level| and posts
+  // their upcalls, releasing each one's commitment with |broker| (the
+  // strategy's arbitration(), read once per pass; may be null).
+  void EvaluateApp(AppId app, ResourceId resource, double level, ArbitrationStrategy* broker);
   void EvaluateCandidates();
 
   // The request-table class for |app|'s windows: its connection count.

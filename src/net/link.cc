@@ -1,7 +1,6 @@
 #include "src/net/link.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -71,9 +70,23 @@ FlowId Link::StartFlow(double bytes, EventQueue::Callback on_complete) {
         });
     return id;
   }
-  flows_.push_back(Flow{id, bytes, std::move(on_complete)});
+  flows_.push_back(Flow{id, bytes, Park(std::move(on_complete))});
+  if (bytes < min_remaining_) {
+    min_remaining_ = bytes;
+  }
   CompleteAndReschedule();
   return id;
+}
+
+uint32_t Link::Park(EventQueue::Callback cb) {
+  if (free_slots_.empty()) {
+    callbacks_.push_back(std::move(cb));
+    return static_cast<uint32_t>(callbacks_.size() - 1);
+  }
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  callbacks_[slot] = std::move(cb);
+  return slot;
 }
 
 void Link::CancelFlow(FlowId id) {
@@ -87,7 +100,16 @@ void Link::CancelFlow(FlowId id) {
   const auto it = std::lower_bound(flows_.begin(), flows_.end(), id,
                                    [](const Flow& flow, FlowId key) { return flow.id < key; });
   if (it != flows_.end() && it->id == id) {
+    callbacks_[it->slot] = EventQueue::Callback();  // drops the capture now
+    free_slots_.push_back(it->slot);
     flows_.erase(it);
+    // The cancelled flow may have held the minimum.
+    min_remaining_ = std::numeric_limits<double>::max();
+    for (const Flow& flow : flows_) {
+      if (flow.remaining > kEpsilonBytes && flow.remaining < min_remaining_) {
+        min_remaining_ = flow.remaining;
+      }
+    }
   }
   CompleteAndReschedule();
 }
@@ -105,52 +127,52 @@ void Link::Advance() {
   const double rate = effective_capacity_bps() / static_cast<double>(flows_.size());
   const double progress = rate * elapsed_s;
   ODY_DCHECK(progress >= 0.0, "negative delivery progress");
-  // The running total lives in a local so the compiler need not assume the
-  // residual stores alias it; the additions and their order are unchanged.
+  // The running totals live in locals so the compiler need not assume the
+  // residual stores alias them; the additions and their order are unchanged.
   double bytes_delivered = bytes_delivered_;
+  double min_remaining = std::numeric_limits<double>::max();
+  bool drained = false;
   for (Flow& flow : flows_) {
     const double delivered = progress < flow.remaining ? progress : flow.remaining;
     flow.remaining -= delivered;
     bytes_delivered += delivered;
     ODY_DCHECK(flow.remaining >= 0.0, "flow residual went negative");
+    if (flow.remaining <= kEpsilonBytes) {
+      drained = true;
+    } else if (flow.remaining < min_remaining) {
+      min_remaining = flow.remaining;
+    }
   }
   bytes_delivered_ = bytes_delivered;
+  min_remaining_ = min_remaining;
+  drained_ = drained_ || drained;
   last_update_ = now;
 }
 
 void Link::CompleteAndReschedule() {
-  // One pass completes drained flows and takes the smallest residual among
-  // the survivors.  Callbacks may start new flows re-entrantly, so they are
-  // collected first, into the reused completion buffer; a nested call finds
-  // it taken and uses a fresh one.
-  std::vector<EventQueue::Callback> done = std::move(done_scratch_);
-  double min_remaining = std::numeric_limits<double>::max();
-  size_t kept = 0;
-  for (Flow& flow : flows_) {
-    if (flow.remaining <= kEpsilonBytes) {
-      done.push_back(std::move(flow.on_complete));
-    } else {
-      if (flow.remaining < min_remaining) {
-        min_remaining = flow.remaining;
-      }
-      if (&flow != &flows_[kept]) {
-        flows_[kept] = std::move(flow);
-      }
-      ++kept;
-    }
-  }
-  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept), flows_.end());
-  for (EventQueue::Callback& cb : done) {
-    cb();
-  }
-  if (!done.empty()) {
-    // Callbacks may have mutated the flow set; recompute from a clean slate.
-    Advance();
-    min_remaining = std::numeric_limits<double>::max();
+  // Only a pass after some flow drained has flows to complete.  Callbacks
+  // may start or cancel flows re-entrantly, so the drained flows' callbacks
+  // are moved out first, into the reused completion buffer, and the flow
+  // list is compacted before any of them runs.  Virtual time stands still
+  // meanwhile, so a nested call finds nothing drained, and the flows the
+  // callbacks start or cancel keep |min_remaining_| current themselves.
+  const bool completing = drained_;
+  std::vector<EventQueue::Callback> done;
+  if (completing) {
+    drained_ = false;
+    done = std::move(done_scratch_);
+    size_t kept = 0;
     for (const Flow& flow : flows_) {
-      if (flow.remaining < min_remaining) {
-        min_remaining = flow.remaining;
+      if (flow.remaining <= kEpsilonBytes) {
+        done.push_back(std::move(callbacks_[flow.slot]));
+        free_slots_.push_back(flow.slot);
+      } else {
+        flows_[kept++] = flow;
       }
+    }
+    flows_.resize(kept);
+    for (EventQueue::Callback& cb : done) {
+      cb();
     }
   }
 
@@ -159,14 +181,16 @@ void Link::CompleteAndReschedule() {
   const bool stalled = flows_.empty() || effective_capacity_bps() <= 0.0;
   if (!stalled) {
     const double rate = effective_capacity_bps() / static_cast<double>(flows_.size());
-    const Duration eta = SecondsToDuration(min_remaining / rate);
+    const Duration eta = SecondsToDuration(min_remaining_ / rate);
     pending_completion_ = sim_->Schedule(eta < 1 ? 1 : eta, [this] {
       Advance();
       CompleteAndReschedule();
     });
   }
-  done.clear();
-  done_scratch_ = std::move(done);
+  if (completing) {
+    done.clear();
+    done_scratch_ = std::move(done);
+  }
 }
 
 }  // namespace odyssey

@@ -15,6 +15,7 @@
 #define SRC_NET_LINK_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -80,17 +81,23 @@ class Link {
   double bytes_delivered() const { return bytes_delivered_; }
 
  private:
+  // The hot record a drain pass walks: 24 bytes, trivially movable.  The
+  // completion callback is parked in |callbacks_| at |slot| and stays put
+  // until the flow completes or is cancelled.
   struct Flow {
     FlowId id = 0;
     double remaining = 0.0;
-    EventQueue::Callback on_complete;
+    uint32_t slot = 0;
   };
 
-  // Applies progress to all flows for time elapsed since |last_update_|.
+  // Applies progress to all flows for time elapsed since |last_update_|,
+  // noting whether any flow drained and the smallest surviving residual.
   void Advance();
   // Completes any flows that have drained, then schedules the next
   // completion event.
   void CompleteAndReschedule();
+  // Parks |cb| in a free callback slot and returns the slot.
+  uint32_t Park(EventQueue::Callback cb);
 
   Simulation* sim_;
   double capacity_bps_;
@@ -98,9 +105,18 @@ class Link {
   Duration extra_latency_ = 0;
   bool outage_ = false;
   // In-flight flows in ascending id order.  Ids only grow, so StartFlow
-  // appends; every pass over the flows (draining, completion, the next
-  // completion's eta) visits them in id order over contiguous memory.
+  // appends; every pass over the flows (draining, completion) visits them
+  // in id order over contiguous memory.
   std::vector<Flow> flows_;
+  // Whether some flow has drained to kEpsilonBytes since the last
+  // completion pass: the only case in which that pass compacts |flows_|.
+  bool drained_ = false;
+  // The smallest residual among the flows that have not drained (the max
+  // double when there are none); the next completion's eta reads it.
+  double min_remaining_ = std::numeric_limits<double>::max();
+  // Completion callbacks by slot, recycled through |free_slots_|.
+  std::vector<EventQueue::Callback> callbacks_;
+  std::vector<uint32_t> free_slots_;
   // Degenerate zero-byte flows whose completion is already on the event
   // queue; tracked so CancelFlow can still suppress the callback.
   std::map<FlowId, EventHandle> zero_byte_flows_;

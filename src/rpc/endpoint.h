@@ -137,7 +137,9 @@ class Endpoint {
   // Fetch under the link's shared-capacity model.
   void Send(double total_bytes, Duration server_compute, StatusDone done);
 
-  // Total application payload bytes moved (both directions).
+  // Data bytes of the windows that finished (FetchWindow, and the windows
+  // of Fetch and Send).  A call's request and response, control messages,
+  // and windows that failed or are still in flight add nothing.
   double bytes_transferred() const { return bytes_transferred_; }
 
   // --- Failure-path accounting (tests, diagnostics) ---

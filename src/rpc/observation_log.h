@@ -68,46 +68,31 @@ class ObservationLog {
     std::erase(listeners_, listener);
   }
 
+  // Each entry goes to the listeners as it is recorded; the log keeps
+  // none, so its memory does not grow with the run.
   void RecordRoundTrip(Time at, Duration rtt) {
-    round_trips_.push_back(RoundTripObservation{at, rtt});
+    const RoundTripObservation obs{at, rtt};
     for (LogListener* listener : listeners_) {
-      listener->OnRoundTrip(connection_, round_trips_.back());
+      listener->OnRoundTrip(connection_, obs);
     }
   }
 
   void RecordThroughput(Time at, double window_bytes, Duration elapsed) {
-    throughputs_.push_back(ThroughputObservation{at, window_bytes, elapsed});
+    const ThroughputObservation obs{at, window_bytes, elapsed};
     for (LogListener* listener : listeners_) {
-      listener->OnThroughput(connection_, throughputs_.back());
+      listener->OnThroughput(connection_, obs);
     }
   }
 
   void RecordFailure(Time at, int attempts) {
-    failures_.push_back(FailureObservation{at, attempts});
+    const FailureObservation obs{at, attempts};
     for (LogListener* listener : listeners_) {
-      listener->OnFailure(connection_, failures_.back());
+      listener->OnFailure(connection_, obs);
     }
-  }
-
-  const std::vector<RoundTripObservation>& round_trips() const { return round_trips_; }
-  const std::vector<ThroughputObservation>& throughputs() const { return throughputs_; }
-  const std::vector<FailureObservation>& failures() const { return failures_; }
-
-  // Total bytes covered by throughput entries; used by demand accounting
-  // sanity checks.
-  double TotalBulkBytes() const {
-    double total = 0.0;
-    for (const auto& obs : throughputs_) {
-      total += obs.window_bytes;
-    }
-    return total;
   }
 
  private:
   ConnectionId connection_;
-  std::vector<RoundTripObservation> round_trips_;
-  std::vector<ThroughputObservation> throughputs_;
-  std::vector<FailureObservation> failures_;
   std::vector<LogListener*> listeners_;
 };
 

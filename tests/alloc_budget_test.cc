@@ -6,7 +6,8 @@
 // schedule/cancel, none for an oracle audit tick, none for a telemetry
 // feed's sample, and none for an upcall handler's trip through the request
 // table and the dispatcher, which moves the handler rather than copying it;
-// and one, the attempt record, for an RPC exchange.  The counting operators
+// none for a link's flow churn; and one, the attempt record, for an RPC
+// exchange.  The counting operators
 // are linked into this test binary only.
 
 #include <array>
@@ -183,24 +184,16 @@ TEST(AllocBudgetTest, UpcallHandlerMovesThroughTableAndDispatcher) {
 }
 
 // Allocations made by each of |n| exchanges that |start| begins and the
-// simulation runs to completion.  The endpoint's log is a vector that
-// doubles as observations arrive, so an exchange whose entry reallocated
-// |log| is charged that one amortized allocation less.
-template <typename Observation, typename Start>
-std::vector<uint64_t> AllocationsPerExchange(Simulation* sim, const std::vector<Observation>& log,
-                                             int n, Start start) {
+// simulation runs to completion.
+template <typename Start>
+std::vector<uint64_t> AllocationsPerExchange(Simulation* sim, int n, Start start) {
   std::vector<uint64_t> counts;
   counts.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const size_t capacity = log.capacity();
-    uint64_t count = AllocationsIn([&] {
+    counts.push_back(AllocationsIn([&] {
       start();
       sim->Run();
-    });
-    if (log.capacity() != capacity) {
-      --count;
-    }
-    counts.push_back(count);
+    }));
   }
   return counts;
 }
@@ -226,10 +219,9 @@ void ExpectOneAllocationPerAttempt(const RetryPolicy& policy) {
   }
   const auto ping = [&] { endpoint.Ping(done); };
   const auto window = [&] { endpoint.FetchWindow(8.0 * 1024.0, done); };
-  const ObservationLog& log = endpoint.log();
   const std::vector<uint64_t> one_each(kExchanges, 1);
-  EXPECT_EQ(AllocationsPerExchange(&sim, log.round_trips(), kExchanges, ping), one_each);
-  EXPECT_EQ(AllocationsPerExchange(&sim, log.throughputs(), kExchanges, window), one_each);
+  EXPECT_EQ(AllocationsPerExchange(&sim, kExchanges, ping), one_each);
+  EXPECT_EQ(AllocationsPerExchange(&sim, kExchanges, window), one_each);
   EXPECT_EQ(completed, 8 + 2 * kExchanges);
   EXPECT_EQ(endpoint.timeouts(), 0u);
 }
@@ -240,6 +232,52 @@ TEST(AllocBudgetTest, ExchangeAllocatesOnlyItsAttempt) {
 
 TEST(AllocBudgetTest, ExchangeWithRetryPolicyAllocatesOnlyItsAttempt) {
   ExpectOneAllocationPerAttempt(RetryPolicy::Default());
+}
+
+// A completion callback that starts its own successor while the round's
+// budget lasts, as a greedy client does.
+struct Successor {
+  Link* link;
+  int* budget;
+  int* completed;
+  double bytes;
+
+  void operator()() const {
+    ++*completed;
+    if (*budget > 0) {
+      --*budget;
+      link->StartFlow(bytes, *this);
+    }
+  }
+};
+
+// Once the link's callback slab, flow list and completion buffer have
+// grown, steady churn on a 256-flow link allocates nothing: a completion
+// moves out only the drained flows' callbacks, and a started flow parks
+// its callback in a recycled slot.
+TEST(AllocBudgetTest, LinkFlowChurnAllocatesNothing) {
+  constexpr int kFlows = 256;
+  constexpr int kRestarts = 4 * kFlows;
+  Simulation sim;
+  Link link(&sim, 256.0 * 1024.0, 0);
+  int budget = 0;
+  int completed = 0;
+  const auto round = [&](bool equal) {
+    budget = kRestarts;
+    for (int i = 0; i < kFlows; ++i) {
+      // Unequal flows drain a few at a time; equal ones all at one instant.
+      const double bytes = equal ? 2048.0 : 1024.0 + 37.0 * static_cast<double>(i);
+      link.StartFlow(bytes, Successor{&link, &budget, &completed, bytes});
+    }
+    sim.Run();
+  };
+  // Equal flows size the completion buffer for all 256 draining at once;
+  // an unequal round then grows whatever else churn needs.
+  round(true);
+  round(false);
+  EXPECT_EQ(AllocationsIn([&] { round(false); }), 0u);
+  EXPECT_EQ(completed, 3 * (kFlows + kRestarts));
+  EXPECT_EQ(link.active_flow_count(), 0u);
 }
 
 TEST(AllocBudgetTest, OracleAuditTickAllocatesNothing) {

@@ -379,6 +379,9 @@ TEST(RequestTableTest, MatchesBruteForceReferenceUnderSeededChurn) {
   std::vector<Window> live;  // ascending id: ids only grow
   std::vector<RequestId> consumed;
   RequestId last_id = 0;
+  SplitMix64 probe_rng(7);
+  int verdicts_violated = 0;
+  int verdicts_inside = 0;
 
   for (int op = 0; op < 20000; ++op) {
     const ResourceId resource = resources[pick(std::size(resources))];
@@ -471,10 +474,34 @@ TEST(RequestTableTest, MatchesBruteForceReferenceUnderSeededChurn) {
       ASSERT_EQ(got, want) << "op " << op << " class " << klass << " level " << level;
     }
     ASSERT_EQ(table.size(), live.size()) << "op " << op;
+
+    // The envelope's verdict is exactly "some window excludes the level",
+    // checked against a brute-force scan of EntriesFor for the op's app and
+    // one other, on both resources, at a grid level (often exactly on a
+    // bound) and an off-grid one.  The probes draw from their own stream,
+    // so the churn above is the same with or without them.
+    for (const AppId probe_app : {app, static_cast<AppId>(1 + probe_rng.Next() % kApps)}) {
+      for (const ResourceId probe_resource : resources) {
+        const std::vector<RequestTable::Entry> entries = table.EntriesFor(probe_app, probe_resource);
+        const double grid = levels[probe_rng.Next() % std::size(levels)];
+        const double off_grid = static_cast<double>(probe_rng.Next() % 800) / 10.0 - 10.0;
+        for (const double probe : {grid, off_grid}) {
+          bool want = false;
+          for (const RequestTable::Entry& entry : entries) {
+            want = want || probe < entry.descriptor.lower || probe > entry.descriptor.upper;
+          }
+          ASSERT_EQ(table.IsViolated(probe_resource, probe_app, probe), want)
+              << "op " << op << " app " << probe_app << " level " << probe;
+          ++(want ? verdicts_violated : verdicts_inside);
+        }
+      }
+    }
   }
   // The churn kept a real population, so the comparisons were not vacuous.
   EXPECT_GT(live.size(), 50u);
   EXPECT_GT(consumed.size(), 1000u);
+  EXPECT_GT(verdicts_violated, 10000);
+  EXPECT_GT(verdicts_inside, 10000);
 }
 
 // --- Flat id map ---

@@ -28,6 +28,7 @@
 #include "src/strategies/centralized.h"
 #include "src/trace/trace_event.h"
 #include "src/trace/trace_recorder.h"
+#include "tests/recording_listener.h"
 
 namespace odyssey {
 namespace {
@@ -197,6 +198,7 @@ TEST(EndpointRetryTest, DroppedRequestIsRetriedAndSucceeds) {
 
   int done_count = 0;
   Status final_status;
+  RecordingListener log(&endpoint.log());
   endpoint.Ping([&](Status status) {
     ++done_count;
     final_status = status;
@@ -208,7 +210,7 @@ TEST(EndpointRetryTest, DroppedRequestIsRetriedAndSucceeds) {
   EXPECT_EQ(endpoint.retries(), 1u);
   EXPECT_EQ(endpoint.timeouts(), 1u);
   EXPECT_EQ(endpoint.exchanges_failed(), 0u);
-  ASSERT_EQ(endpoint.log().round_trips().size(), 1u);
+  ASSERT_EQ(log.round_trips.size(), 1u);
 }
 
 TEST(EndpointRetryTest, RetriedCallLogsOnlyItsOwnSpan) {
@@ -221,10 +223,11 @@ TEST(EndpointRetryTest, RetriedCallLogsOnlyItsOwnSpan) {
     Link link(&sim, 120.0 * kKb, 10500);
     Endpoint endpoint(&sim, &link, "server");
     endpoint.set_retry_policy(ExactPolicy());
+    RecordingListener log(&endpoint.log());
     endpoint.Ping(Endpoint::StatusDone());
     sim.Run();
-    ASSERT_EQ(endpoint.log().round_trips().size(), 1u);
-    clean_rtt = endpoint.log().round_trips()[0].rtt;
+    ASSERT_EQ(log.round_trips.size(), 1u);
+    clean_rtt = log.round_trips[0].rtt;
   }
   Simulation sim;
   Link link(&sim, 120.0 * kKb, 10500);
@@ -233,10 +236,11 @@ TEST(EndpointRetryTest, RetriedCallLogsOnlyItsOwnSpan) {
   Endpoint endpoint(&sim, &link, "server");
   endpoint.set_retry_policy(ExactPolicy());
   endpoint.set_fault_injector(&injector);
+  RecordingListener log(&endpoint.log());
   endpoint.Ping(Endpoint::StatusDone());
   sim.Run();
-  ASSERT_EQ(endpoint.log().round_trips().size(), 1u);
-  EXPECT_EQ(endpoint.log().round_trips()[0].rtt, clean_rtt);
+  ASSERT_EQ(log.round_trips.size(), 1u);
+  EXPECT_EQ(log.round_trips[0].rtt, clean_rtt);
 }
 
 TEST(EndpointRetryTest, RetriedWindowLogsOnlyItsOwnSpan) {
@@ -246,10 +250,11 @@ TEST(EndpointRetryTest, RetriedWindowLogsOnlyItsOwnSpan) {
     Link link(&sim, 120.0 * kKb, 10500);
     Endpoint endpoint(&sim, &link, "server");
     endpoint.set_retry_policy(ExactPolicy());
+    RecordingListener log(&endpoint.log());
     endpoint.FetchWindow(4.0 * kKb, Endpoint::StatusDone());
     sim.Run();
-    ASSERT_EQ(endpoint.log().throughputs().size(), 1u);
-    clean_elapsed = endpoint.log().throughputs()[0].elapsed;
+    ASSERT_EQ(log.throughputs.size(), 1u);
+    clean_elapsed = log.throughputs[0].elapsed;
   }
   Simulation sim;
   Link link(&sim, 120.0 * kKb, 10500);
@@ -258,10 +263,11 @@ TEST(EndpointRetryTest, RetriedWindowLogsOnlyItsOwnSpan) {
   Endpoint endpoint(&sim, &link, "server");
   endpoint.set_retry_policy(ExactPolicy());
   endpoint.set_fault_injector(&injector);
+  RecordingListener log(&endpoint.log());
   endpoint.FetchWindow(4.0 * kKb, Endpoint::StatusDone());
   sim.Run();
-  ASSERT_EQ(endpoint.log().throughputs().size(), 1u);
-  EXPECT_EQ(endpoint.log().throughputs()[0].elapsed, clean_elapsed);
+  ASSERT_EQ(log.throughputs.size(), 1u);
+  EXPECT_EQ(log.throughputs[0].elapsed, clean_elapsed);
 }
 
 TEST(EndpointRetryTest, TotalLossFailsAfterBoundedRetries) {
@@ -275,6 +281,7 @@ TEST(EndpointRetryTest, TotalLossFailsAfterBoundedRetries) {
   const RetryPolicy policy = ExactPolicy();
   endpoint.set_retry_policy(policy);
   endpoint.set_fault_injector(&injector);
+  RecordingListener log(&endpoint.log());
 
   int done_count = 0;
   Status final_status;
@@ -289,10 +296,10 @@ TEST(EndpointRetryTest, TotalLossFailsAfterBoundedRetries) {
   // The control exchange consumed the whole attempt budget and no more.
   EXPECT_EQ(endpoint.retries(), static_cast<uint64_t>(policy.max_attempts - 1));
   EXPECT_EQ(endpoint.exchanges_failed(), 1u);
-  ASSERT_EQ(endpoint.log().failures().size(), 1u);
-  EXPECT_EQ(endpoint.log().failures()[0].attempts, policy.max_attempts);
-  EXPECT_TRUE(endpoint.log().round_trips().empty());
-  EXPECT_TRUE(endpoint.log().throughputs().empty());
+  ASSERT_EQ(log.failures.size(), 1u);
+  EXPECT_EQ(log.failures[0].attempts, policy.max_attempts);
+  EXPECT_TRUE(log.round_trips.empty());
+  EXPECT_TRUE(log.throughputs.empty());
 }
 
 TEST(EndpointRetryTest, DisabledPolicyNeverTimesOutOrRetries) {

@@ -1,5 +1,6 @@
 // Unit tests for the emulated network: the shared link and the modulator.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -328,6 +329,152 @@ TEST(LinkTest, SeededScheduleMatchesPinnedDigest) {
 
   mix(std::bit_cast<uint64_t>(link.bytes_delivered()));
   mix(completed.size());
+  EXPECT_EQ(digest, kPinnedDigest) << std::hex << digest;
+}
+
+// Pins a wide schedule the way the test above pins a narrow one, and also
+// folds in every same-instant tie the event queue breaks (its instant and
+// both sequence numbers), so the count and order of the link's completion
+// reschedules are pinned too.  The digest was recorded before the link's
+// callbacks moved out of its flow records.  The run keeps at least 256
+// flows in flight (300 at the start, and most completions start a
+// successor); equal flows started together drain at one instant; tiny
+// flows, which hold the smallest residual, are cancelled at once or a few
+// milliseconds later; capacity parks at zero and comes back; outages come
+// and go.  The test's own scheduled actions are events, so they take part in ties.
+TEST(LinkTest, WideScheduleMatchesPinnedDigest) {
+  constexpr uint64_t kPinnedDigest = 0xe675308b7c74b7a2ULL;
+  constexpr size_t kMaxFlows = 4000;
+  constexpr int kActions = 600;
+  Simulation sim;
+  Link link(&sim, 256.0 * kKb, 0);
+  Rng rng(23);
+
+  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  const auto mix = [&digest](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest = (digest ^ ((word >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  sim.set_tie_observer([&mix](Time when, uint64_t prev_seq, uint64_t seq) {
+    mix(static_cast<uint64_t>(when));
+    mix(prev_seq);
+    mix(seq);
+  });
+
+  std::set<FlowId> live;
+  std::set<FlowId> live_zero;
+  std::vector<FlowId> ids;  // by start order; a callback finds its id here
+  size_t peak = 0;
+  int completed = 0;
+  int shared_instants = 0;  // completions at the instant of the previous one
+  Time last_completion = -1;
+
+  const auto random_bytes = [&] { return rng.Uniform(256.0, 4.0 * kKb); };
+  std::function<void(double)> start_flow = [&](double bytes) {
+    const bool zero = bytes == 0.0;
+    const size_t k = ids.size();
+    ids.push_back(0);
+    ids[k] = link.StartFlow(bytes, [&, k, zero] {
+      const FlowId id = ids[k];
+      mix(id);
+      mix(static_cast<uint64_t>(sim.now()));
+      mix(std::bit_cast<uint64_t>(link.bytes_delivered()));
+      mix(sim.events_processed());
+      (zero ? live_zero : live).erase(id);
+      ++completed;
+      if (sim.now() == last_completion) {
+        ++shared_instants;
+      }
+      last_completion = sim.now();
+      if (ids.size() < kMaxFlows && rng.UniformInt(10) < 9) {
+        start_flow(random_bytes());
+      }
+    });
+    (zero ? live_zero : live).insert(ids[k]);
+    peak = std::max(peak, link.active_flow_count());
+  };
+  const auto start_batch = [&](uint64_t n) {
+    // Equal flows started together drain together.
+    const double bytes = random_bytes();
+    for (; n > 0; --n) {
+      start_flow(bytes);
+    }
+  };
+
+  while (ids.size() < 300) {
+    start_batch(1 + rng.UniformInt(4));
+  }
+
+  int actions = 0;
+  int min_cancels = 0;
+  bool outage = false;
+  std::function<void()> act = [&] {
+    const uint64_t action = rng.UniformInt(20);
+    if (action < 6) {
+      start_flow(random_bytes());
+    } else if (action < 8) {
+      start_batch(2 + rng.UniformInt(4));
+    } else if (action < 10) {
+      // A flow of a few bytes holds the smallest residual on a link this
+      // wide; cancel it now or a few milliseconds on, before it drains.
+      start_flow(rng.Uniform(1.0, 16.0));
+      const FlowId id = ids.back();
+      const auto cancel = [&, id] {
+        if (live.erase(id) > 0) {
+          ++min_cancels;
+        }
+        link.CancelFlow(id);
+      };
+      if (action == 8) {
+        cancel();
+      } else {
+        sim.Schedule(static_cast<Duration>(rng.UniformInt(4 * kMillisecond)), cancel);
+      }
+    } else if (action < 11 && !live.empty()) {
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.UniformInt(live.size())));
+      const FlowId id = *it;
+      live.erase(it);
+      link.CancelFlow(id);
+    } else if (action < 13) {
+      // Park every flow, then restore a capacity after a while.
+      link.SetCapacity(0.0);
+      const double restored = rng.Uniform(64.0, 512.0) * kKb;
+      sim.Schedule(static_cast<Duration>(rng.UniformInt(300 * kMillisecond)),
+                   [&link, restored] { link.SetCapacity(restored); });
+    } else if (action < 15) {
+      link.SetCapacity(rng.Uniform(64.0, 512.0) * kKb);
+    } else if (action < 16) {
+      outage = !outage;
+      link.SetOutage(outage);
+    } else if (action < 17) {
+      start_flow(0.0);
+    }
+    std::vector<FlowId> expected(live.begin(), live.end());
+    expected.insert(expected.end(), live_zero.begin(), live_zero.end());
+    EXPECT_EQ(link.ActiveFlowIds(), expected) << "at t=" << sim.now();
+    if (++actions < kActions) {
+      sim.Schedule(static_cast<Duration>(rng.UniformInt(100 * kMillisecond)), [&act] { act(); });
+    }
+  };
+  sim.Schedule(0, [&act] { act(); });
+  sim.Run();
+  // Lift every stall so the remaining flows drain.
+  link.SetOutage(false);
+  link.SetCapacity(256.0 * kKb);
+  sim.Run();
+  EXPECT_TRUE(live.empty());
+  EXPECT_TRUE(live_zero.empty());
+  EXPECT_EQ(link.active_flow_count(), 0u);
+
+  // The schedule reached what it is meant to cover.
+  EXPECT_GE(peak, 256u);
+  EXPECT_GT(shared_instants, 50);
+  EXPECT_GT(min_cancels, 20);
+
+  mix(std::bit_cast<uint64_t>(link.bytes_delivered()));
+  mix(static_cast<uint64_t>(completed));
   EXPECT_EQ(digest, kPinnedDigest) << std::hex << digest;
 }
 

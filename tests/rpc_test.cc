@@ -6,39 +6,27 @@
 #include "src/rpc/endpoint.h"
 #include "src/rpc/observation_log.h"
 #include "src/sim/simulation.h"
+#include "tests/recording_listener.h"
 
 namespace odyssey {
 namespace {
 
 constexpr double kKb = 1024.0;
 
-class RecordingListener : public LogListener {
- public:
-  void OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) override {
-    last_connection = connection;
-    round_trips.push_back(obs);
-  }
-  void OnThroughput(ConnectionId connection, const ThroughputObservation& obs) override {
-    last_connection = connection;
-    throughputs.push_back(obs);
-  }
-
-  ConnectionId last_connection = 0;
-  std::vector<RoundTripObservation> round_trips;
-  std::vector<ThroughputObservation> throughputs;
-};
-
 TEST(ObservationLogTest, RecordsAndNotifies) {
   ObservationLog log(7);
-  RecordingListener listener;
-  log.AddListener(&listener);
+  RecordingListener listener(&log);
   log.RecordRoundTrip(100, 21 * kMillisecond);
   log.RecordThroughput(200, 1000.0, kSecond);
+  log.RecordFailure(300, 3);
   EXPECT_EQ(listener.last_connection, 7u);
-  ASSERT_EQ(log.round_trips().size(), 1u);
-  ASSERT_EQ(log.throughputs().size(), 1u);
-  EXPECT_EQ(log.round_trips()[0].rtt, 21 * kMillisecond);
-  EXPECT_DOUBLE_EQ(log.TotalBulkBytes(), 1000.0);
+  ASSERT_EQ(listener.round_trips.size(), 1u);
+  EXPECT_EQ(listener.round_trips[0].at, 100);
+  EXPECT_EQ(listener.round_trips[0].rtt, 21 * kMillisecond);
+  ASSERT_EQ(listener.throughputs.size(), 1u);
+  EXPECT_DOUBLE_EQ(listener.throughputs[0].window_bytes, 1000.0);
+  ASSERT_EQ(listener.failures.size(), 1u);
+  EXPECT_EQ(listener.failures[0].attempts, 3);
 }
 
 TEST(ObservationLogTest, RemoveListenerStopsNotifications) {
@@ -63,10 +51,11 @@ TEST(EndpointTest, PingLogsLatencyDominatedRoundTrip) {
   Simulation sim;
   Link link(&sim, 120.0 * kKb, 10500);
   Endpoint endpoint(&sim, &link, "server");
+  RecordingListener log(&endpoint.log());
   endpoint.Ping(Endpoint::StatusDone());
   sim.Run();
-  ASSERT_EQ(endpoint.log().round_trips().size(), 1u);
-  const Duration rtt = endpoint.log().round_trips()[0].rtt;
+  ASSERT_EQ(log.round_trips.size(), 1u);
+  const Duration rtt = log.round_trips[0].rtt;
   // Two 64-byte control messages at 120 KB/s cost ~1 ms; the rest is the
   // 21 ms round-trip latency.
   EXPECT_GE(rtt, 21 * kMillisecond);
@@ -77,44 +66,62 @@ TEST(EndpointTest, CallExcludesServerCompute) {
   Simulation sim;
   Link link(&sim, 120.0 * kKb, 10500);
   Endpoint endpoint(&sim, &link, "server");
+  RecordingListener log(&endpoint.log());
   Time done_at = -1;
   endpoint.Call(64.0, 64.0, 5 * kSecond, [&](Status) { done_at = sim.now(); });
   sim.Run();
   // Completion waits for the server's 5 s of compute...
   EXPECT_GT(done_at, 5 * kSecond);
   // ...but the logged round trip excludes it.
-  ASSERT_EQ(endpoint.log().round_trips().size(), 1u);
-  EXPECT_LT(endpoint.log().round_trips()[0].rtt, 100 * kMillisecond);
+  ASSERT_EQ(log.round_trips.size(), 1u);
+  EXPECT_LT(log.round_trips[0].rtt, 100 * kMillisecond);
 }
 
 TEST(EndpointTest, FetchWindowLogsThroughput) {
   Simulation sim;
   Link link(&sim, 100.0 * kKb, 0);
   Endpoint endpoint(&sim, &link, "server");
+  RecordingListener log(&endpoint.log());
   endpoint.FetchWindow(50.0 * kKb, Endpoint::StatusDone());
   sim.Run();
-  ASSERT_EQ(endpoint.log().throughputs().size(), 1u);
-  const ThroughputObservation& obs = endpoint.log().throughputs()[0];
+  ASSERT_EQ(log.throughputs.size(), 1u);
+  const ThroughputObservation& obs = log.throughputs[0];
   EXPECT_DOUBLE_EQ(obs.window_bytes, 50.0 * kKb);
   // 50 KB at 100 KB/s plus the 64-byte request.
   EXPECT_NEAR(DurationToSeconds(obs.elapsed), 0.5, 0.01);
   EXPECT_DOUBLE_EQ(endpoint.bytes_transferred(), 50.0 * kKb);
 }
 
+// bytes_transferred() counts the data bytes of finished windows only: a
+// call's request and response, and every control message, add nothing.
+TEST(EndpointTest, BytesTransferredCountsOnlyWindowData) {
+  Simulation sim;
+  Link link(&sim, 100.0 * kKb, 0);
+  Endpoint endpoint(&sim, &link, "server");
+  endpoint.Call(1.0 * kKb, 4.0 * kKb, 0, Endpoint::StatusDone());
+  sim.Run();
+  EXPECT_DOUBLE_EQ(link.bytes_delivered(), 5.0 * kKb);
+  EXPECT_EQ(endpoint.bytes_transferred(), 0.0);
+  endpoint.FetchWindow(4.0 * kKb, Endpoint::StatusDone());
+  sim.Run();
+  EXPECT_EQ(endpoint.bytes_transferred(), 4096.0);
+}
+
 TEST(EndpointTest, FetchSplitsIntoWindows) {
   Simulation sim;
   Link link(&sim, 100.0 * kKb, 0);
   Endpoint endpoint(&sim, &link, "server");
+  RecordingListener log(&endpoint.log());
   endpoint.set_window_bytes(32.0 * kKb);
   bool done = false;
   endpoint.Fetch(100.0 * kKb, 0, [&](Status) { done = true; });
   sim.Run();
   EXPECT_TRUE(done);
   // One round trip for the transfer request...
-  EXPECT_EQ(endpoint.log().round_trips().size(), 1u);
+  EXPECT_EQ(log.round_trips.size(), 1u);
   // ...then 32+32+32+4 KB windows.
-  ASSERT_EQ(endpoint.log().throughputs().size(), 4u);
-  EXPECT_DOUBLE_EQ(endpoint.log().throughputs()[3].window_bytes, 4.0 * kKb);
+  ASSERT_EQ(log.throughputs.size(), 4u);
+  EXPECT_DOUBLE_EQ(log.throughputs[3].window_bytes, 4.0 * kKb);
   EXPECT_NEAR(endpoint.bytes_transferred(), 100.0 * kKb, 0.1);
 }
 
@@ -122,11 +129,12 @@ TEST(EndpointTest, FetchZeroBytesCompletesWithoutWindows) {
   Simulation sim;
   Link link(&sim, 100.0 * kKb, 0);
   Endpoint endpoint(&sim, &link, "server");
+  RecordingListener log(&endpoint.log());
   bool done = false;
   endpoint.Fetch(0.0, 0, [&](Status) { done = true; });
   sim.Run();
   EXPECT_TRUE(done);
-  EXPECT_TRUE(endpoint.log().throughputs().empty());
+  EXPECT_TRUE(log.throughputs.empty());
 }
 
 TEST(EndpointTest, SendMirrorsFetchTiming) {
@@ -167,10 +175,12 @@ TEST(EndpointTest, ObservedThroughputReflectsContention) {
   Link link(&sim, 100.0 * kKb, 0);
   Endpoint a(&sim, &link, "a");
   Endpoint b(&sim, &link, "b");
+  RecordingListener a_log(&a.log());
   a.FetchWindow(50.0 * kKb, Endpoint::StatusDone());
   b.FetchWindow(50.0 * kKb, Endpoint::StatusDone());
   sim.Run();
-  const ThroughputObservation& obs = a.log().throughputs()[0];
+  ASSERT_EQ(a_log.throughputs.size(), 1u);
+  const ThroughputObservation& obs = a_log.throughputs[0];
   const double observed_bps = obs.window_bytes / DurationToSeconds(obs.elapsed);
   EXPECT_NEAR(observed_bps, 50.0 * kKb, 2.0 * kKb);
 }
