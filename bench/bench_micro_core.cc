@@ -5,6 +5,7 @@
 // the adaptation path: event scheduling, upcall delivery, request
 // registration, estimator updates, and tsop dispatch.
 
+#include <memory>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -176,10 +177,11 @@ BENCHMARK(BM_EventCancelAtDepth)->Arg(1)->Arg(100)->Arg(10000);
 
 // One observation plus one availability query against a population of
 // |range(0)| connections — the per-event unit of work on the adaptation
-// hot path.  Run with kIncremental and kNaive to see the rescan cost the
-// incremental model removes.
-void RunSupplyRecompute(benchmark::State& state, SupplyModelKind kind) {
-  std::unique_ptr<SupplyModelInterface> model = MakeSupplyModel(kind, SupplyModelConfig{});
+// hot path.  Run with SupplyModel and NaiveSupplyModel to see the rescan
+// cost the incremental model removes.
+template <typename Model>
+void RunSupplyRecompute(benchmark::State& state) {
+  std::unique_ptr<SupplyModelInterface> model = std::make_unique<Model>();
   const int connections = static_cast<int>(state.range(0));
   Time at = 0;
   for (int i = 0; i < connections; ++i) {
@@ -197,12 +199,12 @@ void RunSupplyRecompute(benchmark::State& state, SupplyModelKind kind) {
 }
 
 void BM_SupplyRecomputeIncremental(benchmark::State& state) {
-  RunSupplyRecompute(state, SupplyModelKind::kIncremental);
+  RunSupplyRecompute<SupplyModel>(state);
 }
 BENCHMARK(BM_SupplyRecomputeIncremental)->Arg(1)->Arg(100)->Arg(10000);
 
 void BM_SupplyRecomputeNaive(benchmark::State& state) {
-  RunSupplyRecompute(state, SupplyModelKind::kNaive);
+  RunSupplyRecompute<NaiveSupplyModel>(state);
 }
 BENCHMARK(BM_SupplyRecomputeNaive)->Arg(1)->Arg(100)->Arg(10000);
 

@@ -79,10 +79,11 @@ struct FuzzRunOptions {
   static constexpr Duration drain_grace = kDrainGrace;
   // Optional recorder for the canonical failure trace; borrowed.
   TraceRecorder* trace = nullptr;
-  // Runs the pre-scale reference stack (RigSpec::reference) instead of the
-  // production one.  The differential tests run every scenario both ways
-  // and require identical DifferentialLogs.  Single-node only: a fleet
-  // scenario ignores it.
+  // Runs the pre-scale reference stack (RigSpec::reference: an injected
+  // naive supply model, whose inexact hints make the viceroy scan every
+  // window holder) instead of the production one.  The differential tests
+  // run every scenario both ways and require identical DifferentialLogs.
+  // Single-node only: a fleet scenario ignores it.
   bool reference_stack = false;
   // When set, the run appends its upcall records and availability samples
   // here; borrowed.  Single-node only: a fleet scenario leaves it empty.

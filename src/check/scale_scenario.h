@@ -8,9 +8,10 @@
 // so the rig exercises exactly the paths the scale work optimized: the
 // indexed re-evaluation, batched upcall dispatch, slab-allocated request
 // table and incremental supply model.  The n10k_naive variant runs the same
-// rig on the pre-scale reference stack (naive supply model, full-scan
-// re-evaluation) over a reduced schedule; comparing its events/sec rate
-// against n10k's is the campaign's headline speedup figure.
+// rig on the pre-scale reference stack (an injected naive supply model,
+// whose inexact hints send the viceroy down the full scan) over a reduced
+// schedule; comparing its events/sec rate against n10k's is the
+// campaign's headline speedup figure.
 //
 // This lives in odyssey_check rather than odyssey_harness because the rig
 // keeps the PR-5 OracleSet attached throughout — a trial with any oracle

@@ -135,54 +135,47 @@ void Viceroy::SetStaticLevel(ResourceId resource, double level) {
   static_levels_[resource] = level;
   ODY_TRACE_INSTANT1(sim_->trace(), kViceroy, "static_level", sim_->now(),
                      static_cast<uint64_t>(resource), "level", level);
+  // A static level is the same for every app, so the interval index
+  // answers "whose windows does this violate" directly; the sort restores
+  // ascending app order across the index's window classes.
   ArbitrationStrategy* broker = strategy_->arbitration();
-  if (reevaluate_mode_ == ReevaluateMode::kIndexed) {
-    // A static level is the same for every app, so the interval index
-    // answers "whose windows does this violate" directly.
-    candidates_.clear();
-    requests_.CollectViolatedApps(resource, level, &candidates_);
-    std::sort(candidates_.begin(), candidates_.end());
-    candidates_.erase(std::unique(candidates_.begin(), candidates_.end()), candidates_.end());
-    for (const AppId app : candidates_) {
-      EvaluateApp(app, resource, level, broker);
-    }
-    return;
-  }
-  for (AppId app = 1; app <= apps_.size(); ++app) {
+  candidates_.clear();
+  requests_.CollectViolatedApps(resource, level, &candidates_);
+  std::sort(candidates_.begin(), candidates_.end());
+  candidates_.erase(std::unique(candidates_.begin(), candidates_.end()), candidates_.end());
+  for (const AppId app : candidates_) {
     EvaluateApp(app, resource, level, broker);
   }
 }
 
 void Viceroy::Reevaluate() {
-  if (reevaluate_mode_ == ReevaluateMode::kIndexed) {
-    ReevalHint hint = strategy_->TakeReevalHint(sim_->now());
-    if (hint.exact) {
-      candidates_.clear();
-      candidates_.insert(candidates_.end(), hint.dirty.begin(), hint.dirty.end());
-      // A non-dirty app sits exactly at the idle fair-share level for its
-      // connection count, and its windows are indexed under that count as
-      // their class — so each count's probe scans only its own class's
-      // windows.  Probing whole-table instead would be sound (a superset;
-      // evaluating a non-violated app posts nothing) but quadratic in
-      // steady state: every bucket's level would sweep in all windows of
-      // every *other* bucket, each re-evaluation.  The probe may still
-      // return dirty apps (their windows share the class); dedup below.
-      for (const auto& [count, level] : hint.idle_levels) {
-        requests_.CollectViolatedApps(ResourceId::kNetworkBandwidth,
-                                      static_cast<uint32_t>(count), level, &candidates_);
-      }
-      // Apps with no connections see the empty-sum level 0.0; their windows
-      // sit in class 0, which apps_by_count_ never lists.
-      requests_.CollectViolatedApps(ResourceId::kNetworkBandwidth, 0, 0.0, &candidates_);
-      // Usually no probe adds an app, and the hint's dirty list is already
-      // ascending, so the sort is skipped.
-      if (!std::is_sorted(candidates_.begin(), candidates_.end())) {
-        std::sort(candidates_.begin(), candidates_.end());
-      }
-      candidates_.erase(std::unique(candidates_.begin(), candidates_.end()), candidates_.end());
-      EvaluateCandidates();
-      return;
+  ReevalHint hint = strategy_->TakeReevalHint(sim_->now());
+  if (hint.exact) {
+    candidates_.clear();
+    candidates_.insert(candidates_.end(), hint.dirty.begin(), hint.dirty.end());
+    // A non-dirty app sits exactly at the idle fair-share level for its
+    // connection count, and its windows are indexed under that count as
+    // their class — so each count's probe scans only its own class's
+    // windows.  Probing whole-table instead would be sound (a superset;
+    // evaluating a non-violated app posts nothing) but quadratic in
+    // steady state: every bucket's level would sweep in all windows of
+    // every *other* bucket, each re-evaluation.  The probe may still
+    // return dirty apps (their windows share the class); dedup below.
+    for (const auto& [count, level] : hint.idle_levels) {
+      requests_.CollectViolatedApps(ResourceId::kNetworkBandwidth, static_cast<uint32_t>(count),
+                                    level, &candidates_);
     }
+    // Apps with no connections see the empty-sum level 0.0; their windows
+    // sit in class 0, which apps_by_count_ never lists.
+    requests_.CollectViolatedApps(ResourceId::kNetworkBandwidth, 0, 0.0, &candidates_);
+    // Usually no probe adds an app, and the hint's dirty list is already
+    // ascending, so the sort is skipped.
+    if (!std::is_sorted(candidates_.begin(), candidates_.end())) {
+      std::sort(candidates_.begin(), candidates_.end());
+    }
+    candidates_.erase(std::unique(candidates_.begin(), candidates_.end()), candidates_.end());
+    EvaluateCandidates();
+    return;
   }
   // An inexact hint leaves every app a suspect, but only an app holding a
   // network window can be owed an upcall (§4.3), so the scan visits window

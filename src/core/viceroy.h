@@ -25,21 +25,6 @@
 
 namespace odyssey {
 
-// How Reevaluate() finds the apps whose windows a change may have
-// violated.  kIndexed consults the strategy's ReevalHint plus the request
-// table's interval index and visits only candidate apps; kFullScan visits
-// every app that holds a bandwidth or latency window (an app with none
-// cannot be owed an upcall).  kFullScan is the reference side of the
-// differential tests and the path every inexact hint takes.  Both visit
-// candidates in ascending AppId order and evaluate them with their real
-// levels, and evaluating an app with no violated window posts nothing — so
-// the two modes produce identical upcall sequences whenever the strategy's
-// hint is exact.
-enum class ReevaluateMode {
-  kIndexed,
-  kFullScan,
-};
-
 class Viceroy {
  public:
   // Observes the windows of tolerance the viceroy holds: each one Request
@@ -97,15 +82,17 @@ class Viceroy {
   RequestTable& requests() { return requests_; }
   Simulation* sim() { return sim_; }
 
-  // Forces re-evaluation of all registered windows (normally driven by the
-  // strategy's change notifications).
+  // Re-evaluates every window the latest change may have violated
+  // (normally driven by the strategy's change notifications).  An exact
+  // ReevalHint narrows the visit to its dirty apps plus the request table's
+  // interval-index probes; an inexact one visits every app holding a
+  // network window.  Both visit apps in ascending id order with their real
+  // levels, and an app with no violated window posts nothing, so the two
+  // give the same upcalls whenever the hint is exact.
   void Reevaluate();
 
   // Null detaches.
   void set_window_observer(WindowObserver* observer) { window_observer_ = observer; }
-
-  void set_reevaluate_mode(ReevaluateMode mode) { reevaluate_mode_ = mode; }
-  ReevaluateMode reevaluate_mode() const { return reevaluate_mode_; }
 
  private:
   // Takes |app|'s windows on |resource| that exclude |level| and posts
@@ -124,7 +111,6 @@ class Viceroy {
   // Application names; app id k (ids count up from 1) is at index k - 1.
   std::vector<std::string> apps_;
   std::map<ResourceId, double> static_levels_;
-  ReevaluateMode reevaluate_mode_ = ReevaluateMode::kIndexed;
   WindowObserver* window_observer_ = nullptr;
   // Candidate and violated-window scratch, reused across re-evaluations to
   // avoid reallocating in the hot notification path.

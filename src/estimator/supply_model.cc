@@ -304,12 +304,4 @@ void NaiveSupplyModel::CollectLiveConnections(Time now, std::vector<ConnectionId
   }
 }
 
-std::unique_ptr<SupplyModelInterface> MakeSupplyModel(SupplyModelKind kind,
-                                                      const SupplyModelConfig& config) {
-  if (kind == SupplyModelKind::kNaive) {
-    return std::make_unique<NaiveSupplyModel>(config);
-  }
-  return std::make_unique<SupplyModel>(config);
-}
-
 }  // namespace odyssey

@@ -38,14 +38,14 @@
 //     connection's usage meter.
 //   * NaiveSupplyModel — the original full-rescan implementation, kept
 //     verbatim as the reference side of the differential tests
-//     (tests/scale_differential_test.cc).  Never used in production paths.
+//     (tests/scale_differential_test.cc) and injected by a RigSpec::reference
+//     rig.  Never used in production paths.
 
 #ifndef SRC_ESTIMATOR_SUPPLY_MODEL_H_
 #define SRC_ESTIMATOR_SUPPLY_MODEL_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -236,15 +236,6 @@ class NaiveSupplyModel : public SupplyModelInterface {
   uint64_t generation_ = 0;  // bumped by every mutating call
   mutable uint64_t scan_ops_ = 0;
 };
-
-// Which implementation a strategy should instantiate.
-enum class SupplyModelKind {
-  kIncremental,  // production
-  kNaive,        // differential-test reference
-};
-
-std::unique_ptr<SupplyModelInterface> MakeSupplyModel(SupplyModelKind kind,
-                                                      const SupplyModelConfig& config);
 
 }  // namespace odyssey
 

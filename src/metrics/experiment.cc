@@ -1,8 +1,10 @@
 #include "src/metrics/experiment.h"
 
+#include <memory>
 #include <utility>
 
 #include "src/core/contract.h"
+#include "src/estimator/supply_model.h"
 #include "src/servers/calibration.h"
 #include "src/strategies/strategy_registry.h"
 #include "src/wardens/file_warden.h"
@@ -63,13 +65,12 @@ ExperimentRig::ExperimentRig(const RigSpec& spec)
   context.sim = &sim_;
   context.modulator = &modulator_;
   context.supply = spec.supply;
-  context.supply_kind = spec.reference ? SupplyModelKind::kNaive : SupplyModelKind::kIncremental;
+  if (spec.reference) {
+    context.injected_model = std::make_unique<NaiveSupplyModel>(spec.supply);
+  }
   client_ = std::make_unique<OdysseyClient>(
       &sim_, &link_, StrategyRegistry::Builtin().Create(spec.strategy, std::move(context)),
       kUpcallLatency);
-  if (spec.reference) {
-    client_->viceroy().set_reevaluate_mode(ReevaluateMode::kFullScan);
-  }
   if (servers_ != nullptr) {
     for (std::unique_ptr<Warden>& warden : servers_->Wardens()) {
       client_->InstallWarden(std::move(warden));

@@ -93,18 +93,19 @@ struct RigSpec {
   // The link's starting bandwidth and latency (duration unused) until a
   // trace is replayed.
   TraceSegment link{0, kHighBandwidth, kOneWayLatency};
-  // The pre-scale reference stack: the naive full-rescan supply model and
-  // the viceroy's full-scan re-evaluation.
+  // The pre-scale reference stack: the strategy gets the naive full-rescan
+  // supply model as its injected model, so its re-evaluation hints are
+  // inexact and the viceroy scans every window holder.
   bool reference = false;
   RigServers servers = RigServers::kPaper;
   TraceRecorder* trace = nullptr;  // borrowed; attached before the servers are built
 };
 
 // The one place a single-client stack is built.  The build order is fixed:
-// trace, link, modulator, servers, strategy, client, reference mode,
-// wardens.  Construction order sets both the random-draw order (the
-// servers draw session jitter) and the same-timestamp tie order (the fuzz
-// servers schedule their feed), so every golden depends on it.
+// trace, link, modulator, servers, strategy, client, wardens.
+// Construction order sets both the random-draw order (the servers draw
+// session jitter) and the same-timestamp tie order (the fuzz servers
+// schedule their feed), so every golden depends on it.
 class ExperimentRig {
  public:
   explicit ExperimentRig(const RigSpec& spec);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 #include <utility>
 
 #include "src/trace/trace_macros.h"
@@ -27,13 +28,8 @@ void TraceEstimatorState(Simulation* sim, const SupplyModelInterface& model,
 
 }  // namespace
 
-CentralizedStrategy::CentralizedStrategy(Simulation* sim, const SupplyModelConfig& config,
-                                         SupplyModelKind kind)
-    : sim_(sim), model_(MakeSupplyModel(kind, config)) {
-  if (kind == SupplyModelKind::kIncremental) {
-    fast_model_ = static_cast<SupplyModel*>(model_.get());
-  }
-}
+CentralizedStrategy::CentralizedStrategy(Simulation* sim, const SupplyModelConfig& config)
+    : sim_(sim), model_(std::make_unique<SupplyModel>(config)), exact_hints_(true) {}
 
 CentralizedStrategy::CentralizedStrategy(Simulation* sim,
                                          std::unique_ptr<SupplyModelInterface> model)
@@ -101,7 +97,7 @@ Duration CentralizedStrategy::SmoothedRttFor(AppId app) const {
 
 ReevalHint CentralizedStrategy::TakeReevalHint(Time now) {
   ReevalHint hint;
-  hint.exact = fast_model_ != nullptr;
+  hint.exact = exact_hints_;
 
   // Dirty: owners of connections with (possibly) unexpired usage, plus
   // every app whose rtt or connection set changed since the last hint.

@@ -33,14 +33,11 @@ namespace odyssey {
 
 class CentralizedStrategy : public BandwidthStrategy, public LogListener {
  public:
-  // |kind| selects the supply-model implementation; kNaive exists for the
-  // differential tests' reference stack and yields inexact re-evaluation
-  // hints (forcing the viceroy's full scan).
-  explicit CentralizedStrategy(Simulation* sim, const SupplyModelConfig& config = {},
-                               SupplyModelKind kind = SupplyModelKind::kIncremental);
-  // Injects a caller-built supply model (e.g. the fleet-aggregated model
-  // from src/fleet).  Hints are inexact for injected models, so the viceroy
-  // falls back to its full-scan re-evaluation for candidate discovery.
+  // Builds the incremental SupplyModel, whose live set makes hints exact.
+  explicit CentralizedStrategy(Simulation* sim, const SupplyModelConfig& config = {});
+  // Injects a caller-built supply model (the fleet-aggregated model from
+  // src/fleet, or the reference stack's NaiveSupplyModel).  Hints are
+  // inexact for injected models, so the viceroy scans every window holder.
   CentralizedStrategy(Simulation* sim, std::unique_ptr<SupplyModelInterface> model);
 
   // BandwidthStrategy:
@@ -96,9 +93,9 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
 
   Simulation* sim_;
   std::unique_ptr<SupplyModelInterface> model_;
-  // Non-null when |model_| is the incremental implementation; its live-set
-  // bookkeeping is what makes TakeReevalHint's result exact.
-  SupplyModel* fast_model_ = nullptr;
+  // True when the strategy built |model_| itself: the incremental model's
+  // live-set bookkeeping is what makes TakeReevalHint's result exact.
+  bool exact_hints_ = false;
   ConnectionTable table_{this};
   // connection count -> number of apps with that count (zero-count apps
   // and empty buckets omitted).  The support of the hint's idle_levels.

@@ -50,10 +50,10 @@ namespace odyssey {
 
 class CongestionManagerStrategy : public CentralizedStrategy {
  public:
-  explicit CongestionManagerStrategy(Simulation* sim, const SupplyModelConfig& config = {},
-                                     SupplyModelKind kind = SupplyModelKind::kIncremental)
-      : CentralizedStrategy(sim, config, kind) {}
-  // Injected supply model (fleet-aggregated); see CentralizedStrategy.
+  explicit CongestionManagerStrategy(Simulation* sim, const SupplyModelConfig& config = {})
+      : CentralizedStrategy(sim, config) {}
+  // Injected supply model (fleet-aggregated or reference); see
+  // CentralizedStrategy.
   CongestionManagerStrategy(Simulation* sim, std::unique_ptr<SupplyModelInterface> model)
       : CentralizedStrategy(sim, std::move(model)) {}
 

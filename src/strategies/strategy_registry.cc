@@ -19,7 +19,7 @@ std::unique_ptr<Strategy> MakeCentralized(StrategyContext&& ctx) {
   if (ctx.injected_model != nullptr) {
     return std::make_unique<Strategy>(ctx.sim, std::move(ctx.injected_model));
   }
-  return std::make_unique<Strategy>(ctx.sim, ctx.supply, ctx.supply_kind);
+  return std::make_unique<Strategy>(ctx.sim, ctx.supply);
 }
 
 StrategyRegistry MakeBuiltin() {

@@ -19,7 +19,8 @@
 // StrategyContext describing the rig it is being built into;
 // centralized-family strategies consume an injected supply model there,
 // which is how the fleet's sharded aggregation composes with every member
-// of the family (including admission control).
+// of the family (including admission control), and how a RigSpec::reference
+// rig puts the naive reference model under any of them.
 
 #ifndef SRC_STRATEGIES_STRATEGY_REGISTRY_H_
 #define SRC_STRATEGIES_STRATEGY_REGISTRY_H_
@@ -43,7 +44,6 @@ struct StrategyContext {
   Simulation* sim = nullptr;
   Modulator* modulator = nullptr;
   SupplyModelConfig supply;
-  SupplyModelKind supply_kind = SupplyModelKind::kIncremental;
   std::unique_ptr<SupplyModelInterface> injected_model;
 };
 

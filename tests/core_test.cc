@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -15,8 +16,11 @@
 #include "src/core/tsop_codec.h"
 #include "src/core/upcall.h"
 #include "src/core/viceroy.h"
+#include "src/net/link.h"
+#include "src/rpc/endpoint.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
+#include "src/strategies/centralized.h"
 #include "src/strategies/laissez_faire.h"
 
 namespace odyssey {
@@ -807,6 +811,43 @@ TEST_F(ViceroyTest, UpcallsForTwoAppsIndependent) {
   sim_.Run();
   EXPECT_EQ(fired_a, 1);
   EXPECT_EQ(fired_b, 1);
+}
+
+TEST(ViceroyClassTest, StaticLevelUpcallsFollowAppOrderAcrossWindowClasses) {
+  // Over CentralizedStrategy a window's class is its owner's connection
+  // count, so apps holding 2, 1 and 0 connections index their battery
+  // windows in classes 2, 1 and 0.  Registered in descending app order,
+  // the index holds them against app order in every class walk; one
+  // SetStaticLevel must still upcall in ascending app id and skip the app
+  // whose window holds.
+  Simulation sim;
+  Link link(&sim, 120.0 * 1024.0, 10 * kMillisecond);
+  // Endpoints outlive the viceroy, whose strategy unsubscribes from them.
+  Endpoint first(&sim, &link, "video:a");
+  Endpoint second(&sim, &link, "web:b");
+  Endpoint third(&sim, &link, "web:c");
+  Viceroy viceroy(&sim, std::make_unique<CentralizedStrategy>(&sim));
+  const AppId two = viceroy.RegisterApplication("two connections");
+  const AppId one = viceroy.RegisterApplication("one connection");
+  const AppId none = viceroy.RegisterApplication("no connections");
+  const AppId holds = viceroy.RegisterApplication("window holds");
+  viceroy.AttachConnection(two, &first);
+  viceroy.AttachConnection(two, &second);
+  viceroy.AttachConnection(one, &third);
+
+  std::vector<AppId> order;
+  for (const AppId app : {holds, none, one, two}) {
+    const double lower = app == holds ? 0.0 : 100.0;
+    ResourceDescriptor descriptor{ResourceId::kBatteryPower, lower,
+                                  std::numeric_limits<double>::max(),
+                                  [&order, app](RequestId, ResourceId, double) {
+                                    order.push_back(app);
+                                  }};
+    ASSERT_TRUE(viceroy.Request(app, std::move(descriptor)).ok());
+  }
+  viceroy.SetStaticLevel(ResourceId::kBatteryPower, 50.0);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<AppId>{two, one, none}));
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ TEST(RigSpecTest, DefaultsAreThePaperRig) {
   EXPECT_EQ(rig.link().latency(), kOneWayLatency);
   EXPECT_EQ(rig.client().viceroy().strategy().name(), "odyssey");
   EXPECT_STREQ(rig.centralized()->supply_model().name(), "incremental");
-  EXPECT_EQ(rig.client().viceroy().reevaluate_mode(), ReevaluateMode::kIndexed);
+  EXPECT_TRUE(rig.client().viceroy().strategy().TakeReevalHint(rig.sim().now()).exact);
   EXPECT_EQ(WardenNames(rig), "video web speech bitstream");
   // The farm draws its session jitter as it is built.
   EXPECT_NE(rig.sim().rng().NextU64(), Simulation(1).rng().NextU64());
@@ -75,12 +75,23 @@ TEST(RigSpecTest, EveryFieldReachesTheStack) {
   EXPECT_EQ(rig.link().latency(), 3 * kMillisecond);
   EXPECT_EQ(rig.client().viceroy().strategy().name(), "congestion-manager");
   EXPECT_STREQ(rig.centralized()->supply_model().name(), "naive");
-  EXPECT_EQ(rig.client().viceroy().reevaluate_mode(), ReevaluateMode::kFullScan);
   EXPECT_EQ(WardenNames(rig), "video web speech bitstream files telemetry");
   BitstreamApp app(&rig.client(), "bitstream");
   app.Start();
   rig.sim().RunUntil(5 * kSecond);
   EXPECT_GT(recorder.recorded_count(), 0u);
+}
+
+TEST(RigSpecTest, ReferenceHintsAreInexactForEveryStrategy) {
+  // A reference rig differs from a production one only in its injected
+  // NaiveSupplyModel; nothing else sends its viceroy down the scan of every
+  // window holder.  So the strategy's hint must be inexact, whichever
+  // strategy the rig holds.
+  for (const std::string& name : StrategyRegistry::Builtin().Names()) {
+    ExperimentRig rig({.strategy = name, .reference = true, .servers = RigServers::kNone});
+    EXPECT_FALSE(rig.client().viceroy().strategy().TakeReevalHint(rig.sim().now()).exact)
+        << name;
+  }
 }
 
 TEST(RigSpecTest, NoServersInstallsNothingAndDrawsNothing) {

@@ -3,11 +3,11 @@
 // The scale work (incremental supply model, indexed re-evaluation, slab
 // request table, batched upcall dispatch) is behavior-preserving by
 // construction; these tests prove it empirically by running the production
-// stack and the pre-scale reference stack (NaiveSupplyModel + full-scan
-// re-evaluation) over the same inputs and requiring *bit-identical* results
-// — every availability figure and every delivered upcall, compared with
-// exact floating-point equality, over hundreds of fuzzer scenarios
-// including large-N populations.
+// stack and the pre-scale reference stack (an injected NaiveSupplyModel,
+// whose inexact hints take the full-scan re-evaluation) over the same
+// inputs and requiring *bit-identical* results — every availability figure
+// and every delivered upcall, compared with exact floating-point equality,
+// over hundreds of fuzzer scenarios including large-N populations.
 
 #include <algorithm>
 #include <cstdint>
@@ -43,10 +43,8 @@ namespace {
 // exact equality, not tolerance.
 
 struct ModelPair {
-  std::unique_ptr<SupplyModelInterface> fast =
-      MakeSupplyModel(SupplyModelKind::kIncremental, SupplyModelConfig{});
-  std::unique_ptr<SupplyModelInterface> naive =
-      MakeSupplyModel(SupplyModelKind::kNaive, SupplyModelConfig{});
+  std::unique_ptr<SupplyModelInterface> fast = std::make_unique<SupplyModel>();
+  std::unique_ptr<SupplyModelInterface> naive = std::make_unique<NaiveSupplyModel>();
 
   // Queries every connection in |connections| at |now| on both models.
   void CheckAvailabilities(const std::vector<ConnectionId>& connections, Time now) {
@@ -267,8 +265,8 @@ class StrategyPair {
   Link link_{&sim_, 400.0 * 1024.0, 10 * kMillisecond};
   // Endpoints outlive the strategies, which unsubscribe from their logs.
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  CentralizedStrategy fast_{&sim_, SupplyModelConfig{}, SupplyModelKind::kIncremental};
-  CentralizedStrategy naive_{&sim_, SupplyModelConfig{}, SupplyModelKind::kNaive};
+  CentralizedStrategy fast_{&sim_};
+  CentralizedStrategy naive_{&sim_, std::make_unique<NaiveSupplyModel>()};
 };
 
 TEST(ScaleDifferentialTest, DetachAllThenReattachMatchesNaiveStrategy) {

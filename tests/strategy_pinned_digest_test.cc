@@ -2,8 +2,9 @@
 //
 // For each StrategyRegistry::Builtin() name, a fixed batch of generated
 // scenarios (up to 64 apps, so many flows share each server) runs on the
-// production single-node stack, on the reference stack (naive supply model
-// and full-scan re-evaluation) and on multi-node fleets.  Each run folds
+// production single-node stack, on the reference stack (an injected naive
+// supply model, whose inexact hints take the full scan) and on multi-node
+// fleets.  Each run folds
 // into one FNV-1a digest: every delivered upcall's app, seq, level bits and
 // delivery time, the raw bits of every availability sample, and the run's
 // counters.  The constants were recorded before the re-evaluation path
