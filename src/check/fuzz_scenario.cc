@@ -66,8 +66,8 @@ FuzzFault GenerateFault(Rng& rng, Duration horizon) {
 
 // The mobility dimension's waveform draw: a model, a coverage layout and a
 // sampling of the pipeline, all parameterized from the generator stream.
-// ensure_live_tail keeps the documented drain guarantee (the final segment
-// has positive bandwidth); everything else — shadow length, flap rate — is
+// The pipeline keeps the documented drain guarantee (the final segment has
+// positive bandwidth); everything else — shadow length, flap rate — is
 // whatever the motion produces, which is exactly the point.
 std::vector<TraceSegment> GenerateMobilitySegments(Rng& rng, Duration horizon) {
   MobilityScenarioSpec spec;
@@ -79,7 +79,6 @@ std::vector<TraceSegment> GenerateMobilitySegments(Rng& rng, Duration horizon) {
   spec.memory = rng.Uniform(0.2, 0.95);
   spec.duration = horizon;
   spec.sample_period = UniformDuration(rng, 250 * kMillisecond, kSecond);
-  spec.ensure_live_tail = true;
   const uint64_t waveform_seed = rng.NextU64();
   return MakeMobilityWaveform(spec, waveform_seed).segments();
 }

@@ -134,7 +134,6 @@ void BuildMobilityCell(FuzzScenario* scenario, uint64_t seed) {
   spec.speed_scale = 2.0;
   spec.duration = scenario->horizon;
   spec.sample_period = 500 * kMillisecond;
-  spec.ensure_live_tail = true;
   scenario->segments = MakeMobilityWaveform(spec, seed).segments();
   scenario->apps.push_back(
       MakeApp(FuzzWardenKind::kBitstream, 100 * kMillisecond, 11 * kSecond, 20));

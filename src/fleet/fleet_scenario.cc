@@ -59,7 +59,6 @@ ReplayTrace NodeWaveform(const FleetParams& params, uint64_t seed, int node) {
     spec.layout = (node % 2 == 0) ? BaseStationLayout::kSingleCell : BaseStationLayout::kCellGrid;
     spec.speed_scale = 1.0 + static_cast<double>(node % 3);
     spec.duration = params.horizon + kDrainGrace;
-    spec.ensure_live_tail = true;
     return MakeMobilityWaveform(spec, mix.Next());
   }
   const double factor = 0.6 + static_cast<double>(mix.Next() >> 11) * 0x1.0p-53 * 0.8;

@@ -93,9 +93,11 @@ struct RigSpec {
   // The link's starting bandwidth and latency (duration unused) until a
   // trace is replayed.
   TraceSegment link{0, kHighBandwidth, kOneWayLatency};
-  // The pre-scale reference stack: the strategy gets the naive full-rescan
-  // supply model as its injected model, so its re-evaluation hints are
-  // inexact and the viceroy scans every window holder.
+  // The pre-scale reference stack: the naive full-rescan supply model is
+  // offered as the injected model.  Only the centralized family (odyssey,
+  // congestion-manager, admission-broker) takes it, so their re-evaluation
+  // hints are inexact and the viceroy scans every window holder; a
+  // laissez-faire or blind-optimism reference rig is its production rig.
   bool reference = false;
   RigServers servers = RigServers::kPaper;
   TraceRecorder* trace = nullptr;  // borrowed; attached before the servers are built

@@ -14,24 +14,21 @@ namespace {
 // other consumer of a trial seed.
 constexpr uint64_t kWaveformTag = 0x6f64796d6f62ULL;  // "odymob"
 
-}  // namespace
-
-MobilityWaveformSource::MobilityWaveformSource(const MobilityModel* model,
-                                               const RadioEnvironment* environment)
-    : model_(model), environment_(environment) {}
-
-ReplayTrace MobilityWaveformSource::Sample(const WaveformSourceOptions& options) const {
+// Samples position -> tier every spec.sample_period and merges runs of equal
+// parameters into segments summing to exactly spec.duration.
+ReplayTrace SampleWaveform(const MobilityModel& model, const RadioEnvironment& environment,
+                           const MobilityScenarioSpec& spec) {
   ReplayTrace trace;
-  if (options.duration <= 0) {
+  if (spec.duration <= 0) {
     return trace;
   }
-  const Duration period = options.sample_period < 1 ? 1 : options.sample_period;
+  const Duration period = spec.sample_period < 1 ? 1 : spec.sample_period;
   TraceSegment current;
   bool have_segment = false;
   Time t = 0;
-  while (t < options.duration) {
-    const Duration span = std::min(period, options.duration - t);
-    const BandwidthTier& tier = environment_->TierAt(model_->PositionAt(t));
+  while (t < spec.duration) {
+    const Duration span = std::min(period, spec.duration - t);
+    const BandwidthTier& tier = environment.TierAt(model.PositionAt(t));
     if (have_segment && tier.bandwidth_bps == current.bandwidth_bps &&
         tier.latency == current.latency) {
       current.duration += span;
@@ -47,10 +44,12 @@ ReplayTrace MobilityWaveformSource::Sample(const WaveformSourceOptions& options)
   if (have_segment) {
     trace.Append(current);
   }
-  if (options.ensure_live_tail && !trace.empty() &&
-      trace.segments().back().bandwidth_bps <= 0.0) {
-    // Track crawled to a stop inside a shadow: grant the cell-edge tier so
-    // in-flight transfers can drain (see WaveformSourceOptions).
+  if (!trace.empty() && trace.segments().back().bandwidth_bps <= 0.0) {
+    // The track ended inside a radio shadow.  The Modulator holds the final
+    // segment forever, so a dead tail would strand every transfer still in
+    // flight at the end of the trace; the fuzzer's drain guarantee (and the
+    // hand-rolled generator's "final segment has positive bandwidth" rule)
+    // depend on this patch.  Grant the cell-edge tier instead.
     const BandwidthTier& edge = WaveLanTiers().back();
     std::vector<TraceSegment> segments = trace.segments();
     segments.back().bandwidth_bps = edge.bandwidth_bps;
@@ -59,6 +58,8 @@ ReplayTrace MobilityWaveformSource::Sample(const WaveformSourceOptions& options)
   }
   return trace;
 }
+
+}  // namespace
 
 const char* MobilityModelKindName(MobilityModelKind kind) {
   switch (kind) {
@@ -119,12 +120,7 @@ ReplayTrace MakeMobilityWaveform(const MobilityScenarioSpec& spec, uint64_t seed
   const std::unique_ptr<MobilityModel> model = MakeMobilityModel(spec, model_seed);
   // Stations cover the model's arena (kWaypointTrace fixes its own geometry).
   const RadioEnvironment environment(spec.layout, model->arena(), spec.radio, radio_seed);
-  const MobilityWaveformSource source(model.get(), &environment);
-  WaveformSourceOptions options;
-  options.duration = spec.duration;
-  options.sample_period = spec.sample_period;
-  options.ensure_live_tail = spec.ensure_live_tail;
-  return source.Sample(options);
+  return SampleWaveform(*model, environment, spec);
 }
 
 }  // namespace odyssey

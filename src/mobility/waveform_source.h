@@ -1,7 +1,7 @@
-// MobilityWaveformSource: samples a (model, radio environment) pair into the
-// piecewise-constant ReplayTrace representation the rest of the system
-// already consumes — the Modulator, the estimator, and all six wardens run
-// unmodified over a motion-generated waveform.
+// The mobility waveform pipeline: samples a (model, radio environment) pair
+// into the piecewise-constant ReplayTrace representation the rest of the
+// system already consumes — the Modulator, the estimator, and all six
+// wardens run unmodified over a motion-generated waveform.
 //
 // MobilityScenarioSpec + MakeMobilityWaveform is the one-call entry point
 // the campaign variants, the fuzzer's mobility dimension, and the examples
@@ -19,33 +19,6 @@
 #include "src/tracemod/replay_trace.h"
 
 namespace odyssey {
-
-struct WaveformSourceOptions {
-  Duration duration = 120 * kSecond;
-  Duration sample_period = 500 * kMillisecond;
-  // When true and the sampled waveform ends inside a radio shadow, the final
-  // segment's parameters are replaced with the lowest live tier.  The
-  // Modulator holds the final segment forever, so a dead tail would strand
-  // every transfer still in flight at the end of the trace; the fuzzer's
-  // drain guarantee (and the hand-rolled generator's "final segment has
-  // positive bandwidth" rule) depend on this.
-  bool ensure_live_tail = true;
-};
-
-class MobilityWaveformSource {
- public:
-  // Neither pointer is owned; both must outlive the source.
-  MobilityWaveformSource(const MobilityModel* model, const RadioEnvironment* environment);
-
-  // Samples position -> tier every sample_period and merges runs of equal
-  // parameters into segments.  Segment durations sum to exactly
-  // options.duration.
-  ReplayTrace Sample(const WaveformSourceOptions& options) const;
-
- private:
-  const MobilityModel* model_;
-  const RadioEnvironment* environment_;
-};
 
 // --- Named specs: the shared entry point ---
 
@@ -74,7 +47,6 @@ struct MobilityScenarioSpec {
   Duration duration = 120 * kSecond;
   Duration sample_period = 500 * kMillisecond;
   RadioParams radio;
-  bool ensure_live_tail = true;
 };
 
 // Builds the spec's model from a SplitMix64-derived stream of |seed|.
@@ -83,6 +55,9 @@ std::unique_ptr<MobilityModel> MakeMobilityModel(const MobilityScenarioSpec& spe
 
 // The full pipeline: model -> radio environment (stations covering the
 // model's arena) -> sampled waveform.  A pure function of (spec, seed).
+// Position -> tier is probed every sample_period and runs of equal
+// parameters merge into segments whose durations sum to exactly
+// spec.duration.  The final segment always has positive bandwidth.
 ReplayTrace MakeMobilityWaveform(const MobilityScenarioSpec& spec, uint64_t seed);
 
 }  // namespace odyssey

@@ -17,10 +17,11 @@
 // Capabilities are asked of the built strategy, through audit_surface() and
 // arbitration(), never read from its entry.  A factory receives a
 // StrategyContext describing the rig it is being built into;
-// centralized-family strategies consume an injected supply model there,
-// which is how the fleet's sharded aggregation composes with every member
-// of the family (including admission control), and how a RigSpec::reference
-// rig puts the naive reference model under any of them.
+// centralized-family strategies (odyssey, congestion-manager,
+// admission-broker) consume an injected supply model there, which is how
+// the fleet's sharded aggregation composes with every member of the family,
+// and how a RigSpec::reference rig puts the naive reference model under
+// each of them.  laissez-faire and blind-optimism ignore it.
 
 #ifndef SRC_STRATEGIES_STRATEGY_REGISTRY_H_
 #define SRC_STRATEGIES_STRATEGY_REGISTRY_H_

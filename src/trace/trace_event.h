@@ -5,7 +5,7 @@
 // instant, or counter sample), a compile-time-constant name, a correlation
 // id, and up to two named numeric arguments.  Events are trivially copyable
 // and contain no owned memory, so recording is a struct copy into a
-// preallocated ring buffer — nothing on the hot path allocates.
+// preallocated buffer — nothing on the hot path allocates.
 //
 // Names and argument names MUST be string literals (the ODY_TRACE_* macros
 // in src/trace/trace_macros.h enforce this at compile time, and

@@ -4,45 +4,28 @@
 
 namespace odyssey {
 
-TraceRecorder::TraceRecorder(size_t capacity, OverflowPolicy policy) : policy_(policy) {
+TraceRecorder::TraceRecorder(size_t capacity) {
   ODY_ASSERT(capacity > 0, "trace recorder needs a nonzero capacity");
   events_.resize(capacity);
 }
 
 void TraceRecorder::Record(const TraceEvent& event) {
   ++recorded_;
-  const size_t cap = events_.size();
-  if (size_ == cap) {
-    if (policy_ == OverflowPolicy::kDropNewest) {
-      ++dropped_;
-      return;
-    }
-    // Overwrite the oldest event: the slot at head_ is recycled and the
-    // ring's start advances.
+  if (size_ == events_.size()) {
     ++dropped_;
-    category_counts_[static_cast<int>(events_[head_].category)] -= 1;
-    events_[head_] = event;
-    head_ = (head_ + 1) % cap;
-    category_counts_[static_cast<int>(event.category)] += 1;
     return;
   }
-  events_[(head_ + size_) % cap] = event;
+  events_[size_] = event;
   ++size_;
   category_counts_[static_cast<int>(event.category)] += 1;
 }
 
 std::vector<TraceEvent> TraceRecorder::Snapshot() const {
-  std::vector<TraceEvent> out;
-  out.reserve(size_);
-  const size_t cap = events_.size();
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(events_[(head_ + i) % cap]);
-  }
-  return out;
+  return std::vector<TraceEvent>(events_.begin(),
+                                 events_.begin() + static_cast<std::ptrdiff_t>(size_));
 }
 
 void TraceRecorder::Clear() {
-  head_ = 0;
   size_ = 0;
   recorded_ = 0;
   dropped_ = 0;

@@ -1,4 +1,4 @@
-// TraceRecorder: a bounded ring buffer of trace events.
+// TraceRecorder: a bounded buffer of trace events.
 //
 // The recorder is the only mutable state in the odytrace subsystem.  It is
 // constructed with a fixed capacity (all storage preallocated), installed
@@ -6,12 +6,9 @@
 // ODY_TRACE_* macros: a null recorder makes every macro a single pointer
 // test, so instrumentation costs nothing on runs that do not record.
 //
-// Two overflow policies:
-//   kDropNewest       keeps the oldest events and counts the rest as
-//                     dropped — the stable-prefix behaviour golden-trace
-//                     diffing wants;
-//   kOverwriteOldest  classic flight-recorder semantics, keeping the most
-//                     recent window of events.
+// On overflow the recorder keeps the oldest events and counts the rest as
+// dropped: the held events are always a stable prefix of the run, which is
+// what golden-trace diffing wants.
 //
 // Determinism: the recorder draws nothing from wall clock or entropy.  Two
 // runs with the same seed record identical event sequences, which is what
@@ -30,23 +27,16 @@ namespace odyssey {
 
 class TraceRecorder {
  public:
-  enum class OverflowPolicy {
-    kDropNewest,
-    kOverwriteOldest,
-  };
-
   // Default capacity: 256k events (~14 MB), ample for any single scenario
   // in the suite while keeping accidental recorders cheap.
   static constexpr size_t kDefaultCapacity = size_t{1} << 18;
 
-  explicit TraceRecorder(size_t capacity = kDefaultCapacity,
-                         OverflowPolicy policy = OverflowPolicy::kDropNewest);
+  explicit TraceRecorder(size_t capacity = kDefaultCapacity);
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  // Appends |event|; on a full buffer either drops it or overwrites the
-  // oldest, per the policy.  Never allocates.
+  // Appends |event|, or drops it when the buffer is full.  Never allocates.
   void Record(const TraceEvent& event);
 
   // Issues a fresh span-correlation id (1-based, monotonically increasing).
@@ -57,11 +47,10 @@ class TraceRecorder {
   size_t capacity() const { return events_.size(); }
   // Total events ever offered to Record().
   uint64_t recorded_count() const { return recorded_; }
-  // Events lost to overflow (dropped or overwritten, per the policy).
+  // Events lost to overflow.
   uint64_t dropped_count() const { return dropped_; }
-  OverflowPolicy policy() const { return policy_; }
 
-  // The held events in chronological (recording) order; unwraps the ring.
+  // The held events in chronological (recording) order.
   std::vector<TraceEvent> Snapshot() const;
 
   // Events held per category, indexed by static_cast<int>(TraceCategory).
@@ -72,10 +61,8 @@ class TraceRecorder {
   void Clear();
 
  private:
-  std::vector<TraceEvent> events_;  // fixed-size ring storage
-  OverflowPolicy policy_;
-  size_t head_ = 0;  // index of the oldest held event
-  size_t size_ = 0;  // events currently held
+  std::vector<TraceEvent> events_;  // fixed-size storage; [0, size_) held
+  size_t size_ = 0;                 // events currently held
   uint64_t recorded_ = 0;
   uint64_t dropped_ = 0;
   uint64_t last_span_id_ = 0;

@@ -7,7 +7,7 @@
 // off, not merely discarded.
 //
 // FromArgs() removes the flags it consumed from argv so the remaining
-// arguments can be handed to google-benchmark or example-specific parsing.
+// arguments can be handed to example-specific parsing.
 
 #ifndef SRC_TRACE_TRACE_SESSION_H_
 #define SRC_TRACE_TRACE_SESSION_H_

@@ -32,7 +32,7 @@
 namespace odyssey {
 namespace {
 
-// Bounded so the golden file stays reviewable; kDropNewest keeps the
+// Bounded so the golden file stays reviewable; the recorder keeps the
 // recorded prefix stable no matter how long the scenario runs beyond it.
 constexpr size_t kGoldenCapacity = 4096;
 constexpr uint64_t kGoldenSeed = 1;
@@ -48,7 +48,7 @@ std::vector<std::string> RunCanonicalStepUp() {
   if (step_up == nullptr) {
     return {};
   }
-  TraceRecorder recorder(kGoldenCapacity, TraceRecorder::OverflowPolicy::kDropNewest);
+  TraceRecorder recorder(kGoldenCapacity);
   (void)step_up->run(kGoldenSeed, &recorder);
   std::string error;
   const std::string json = ChromeTraceExporter::ToJson(recorder);

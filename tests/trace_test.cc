@@ -1,4 +1,4 @@
-// Unit tests for the odytrace subsystem: the ring-buffer recorder, the
+// Unit tests for the odytrace subsystem: the bounded recorder, the
 // recording macros (enabled and null-recorder paths), the chrome-trace
 // exporter round-tripped through the bundled JSON parser, and the
 // canonicalizer / differ / validator.
@@ -46,7 +46,7 @@ TEST(TraceRecorderTest, RecordsInOrderBelowCapacity) {
 }
 
 TEST(TraceRecorderTest, DropNewestKeepsStablePrefix) {
-  TraceRecorder recorder(4, TraceRecorder::OverflowPolicy::kDropNewest);
+  TraceRecorder recorder(4);
   for (int i = 0; i < 10; ++i) {
     recorder.Record(MakeInstant(i, "tick", static_cast<uint64_t>(i)));
   }
@@ -58,23 +58,6 @@ TEST(TraceRecorderTest, DropNewestKeepsStablePrefix) {
   // The first four events survive — the prefix is stable under overflow.
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].id, i);
-  }
-}
-
-TEST(TraceRecorderTest, OverwriteOldestWrapsAround) {
-  TraceRecorder recorder(4, TraceRecorder::OverflowPolicy::kOverwriteOldest);
-  for (int i = 0; i < 10; ++i) {
-    recorder.Record(MakeInstant(i, "tick", static_cast<uint64_t>(i)));
-  }
-  EXPECT_EQ(recorder.size(), 4u);
-  EXPECT_EQ(recorder.recorded_count(), 10u);
-  EXPECT_EQ(recorder.dropped_count(), 6u);
-  const std::vector<TraceEvent> events = recorder.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // The most recent window survives, unwrapped into chronological order.
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].id, 6 + i);
-    EXPECT_EQ(events[i].ts, static_cast<Time>(6 + i));
   }
 }
 

@@ -116,7 +116,7 @@ RULES = {
 }
 
 # Directories whose sources are scanned at all.
-SCAN_DIRS = ("src", "tests", "bench", "examples")
+SCAN_DIRS = ("src", "tests", "examples")
 # Library code: rules about runtime behaviour apply here only.
 LIBRARY_DIRS = ("src",)
 # The simulated subsystems: anything here taking wall-clock time breaks
@@ -705,12 +705,12 @@ _LAMBDA_ARG_RE = re.compile(r"^\s*\[([^\]]*)\]")
 
 _OWNED_CAPTURE_RE = re.compile(r"//\s*ody[-_]lint:\s*owned-capture\b")
 
-# escape-capture scope: library, bench and example code.  tests/ is exempt —
-# the whole test suite runs under ASan on every push, so a dangling capture
-# there is caught dynamically; bench and examples run rarely and unsanitized
-# (the shipped bench bug survived precisely because of that), and library
+# escape-capture scope: library and example code.  tests/ is exempt — the
+# whole test suite runs under ASan on every push, so a dangling capture there
+# is caught dynamically; examples run rarely and unsanitized (the shipped
+# bench bug survived precisely because its binary was one such), and library
 # code should never rely on the sanitizer in the first place.
-_ESCAPE_DIRS = ("src", "bench", "examples")
+_ESCAPE_DIRS = ("src", "examples")
 
 
 @dataclasses.dataclass
@@ -969,7 +969,7 @@ def check_header_guard(sf: SourceFile) -> list[Violation]:
 _INCLUDE_RE = re.compile(r'\s*#\s*include\s+(["<])([^">]+)[">]')
 
 # Quoted includes must be root-relative into one of these trees.
-_PROJECT_PREFIXES = ("src/", "tests/", "bench/", "examples/", "tools/")
+_PROJECT_PREFIXES = ("src/", "tests/", "examples/", "tools/")
 
 
 def check_include_order(sf: SourceFile) -> list[Violation]:

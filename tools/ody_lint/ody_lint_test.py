@@ -110,8 +110,8 @@ class OdyLintTest(unittest.TestCase):
         violations = [v for v in self.lint(rel) if v.rule == "no-cout"]
         self.assertEqual(len(violations), 2)
 
-    def test_no_cout_allowed_in_bench(self):
-        rel = self.place("no_cout_bad.cc", "bench/no_cout_bad.cc")
+    def test_no_cout_allowed_in_examples(self):
+        rel = self.place("no_cout_bad.cc", "examples/no_cout_bad.cc")
         self.assertNotIn("no-cout", self.rules_found(rel))
 
     def test_no_cout_suppressed(self):
@@ -124,7 +124,7 @@ class OdyLintTest(unittest.TestCase):
         rel = self.place("trace_name_bad.cc", "src/core/trace_name_bad.cc")
         violations = [v for v in self.lint(rel) if v.rule == "trace-static-name"]
         self.assertEqual([v.line for v in violations], [7, 8, 9])
-        rel = self.place("trace_name_bad.cc", "bench/trace_name_bad.cc")
+        rel = self.place("trace_name_bad.cc", "examples/trace_name_bad.cc")
         self.assertIn("trace-static-name", self.rules_found(rel))
 
     def test_trace_name_literal_across_lines_is_clean(self):
@@ -201,8 +201,8 @@ class OdyLintTest(unittest.TestCase):
 
     def test_wallclock_rule_scoped_to_tests(self):
         # src/ has its own wall-clock rule (scoped to the simulated dirs);
-        # bench and examples may legitimately time themselves.
-        for tree in ("src/metrics", "bench", "examples"):
+        # examples may legitimately time themselves.
+        for tree in ("src/metrics", "examples"):
             rel = self.place("test_wallclock_bad.cc", tree + "/test_wallclock_bad.cc")
             self.assertNotIn("test-no-wallclock", self.rules_found(rel))
 
@@ -399,7 +399,7 @@ class OdyLintTest(unittest.TestCase):
         self.place("wall_clock_bad.cc", "src/sim/wall_clock_bad.cc")
         self.assertEqual(ody_lint.main(["--root", self.root]), 1)
         shutil.rmtree(os.path.join(self.root, "src"))
-        self.place("no_cout_bad.cc", "bench/no_cout_bad.cc")  # out of scope: clean
+        self.place("no_cout_bad.cc", "examples/no_cout_bad.cc")  # out of scope: clean
         self.assertEqual(ody_lint.main(["--root", self.root]), 0)
         self.assertEqual(ody_lint.main(["--root", os.path.join(self.root, "absent")]), 2)
 
