@@ -1,6 +1,9 @@
 #include "src/core/viceroy.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <iterator>
 #include <utility>
 
 #include "src/core/contract.h"
@@ -151,29 +154,22 @@ void Viceroy::SetStaticLevel(ResourceId resource, double level) {
 void Viceroy::Reevaluate() {
   ReevalHint hint = strategy_->TakeReevalHint(sim_->now());
   if (hint.exact) {
-    candidates_.clear();
-    candidates_.insert(candidates_.end(), hint.dirty.begin(), hint.dirty.end());
     // A non-dirty app sits exactly at the idle fair-share level for its
     // connection count, and its windows are indexed under that count as
     // their class — so each count's probe scans only its own class's
     // windows.  Probing whole-table instead would be sound (a superset;
     // evaluating a non-violated app posts nothing) but quadratic in
     // steady state: every bucket's level would sweep in all windows of
-    // every *other* bucket, each re-evaluation.  The probe may still
-    // return dirty apps (their windows share the class); dedup below.
+    // every *other* bucket, each re-evaluation.
+    probed_.clear();
     for (const auto& [count, level] : hint.idle_levels) {
       requests_.CollectViolatedApps(ResourceId::kNetworkBandwidth, static_cast<uint32_t>(count),
-                                    level, &candidates_);
+                                    level, &probed_);
     }
     // Apps with no connections see the empty-sum level 0.0; their windows
     // sit in class 0, which apps_by_count_ never lists.
-    requests_.CollectViolatedApps(ResourceId::kNetworkBandwidth, 0, 0.0, &candidates_);
-    // Usually no probe adds an app, and the hint's dirty list is already
-    // ascending, so the sort is skipped.
-    if (!std::is_sorted(candidates_.begin(), candidates_.end())) {
-      std::sort(candidates_.begin(), candidates_.end());
-    }
-    candidates_.erase(std::unique(candidates_.begin(), candidates_.end()), candidates_.end());
+    requests_.CollectViolatedApps(ResourceId::kNetworkBandwidth, 0, 0.0, &probed_);
+    MergeCandidates(hint.dirty);
     EvaluateCandidates();
     return;
   }
@@ -189,6 +185,71 @@ void Viceroy::Reevaluate() {
     }
   }
   EvaluateCandidates();
+}
+
+// The probes return apps in heap order, one per violated window, and often
+// re-report dirty apps (their windows share the idle level's class).  A
+// per-pass stamp drops every app already listed, so only the remainder is
+// ordered.  Sorting r apps costs at least r comparisons, while a sweep over
+// the app-id bitset reads one word per 64 ids; so the sweep is taken when
+// it reads no more words than the remainder has apps.  Either way the
+// candidates are the ascending, duplicate-free union of the two lists.
+void Viceroy::MergeCandidates(const std::vector<AppId>& dirty) {
+  ODY_DCHECK(std::adjacent_find(dirty.begin(), dirty.end(), std::greater_equal<AppId>()) ==
+                 dirty.end(),
+             "hint's dirty apps not ascending and unique");
+  if (++stamp_ == 0) {  // wrapped: no stale stamp may equal a new one
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    stamp_ = 1;
+  }
+  // Ids normally stop at apps_.size(), but the table takes a window from
+  // any id, so the stamps grow to the largest id seen.
+  AppId largest = dirty.empty() ? apps_.size() : std::max<AppId>(dirty.back(), apps_.size());
+  for (const AppId app : probed_) {
+    largest = std::max(largest, app);
+  }
+  if (stamps_.size() <= largest) {
+    stamps_.resize(largest + 1);
+  }
+  for (const AppId app : dirty) {
+    stamps_[app] = stamp_;
+  }
+  size_t remainder = 0;
+  for (const AppId app : probed_) {
+    if (stamps_[app] != stamp_) {
+      stamps_[app] = stamp_;
+      probed_[remainder++] = app;
+    }
+  }
+  probed_.resize(remainder);
+
+  candidates_.clear();
+  if (remainder == 0) {
+    candidates_.assign(dirty.begin(), dirty.end());
+    return;
+  }
+  const size_t words = largest / 64 + 1;
+  if (words <= remainder) {
+    if (sweep_.size() < words) {
+      sweep_.resize(words);
+    }
+    for (const AppId app : dirty) {
+      sweep_[app / 64] |= uint64_t{1} << (app % 64);
+    }
+    for (const AppId app : probed_) {
+      sweep_[app / 64] |= uint64_t{1} << (app % 64);
+    }
+    for (size_t word = 0; word < words; ++word) {
+      for (uint64_t bits = sweep_[word]; bits != 0; bits &= bits - 1) {
+        candidates_.push_back(word * 64 + static_cast<AppId>(std::countr_zero(bits)));
+      }
+      sweep_[word] = 0;
+    }
+    return;
+  }
+  std::sort(probed_.begin(), probed_.end());
+  std::merge(dirty.begin(), dirty.end(), probed_.begin(), probed_.end(),
+             std::back_inserter(candidates_));
 }
 
 // Evaluates candidates_ in ascending AppId order with their real levels,

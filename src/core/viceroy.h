@@ -10,6 +10,7 @@
 #ifndef SRC_CORE_VICEROY_H_
 #define SRC_CORE_VICEROY_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -100,6 +101,9 @@ class Viceroy {
   // strategy's arbitration(), read once per pass; may be null).
   void EvaluateApp(AppId app, ResourceId resource, double level, ArbitrationStrategy* broker);
   void EvaluateCandidates();
+  // Sets candidates_ to the ascending union of |dirty| (ascending, unique)
+  // and the probed_ apps (any order, duplicates allowed).
+  void MergeCandidates(const std::vector<AppId>& dirty);
 
   // The request-table class for |app|'s windows: its connection count.
   uint32_t WindowClassOf(AppId app) const;
@@ -116,6 +120,13 @@ class Viceroy {
   // avoid reallocating in the hot notification path.
   std::vector<AppId> candidates_;
   std::vector<RequestTable::Entry> violated_;
+  // MergeCandidates' scratch: the probes' apps, a per-app stamp (an app is
+  // listed in this pass when its stamp equals stamp_), and the sweep's
+  // app-id bitset, all zero between passes.
+  std::vector<AppId> probed_;
+  std::vector<uint32_t> stamps_;
+  uint32_t stamp_ = 0;
+  std::vector<uint64_t> sweep_;
 };
 
 }  // namespace odyssey

@@ -19,10 +19,11 @@ void SupplyModel::AddConnection(ConnectionId connection) {
   ++generation_;
   if (connection >= connections_.size()) {
     connections_.resize(connection + 1);
+    rows_.resize(connection + 1);
   }
-  PerConnection& slot = connections_[connection];
-  if (!slot.registered) {
-    slot = PerConnection(config_);
+  if (!rows_[connection].registered) {
+    connections_[connection] = PerConnection(config_);
+    rows_[connection] = Row{0.0, true};
     ++registered_;
   }
 }
@@ -34,6 +35,7 @@ void SupplyModel::RemoveConnection(ConnectionId connection) {
     return;
   }
   *state = PerConnection();
+  rows_[connection] = Row{};
   --registered_;
   const auto it = std::lower_bound(live_.begin(), live_.end(), connection);
   if (it != live_.end() && *it == connection) {
@@ -98,10 +100,10 @@ void SupplyModel::ScanAt(Time now) const {
   int active = 0;
   size_t keep = 0;
   for (const ConnectionId id : live_) {
-    const PerConnection& state = connections_[id];
+    const UsageMeter& usage = connections_[id].usage;
     ++scan_ops_;
-    const double rate = state.usage.RateAt(now);
-    state.rate = rate;
+    const double rate = usage.RateAt(now);
+    rows_[id].rate = rate;
     aggregate += rate;
     if (rate > 16.0) {  // UsageMeter::ActiveAt's default threshold
       ++active;
@@ -109,11 +111,12 @@ void SupplyModel::ScanAt(Time now) const {
     // Eviction: RateAt pruned the meter; once empty it stays empty (event
     // end times are non-decreasing), so the connection is idle for good
     // until its next Record.
-    if (!state.usage.empty()) {
+    if (!usage.empty()) {
       live_[keep++] = id;
     }
   }
   live_.resize(keep);
+  terms_valid_ = false;
   cache_valid_ = true;
   cache_at_ = now;
   cache_version_ = version_;
@@ -125,25 +128,52 @@ void SupplyModel::ScanAt(Time now) const {
 // scan evaluated RateAt(now) on the same meter, and a second evaluation at
 // the same instant prunes nothing more and sums the same events in the
 // same order — the same bits the naive model's ActiveAt/RateAt calls read.
+//
+// The terms every connection shares are computed once per (instant,
+// generation) by RefreshTerms, each with the expression the per-query
+// formula below would evaluate, so a query reads them and does the rest:
+//
+//   share_ways   = active + (self_active ? 0 : 1)
+//   fair_share   = supply / max(share_ways, 1)
+//   slack        = max(supply - total_usage, 0)
+//   availability = min(fair_share + slack * (rate / total_usage), supply)
+void SupplyModel::RefreshTerms(Time now) const {
+  SharedTerms terms;
+  terms.supply = TotalSupply();
+  if (terms.supply > 0.0) {
+    const double supply = terms.supply;
+    const int active = ActiveConnectionCount(now);
+    // Fair share: the expected lower bound (§6.2.1).  If this connection
+    // is not among the currently active ones, it would join them, so split
+    // one way further.
+    const int active_ways = active;
+    const int idle_ways = active + 1;
+    terms.fair_share_active = supply / static_cast<double>(active_ways < 1 ? 1 : active_ways);
+    terms.fair_share_idle = supply / static_cast<double>(idle_ways < 1 ? 1 : idle_ways);
+    terms.total_usage = cached_usage_;
+    terms.slack = supply > terms.total_usage ? supply - terms.total_usage : 0.0;
+  }
+  terms_ = terms;
+  terms_valid_ = true;
+  terms_at_ = now;
+  terms_generation_ = generation_;
+}
+
 double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
-  const double supply = TotalSupply();
-  if (supply <= 0.0) {
+  if (!terms_valid_ || terms_at_ != now || terms_generation_ != generation_) {
+    RefreshTerms(now);
+  }
+  const SharedTerms& terms = terms_;
+  if (terms.supply <= 0.0) {
     return 0.0;
   }
-  const int active = ActiveConnectionCount(now);
-
-  const PerConnection* state = Find(connection);
   ++scan_ops_;
-  const double rate = state == nullptr ? 0.0 : state->rate;
+  const bool known = connection < rows_.size() && rows_[connection].registered;
+  const double rate = known ? rows_[connection].rate : 0.0;
   const bool self_active = rate > 16.0;  // UsageMeter::ActiveAt's default threshold
+  const double fair_share = self_active ? terms.fair_share_active : terms.fair_share_idle;
 
-  // Fair share: the expected lower bound (§6.2.1).  If this connection is
-  // not among the currently active ones, it would join them, so split one
-  // way further.
-  const int share_ways = active + (self_active ? 0 : 1);
-  const double fair_share = supply / static_cast<double>(share_ways < 1 ? 1 : share_ways);
-
-  if (state == nullptr) {
+  if (!known) {
     return fair_share;
   }
 
@@ -153,14 +183,12 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
   // and grows as its usage registers ("higher rates of consumption by the
   // first stream give it more weight compared to the startup of the
   // second", §6.2.1).
-  const double total_usage = cached_usage_;
-  if (total_usage <= 0.0) {
+  if (terms.total_usage <= 0.0) {
     return fair_share;
   }
-  const double slack = supply > total_usage ? supply - total_usage : 0.0;
-  const double competed_for = slack * (rate / total_usage);
+  const double competed_for = terms.slack * (rate / terms.total_usage);
   const double availability = fair_share + competed_for;
-  return availability < supply ? availability : supply;
+  return availability < terms.supply ? availability : terms.supply;
 }
 
 int SupplyModel::ActiveConnectionCount(Time now) const {

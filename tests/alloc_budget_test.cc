@@ -6,8 +6,9 @@
 // schedule/cancel, none for an oracle audit tick, none for a telemetry
 // feed's sample, and none for an upcall handler's trip through the request
 // table and the dispatcher, which moves the handler rather than copying it;
-// none for a link's flow churn; and one, the attempt record, for an RPC
-// exchange.  The counting operators
+// none for a link's flow churn; one, the attempt record, for an RPC
+// exchange; and two, the hint's lists, for an observation's re-evaluation
+// pass.  The counting operators
 // are linked into this test binary only.
 
 #include <array>
@@ -33,6 +34,7 @@
 #include "src/servers/telemetry_server.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulation.h"
+#include "src/strategies/centralized.h"
 #include "src/tracemod/replay_trace.h"
 #include "src/tracemod/waveforms.h"
 #include "src/wardens/bitstream_warden.h"
@@ -302,6 +304,50 @@ TEST(AllocBudgetTest, OracleAuditTickAllocatesNothing) {
   rig.sim().RunUntil(10 * kSecond + kAuditPeriod);
   EXPECT_EQ(AllocationsIn([&oracles] { oracles.Sample(); }), 0u);
   EXPECT_EQ(oracles.violation_count(), 0u);
+}
+
+// One observation on a warm 256-app centralized rig: the supply model
+// records it and rescans, and the viceroy's exact pass merges the hint's
+// dirty apps with the idle-level probes and asks about every candidate.
+// Every app is live and holds a window whose lower bound sits just above
+// the idle level, so the probe re-reports every dirty app while no real
+// level leaves its window.  The two allocations are the hint's dirty and
+// idle-level lists, returned by value; the pass's own scratch is reused.
+// The parent of the flat per-observation pass made the same two.
+TEST(AllocBudgetTest, ObservationReevaluationPassAllocatesOnlyTheHint) {
+  constexpr int kApps = 256;
+  ExperimentRig rig(5, "odyssey");
+  rig.client().InstallWarden(std::make_unique<BitstreamWarden>());
+  std::vector<std::unique_ptr<BitstreamApp>> apps;
+  for (int i = 0; i < kApps; ++i) {
+    apps.push_back(std::make_unique<BitstreamApp>(&rig.client(), "bitstream"));
+    apps.back()->Start();
+  }
+  rig.Replay(MakeConstant(100.0 * kHighBandwidth, kMinute), /*prime=*/false);
+  rig.sim().RunUntil(3 * kSecond);
+  CentralizedStrategy* strategy = rig.centralized();
+  ASSERT_NE(strategy, nullptr);
+  Viceroy& viceroy = rig.client().viceroy();
+  const double idle = strategy->supply_model().AvailabilityFor(0, rig.sim().now());
+  ASSERT_GT(idle, 0.0);
+  for (const auto& app : apps) {
+    ResourceDescriptor window{ResourceId::kNetworkBandwidth, idle * 1.0001, 1e15, {}};
+    window.handler = [](RequestId, ResourceId, double) {};
+    ASSERT_TRUE(viceroy.Request(app->app(), std::move(window)).status_ok);
+  }
+  const ConnectionId connection = apps.front()->connection();
+  const auto observe = [&] {
+    ThroughputObservation obs;
+    obs.at = rig.sim().now();
+    // A window at about a fair share's pace, so the supply holds.
+    obs.window_bytes = 8.0 * 1024.0;
+    obs.elapsed = static_cast<Duration>(8.0 * 1024.0 / idle * kSecond);
+    strategy->OnThroughput(connection, obs);
+  };
+  observe();  // grows the pass's scratch
+  ASSERT_EQ(viceroy.requests().size(), static_cast<size_t>(kApps));
+  EXPECT_EQ(AllocationsIn(observe), 2u);
+  EXPECT_EQ(viceroy.requests().size(), static_cast<size_t>(kApps));  // no window was taken
 }
 
 }  // namespace

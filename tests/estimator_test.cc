@@ -216,6 +216,21 @@ class ReferenceUsageMeter {
     }
     return false;
   }
+  bool HeadStraddles(Time at) const {
+    const Event& head = ring_[head_];
+    return count_ > 0 && head.start < at - tau_ && head.end > at - tau_;
+  }
+  // Read before RateAt(at) prunes: a point delivery sits exactly on the
+  // window's open left edge.
+  bool HasPointAt(Time t) const {
+    for (size_t i = 0; i < count_; ++i) {
+      const Event& event = ring_[Index(i)];
+      if (event.start == event.end && event.end == t) {
+        return true;
+      }
+    }
+    return false;
+  }
 
  private:
   struct Event {
@@ -257,8 +272,13 @@ class ReferenceUsageMeter {
 };
 
 // A seeded mix of interval records, point records, inverted intervals
-// (clamped to points) and reads, including reads before the newest end.
-// Compares every rate as raw bits.
+// (clamped to points) and reads, including reads before the newest end,
+// then a scripted tail for the edges a random walk seldom lands on.
+// Compares every rate as raw bits.  The meter sums by one of two tests:
+// when every stored event ends at or before the read (the newest end is at
+// most |at|) a start after the window's left edge alone means wholly
+// inside; otherwise each event's end is tested too.  The probes confirm
+// both ran over stored events.
 TEST(UsageMeterTest, MatchesReferenceMeterBitForBit) {
   const Duration tau = 2 * kSecond;
   UsageMeter meter(tau);
@@ -271,6 +291,10 @@ TEST(UsageMeterTest, MatchesReferenceMeterBitForBit) {
   bool straddled = false;
   bool ended_at_read = false;
   bool read_at_record = false;
+  int all_ended_reads = 0;     // newest end <= at: the start test alone
+  int before_newest_reads = 0;  // newest end > at: the full test
+  bool straddling_head_all_ended = false;
+  bool point_at_edge = false;
 
   const auto record = [&](Time start, double bytes) {
     meter.Record(start, now, bytes);
@@ -280,6 +304,7 @@ TEST(UsageMeterTest, MatchesReferenceMeterBitForBit) {
     wrapped_after_prune = wrapped_after_prune || reference.wrapped();
   };
   const auto read = [&](Time at) {
+    point_at_edge = point_at_edge || reference.HasPointAt(at - tau);
     const double got = meter.RateAt(at);
     const double want = reference.RateAt(at);
     ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
@@ -289,6 +314,12 @@ TEST(UsageMeterTest, MatchesReferenceMeterBitForBit) {
     straddled = straddled || reference.HasEventStraddling(at);
     ended_at_read = ended_at_read || reference.HasIntervalEndingAt(at);
     read_at_record = read_at_record || (at == now && recorded_now);
+    if (!reference.empty() && reference.last_event() <= at) {
+      ++all_ended_reads;
+      straddling_head_all_ended = straddling_head_all_ended || reference.HeadStraddles(at);
+    } else if (!reference.empty()) {
+      ++before_newest_reads;
+    }
   };
   const auto interval_start = [&] {
     // Up to 1.5 tau long, so many start left of a later read's window.
@@ -328,11 +359,36 @@ TEST(UsageMeterTest, MatchesReferenceMeterBitForBit) {
     }
   }
 
+  // The scripted tail: after an idle gap, an interval (p - tau/2, p], a
+  // point delivery at p, one a microsecond later, and an interval
+  // (p + 1, p + tau/2].
+  now += 2 * tau;
+  const Time p = now;
+  record(p - tau / 2, bytes());
+  record(p, bytes());
+  now = p + 1;
+  record(now, bytes());
+  now = p + tau / 2;
+  record(p + 1, bytes());
+  // Before the newest end: the full test.
+  read(p + tau / 4);
+  // Every event has ended, and the head interval straddles the left edge
+  // p - tau/4.
+  read(p + 3 * tau / 4);
+  // The point at p sits exactly on the open left edge and is pruned with
+  // the head; the one at p + 1 is inside.
+  read(p + tau);
+  ASSERT_FALSE(HasFatalFailure());
+
   EXPECT_GE(max_capacity, 64u);  // grew past 8, 16 and 32 events
   EXPECT_TRUE(wrapped_after_prune);
   EXPECT_TRUE(straddled);
   EXPECT_TRUE(ended_at_read);
   EXPECT_TRUE(read_at_record);
+  EXPECT_GT(all_ended_reads, 0);
+  EXPECT_GT(before_newest_reads, 0);
+  EXPECT_TRUE(straddling_head_all_ended);
+  EXPECT_TRUE(point_at_edge);
 }
 
 TEST(SlidingMaxTest, TracksMaximumInWindow) {
@@ -551,6 +607,77 @@ TEST_F(SupplyModelTest, ActiveCountDropsWithIdleness) {
   EXPECT_EQ(model_.ActiveConnectionCount(busy), 2);
   // After 30 s of silence both decayed; count floors at 1.
   EXPECT_EQ(model_.ActiveConnectionCount(busy + 30 * kSecond), 1);
+}
+
+// Mutations at the instant the model already answered for must refresh the
+// terms every connection's answer shares (supply, fair shares, slack).
+// OnFailure moves the supply and AddConnection the registered count
+// without touching the scan cache's version, so a memo keyed on that
+// version would serve stale shares here.  Every answer is compared with the
+// naive model as raw bits, and each step's scan_ops with the model's
+// accounting: one op per query while the supply is positive, plus one per
+// live connection whenever a query or an observation rescans.
+TEST_F(SupplyModelTest, SameInstantMutationsRefreshSharedTerms) {
+  NaiveSupplyModel naive;
+  const auto both = [&](const auto& mutate) {
+    mutate(static_cast<SupplyModelInterface&>(model_));
+    mutate(static_cast<SupplyModelInterface&>(naive));
+  };
+  const Time now = 10 * kSecond;
+  both([](SupplyModelInterface& m) {
+    for (const ConnectionId id : {1, 2, 3}) {
+      m.AddConnection(id);
+    }
+    // A large sample that ages out of the supply window by |now|, and a
+    // smaller one whose usage is still live then.
+    m.OnThroughput(1, {now - 3 * kSecond, 96.0 * kKb, 250 * kMillisecond});
+    m.OnThroughput(2, {now - kSecond, 24.0 * kKb, 500 * kMillisecond});
+  });
+
+  std::vector<uint64_t> previous;
+  const auto ask_all = [&](const char* step, uint64_t want_ops, bool moves = true) {
+    SCOPED_TRACE(step);
+    const uint64_t before = model_.scan_ops();
+    std::vector<uint64_t> answers;
+    for (ConnectionId id = 0; id <= 5; ++id) {  // 0 never names a connection
+      const double got = model_.AvailabilityFor(id, now);
+      const double want = naive.AvailabilityFor(id, now);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want)) << "connection " << id;
+      EXPECT_GT(got, 0.0);
+      answers.push_back(std::bit_cast<uint64_t>(got));
+    }
+    EXPECT_EQ(model_.scan_ops() - before, want_ops);
+    if (moves) {
+      EXPECT_NE(answers, previous);
+    }
+    previous = answers;
+  };
+
+  // The first query at |now| rescans the live set {2}: 1 was evicted by the
+  // scan at 2's observation, a tau after 1's usage ended.
+  ask_all("first queries", 1 + 6);
+  both([&](SupplyModelInterface& m) { m.OnFailure(1, {now, 1}); });
+  ask_all("after a failure", 6);  // the 96 KB/s sample aged out
+  uint64_t before = model_.scan_ops();
+  both([&](SupplyModelInterface& m) {
+    m.OnThroughput(3, {now, 48.0 * kKb, 250 * kMillisecond});
+  });
+  EXPECT_EQ(model_.scan_ops() - before, 2u);  // the observation scans {2, 3}
+  ask_all("after an observation", 6);
+  both([](SupplyModelInterface& m) { m.RemoveConnection(2); });
+  ask_all("after a removal", 1 + 6);  // a rescan of {3}
+  both([](SupplyModelInterface& m) { m.AddConnection(4); });
+  // With 3 active, a new idle connection gets the share an unknown one
+  // did, so no answer moves.
+  ask_all("after an addition", 6, /*moves=*/false);
+  both([](SupplyModelInterface& m) {
+    for (const ConnectionId id : {1, 3, 4}) {
+      m.RemoveConnection(id);
+    }
+  });
+  ask_all("with none registered", 0 + 6);  // the live set is empty
+  both([](SupplyModelInterface& m) { m.AddConnection(5); });
+  ask_all("after re-adding one", 6);  // one registered: the idle share halves
 }
 
 // Property sweep: supply estimation converges to the true rate for a wide

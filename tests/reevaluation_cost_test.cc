@@ -1,10 +1,13 @@
-// Cost and invalidation tests for the full-scan re-evaluation path: which
-// apps one pass asks the strategy about, what a congestion-manager pass
-// costs the supply model, and that the congestion manager's per-server
-// budget memo always equals a memo-free recomputation.
+// Cost and invalidation tests for re-evaluation: which apps one full-scan
+// or exact-hint pass asks the strategy about, and in what order; what a
+// congestion-manager pass costs the supply model; and that the congestion
+// manager's per-server budget memo always equals a memo-free
+// recomputation.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -41,6 +44,7 @@ class CountingStrategy : public BandwidthStrategy {
   void DetachConnection(Endpoint* endpoint) override { inner.DetachConnection(endpoint); }
   double AvailabilityFor(AppId app, Time now) const override {
     ++availability_asks[app];
+    availability_order.push_back(app);
     return inner.AvailabilityFor(app, now);
   }
   bool HasEstimate() const override { return inner.HasEstimate(); }
@@ -56,6 +60,7 @@ class CountingStrategy : public BandwidthStrategy {
   ScriptedStrategy inner;
   std::optional<ReevalHint> hint;
   mutable std::map<AppId, int> availability_asks;
+  mutable std::vector<AppId> availability_order;
   mutable std::map<AppId, int> rtt_asks;
 };
 
@@ -127,6 +132,95 @@ TEST_F(FullScanCostTest, ExactHintDirtyAppsStillGetTheirBandwidthLevel) {
   // only where a latency window is held.
   EXPECT_EQ(strategy_->availability_asks.size(), 8u);
   EXPECT_EQ(strategy_->rtt_asks, (std::map<AppId, int>{{4, 1}, {6, 1}}));
+}
+
+// An exact pass evaluates the ascending union of the hint's dirty apps and
+// the apps the idle-level probes return.  The probes list one app per
+// violated window in heap order, so they may repeat an app or re-report a
+// dirty one.  CountingStrategy reports no connections, so every window sits
+// in class 0 and the pass probes it at level 0.0: a window whose lower
+// bound is above 0.0 is probed, while the scripted level (100 KB/s) leaves
+// it standing.  With 200 apps the app ids span four 64-bit words, so a
+// remainder of fewer than four new apps is sorted and merged, and a larger
+// one is swept from a bitset.
+class CandidateMergeTest : public ::testing::Test {
+ protected:
+  static constexpr AppId kApps = 200;
+
+  CandidateMergeTest() {
+    auto strategy = std::make_unique<CountingStrategy>();
+    strategy_ = strategy.get();
+    viceroy_ = std::make_unique<Viceroy>(&sim_, std::move(strategy));
+    for (AppId app = 1; app <= kApps; ++app) {
+      viceroy_->RegisterApplication("app" + std::to_string(app));
+    }
+  }
+
+  void GrantProbed(AppId app) {
+    ASSERT_TRUE(viceroy_->Request(app, Window(ResourceId::kNetworkBandwidth, 1.0, 1e12)).status_ok);
+  }
+
+  // The apps one exact pass with |dirty| asks about, in the order asked.
+  std::vector<AppId> PassWith(std::vector<AppId> dirty) {
+    ReevalHint hint;
+    hint.exact = true;
+    hint.dirty = std::move(dirty);
+    strategy_->hint = std::move(hint);
+    strategy_->availability_order.clear();
+    viceroy_->Reevaluate();
+    sim_.Run();
+    EXPECT_EQ(viceroy_->upcalls().delivered_count(), 0u);  // every window stands
+    return strategy_->availability_order;
+  }
+
+  Simulation sim_;
+  CountingStrategy* strategy_ = nullptr;
+  std::unique_ptr<Viceroy> viceroy_;
+};
+
+TEST_F(CandidateMergeTest, ProbesOfDirtyAppsOnlyAddNothing) {
+  GrantProbed(5);
+  GrantProbed(3);
+  EXPECT_EQ(PassWith({3, 5, 9}), (std::vector<AppId>{3, 5, 9}));
+}
+
+TEST_F(CandidateMergeTest, InterleavedProbedAppsMergeInOrder) {
+  GrantProbed(12);
+  GrantProbed(3);
+  GrantProbed(5);
+  EXPECT_EQ(PassWith({3, 9}), (std::vector<AppId>{3, 5, 9, 12}));
+  EXPECT_EQ(PassWith({1, 13}), (std::vector<AppId>{1, 3, 5, 12, 13}));
+}
+
+TEST_F(CandidateMergeTest, AnAppProbedTwiceIsAskedOnce) {
+  GrantProbed(7);
+  GrantProbed(2);
+  GrantProbed(7);
+  EXPECT_EQ(PassWith({4}), (std::vector<AppId>{2, 4, 7}));
+}
+
+TEST_F(CandidateMergeTest, ALargeRemainderIsSweptInOrder) {
+  std::vector<AppId> probed;  // apps not divisible by 3, and 199 twice
+  for (AppId app = kApps; app >= 1; --app) {
+    if (app % 3 != 0) {
+      GrantProbed(app);
+      probed.push_back(app);
+    }
+  }
+  GrantProbed(199);
+  std::sort(probed.begin(), probed.end());
+  std::vector<AppId> dirty;  // multiples of 4: a third are also probed
+  for (AppId app = 4; app <= kApps; app += 4) {
+    dirty.push_back(app);
+  }
+  std::vector<AppId> want;
+  std::set_union(probed.begin(), probed.end(), dirty.begin(), dirty.end(),
+                 std::back_inserter(want));
+  EXPECT_EQ(PassWith(dirty), want);
+  // The sweep leaves its bitset clear: a pass with no dirty apps asks
+  // about the probed apps alone.
+  EXPECT_EQ(PassWith({}), probed);
+  EXPECT_EQ(PassWith(dirty), want);
 }
 
 ThroughputObservation Throughput(Time at, double bytes, Duration elapsed) {
