@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
-#include <iterator>
 #include <utility>
 
 #include "src/core/contract.h"
@@ -188,68 +187,35 @@ void Viceroy::Reevaluate() {
 }
 
 // The probes return apps in heap order, one per violated window, and often
-// re-report dirty apps (their windows share the idle level's class).  A
-// per-pass stamp drops every app already listed, so only the remainder is
-// ordered.  Sorting r apps costs at least r comparisons, while a sweep over
-// the app-id bitset reads one word per 64 ids; so the sweep is taken when
-// it reads no more words than the remainder has apps.  Either way the
-// candidates are the ascending, duplicate-free union of the two lists.
+// re-report dirty apps (their windows share the idle level's class).  Both
+// lists set their apps' bits in an app-id bitset, and a sweep over its words
+// up to the largest id emits the ascending, duplicate-free union, reading
+// one word per 64 ids and leaving every word zero again.
 void Viceroy::MergeCandidates(const std::vector<AppId>& dirty) {
   ODY_DCHECK(std::adjacent_find(dirty.begin(), dirty.end(), std::greater_equal<AppId>()) ==
                  dirty.end(),
              "hint's dirty apps not ascending and unique");
-  if (++stamp_ == 0) {  // wrapped: no stale stamp may equal a new one
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    stamp_ = 1;
-  }
-  // Ids normally stop at apps_.size(), but the table takes a window from
-  // any id, so the stamps grow to the largest id seen.
-  AppId largest = dirty.empty() ? apps_.size() : std::max<AppId>(dirty.back(), apps_.size());
+  AppId largest = dirty.empty() ? 0 : dirty.back();
   for (const AppId app : probed_) {
     largest = std::max(largest, app);
   }
-  if (stamps_.size() <= largest) {
-    stamps_.resize(largest + 1);
+  const size_t words = largest / 64 + 1;
+  if (sweep_.size() < words) {
+    sweep_.resize(words);
   }
   for (const AppId app : dirty) {
-    stamps_[app] = stamp_;
+    sweep_[app / 64] |= uint64_t{1} << (app % 64);
   }
-  size_t remainder = 0;
   for (const AppId app : probed_) {
-    if (stamps_[app] != stamp_) {
-      stamps_[app] = stamp_;
-      probed_[remainder++] = app;
-    }
+    sweep_[app / 64] |= uint64_t{1} << (app % 64);
   }
-  probed_.resize(remainder);
-
   candidates_.clear();
-  if (remainder == 0) {
-    candidates_.assign(dirty.begin(), dirty.end());
-    return;
+  for (size_t word = 0; word < words; ++word) {
+    for (uint64_t bits = sweep_[word]; bits != 0; bits &= bits - 1) {
+      candidates_.push_back(word * 64 + static_cast<AppId>(std::countr_zero(bits)));
+    }
+    sweep_[word] = 0;
   }
-  const size_t words = largest / 64 + 1;
-  if (words <= remainder) {
-    if (sweep_.size() < words) {
-      sweep_.resize(words);
-    }
-    for (const AppId app : dirty) {
-      sweep_[app / 64] |= uint64_t{1} << (app % 64);
-    }
-    for (const AppId app : probed_) {
-      sweep_[app / 64] |= uint64_t{1} << (app % 64);
-    }
-    for (size_t word = 0; word < words; ++word) {
-      for (uint64_t bits = sweep_[word]; bits != 0; bits &= bits - 1) {
-        candidates_.push_back(word * 64 + static_cast<AppId>(std::countr_zero(bits)));
-      }
-      sweep_[word] = 0;
-    }
-    return;
-  }
-  std::sort(probed_.begin(), probed_.end());
-  std::merge(dirty.begin(), dirty.end(), probed_.begin(), probed_.end(),
-             std::back_inserter(candidates_));
 }
 
 // Evaluates candidates_ in ascending AppId order with their real levels,

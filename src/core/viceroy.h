@@ -120,12 +120,9 @@ class Viceroy {
   // avoid reallocating in the hot notification path.
   std::vector<AppId> candidates_;
   std::vector<RequestTable::Entry> violated_;
-  // MergeCandidates' scratch: the probes' apps, a per-app stamp (an app is
-  // listed in this pass when its stamp equals stamp_), and the sweep's
-  // app-id bitset, all zero between passes.
+  // MergeCandidates' scratch: the probes' apps, and the sweep's app-id
+  // bitset, all zero between passes.
   std::vector<AppId> probed_;
-  std::vector<uint32_t> stamps_;
-  uint32_t stamp_ = 0;
   std::vector<uint64_t> sweep_;
 };
 

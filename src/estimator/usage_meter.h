@@ -30,9 +30,10 @@
 // after the last record, which is how the supply model reads) every event
 // ends inside the window, and an event lies wholly inside exactly when it
 // starts after the window's left edge.  That read streams the hot array
-// alone, 16 bytes an event, and touches the cold array only for a
-// straddling event or a point delivery outside the window.  A read before
-// the newest end takes the general test, event by event.  Measured with
+// alone, 16 bytes an event, and touches the cold array only for an event
+// straddling the left edge (a point delivery at or before the edge has
+// already been pruned).  A read before the newest end takes the general
+// test, event by event.  Measured with
 // rdtsc on a shared 2.1 GHz 4-vCPU host, the supply model's scan over
 // stream_256's 255 live meters (about 9.6 events each) fell from about 13k
 // to about 11.6k cycles per observation.

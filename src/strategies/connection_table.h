@@ -38,16 +38,8 @@ class ConnectionTable {
     rows_.resize(std::max(rows_.size(), id + 1));
     rows_[id] = {app, endpoint};
     by_app_.resize(std::max(by_app_.size(), app + 1));
-    AppRow& row = by_app_[app];
-    if (row.one == 0 && row.many.empty()) {
-      row.one = id;
-    } else {
-      if (row.one != 0) {
-        row.many.push_back(row.one);
-        row.one = 0;
-      }
-      row.many.insert(std::lower_bound(row.many.begin(), row.many.end(), id), id);
-    }
+    std::vector<ConnectionId>& conns = by_app_[app];
+    conns.insert(std::lower_bound(conns.begin(), conns.end(), id), id);
     attached_valid_ = false;
     endpoint->log().AddListener(listener_);
   }
@@ -60,16 +52,7 @@ class ConnectionTable {
       return 0;
     }
     const AppId app = rows_[id].owner;
-    AppRow& row = by_app_[app];
-    if (row.one == id) {
-      row.one = 0;
-    } else {
-      std::erase(row.many, id);
-      if (row.many.size() == 1) {
-        row.one = row.many.front();
-        row.many.clear();
-      }
-    }
+    std::erase(by_app_[app], id);
     attached_valid_ = false;
     rows_[id] = {};
     return app;
@@ -84,12 +67,7 @@ class ConnectionTable {
   }
   // |app|'s attached connections, ascending (empty if none).
   std::span<const ConnectionId> ConnectionsOf(AppId app) const {
-    if (app >= by_app_.size()) {
-      return {};
-    }
-    const AppRow& row = by_app_[app];
-    return row.many.empty() ? std::span<const ConnectionId>(&row.one, row.one != 0 ? 1 : 0)
-                            : std::span<const ConnectionId>(row.many);
+    return app < by_app_.size() ? by_app_[app] : std::span<const ConnectionId>();
   }
   // Every attached connection, ascending.
   const std::vector<ConnectionId>& attached() const {
@@ -110,17 +88,10 @@ class ConnectionTable {
     AppId owner = 0;
     Endpoint* endpoint = nullptr;  // null while unattached
   };
-  // One app's connections: a lone one inline in |one|, so the common
-  // one-connection app is answered without a heap chase; two or more in
-  // |many|, ascending, with |one| 0 (ids count from 1).
-  struct AppRow {
-    ConnectionId one = 0;
-    std::vector<ConnectionId> many;
-  };
 
   LogListener* listener_;
   std::vector<Row> rows_;                          // by connection id
-  std::vector<AppRow> by_app_;                     // by app id
+  std::vector<std::vector<ConnectionId>> by_app_;  // by app id
   mutable std::vector<ConnectionId> attached_;  // valid while |attached_valid_|
   mutable bool attached_valid_ = true;
 };

@@ -220,12 +220,13 @@ class ReferenceUsageMeter {
     const Event& head = ring_[head_];
     return count_ > 0 && head.start < at - tau_ && head.end > at - tau_;
   }
-  // Read before RateAt(at) prunes: a point delivery sits exactly on the
-  // window's open left edge.
-  bool HasPointAt(Time t) const {
+  // A point delivery after |at|: never pruned by a read at |at| and outside
+  // its window, so the read must take the general test, which leaves it out
+  // (the start test alone would count it whole).
+  bool HasPointAfter(Time at) const {
     for (size_t i = 0; i < count_; ++i) {
       const Event& event = ring_[Index(i)];
-      if (event.start == event.end && event.end == t) {
+      if (event.start == event.end && event.end > at) {
         return true;
       }
     }
@@ -294,7 +295,7 @@ TEST(UsageMeterTest, MatchesReferenceMeterBitForBit) {
   int all_ended_reads = 0;     // newest end <= at: the start test alone
   int before_newest_reads = 0;  // newest end > at: the full test
   bool straddling_head_all_ended = false;
-  bool point_at_edge = false;
+  bool point_after_read = false;
 
   const auto record = [&](Time start, double bytes) {
     meter.Record(start, now, bytes);
@@ -304,7 +305,7 @@ TEST(UsageMeterTest, MatchesReferenceMeterBitForBit) {
     wrapped_after_prune = wrapped_after_prune || reference.wrapped();
   };
   const auto read = [&](Time at) {
-    point_at_edge = point_at_edge || reference.HasPointAt(at - tau);
+    point_after_read = point_after_read || reference.HasPointAfter(at);
     const double got = meter.RateAt(at);
     const double want = reference.RateAt(at);
     ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
@@ -370,7 +371,9 @@ TEST(UsageMeterTest, MatchesReferenceMeterBitForBit) {
   record(now, bytes());
   now = p + tau / 2;
   record(p + 1, bytes());
-  // Before the newest end: the full test.
+  // Before the newest end: the full test, which leaves out the point at
+  // p + 1, recorded after the read.
+  read(p);
   read(p + tau / 4);
   // Every event has ended, and the head interval straddles the left edge
   // p - tau/4.
@@ -388,7 +391,7 @@ TEST(UsageMeterTest, MatchesReferenceMeterBitForBit) {
   EXPECT_GT(all_ended_reads, 0);
   EXPECT_GT(before_newest_reads, 0);
   EXPECT_TRUE(straddling_head_all_ended);
-  EXPECT_TRUE(point_at_edge);
+  EXPECT_TRUE(point_after_read);
 }
 
 TEST(SlidingMaxTest, TracksMaximumInWindow) {

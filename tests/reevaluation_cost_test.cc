@@ -140,9 +140,8 @@ TEST_F(FullScanCostTest, ExactHintDirtyAppsStillGetTheirBandwidthLevel) {
 // dirty one.  CountingStrategy reports no connections, so every window sits
 // in class 0 and the pass probes it at level 0.0: a window whose lower
 // bound is above 0.0 is probed, while the scripted level (100 KB/s) leaves
-// it standing.  With 200 apps the app ids span four 64-bit words, so a
-// remainder of fewer than four new apps is sorted and merged, and a larger
-// one is swept from a bitset.
+// it standing.  With 200 apps the app ids span four 64-bit words of the
+// merge's bitset, so a large remainder crosses every word boundary.
 class CandidateMergeTest : public ::testing::Test {
  protected:
   static constexpr AppId kApps = 200;
