@@ -111,18 +111,18 @@ std::vector<CampaignSpec> AllCampaigns() {
   campaigns.push_back(full);
 
   // The hot core at 100 to 100k concurrent adaptive applications, plus the
-  // naive reference stack at 10k on a reduced schedule.
+  // naive reference stack at 1k on a short schedule.
   CampaignSpec scale;
   scale.name = "tier_scale";
   scale.description =
       "hot-core scaling: events/sec, upcall latency and oracle cleanliness at N in "
-      "{100, 1k, 10k, 100k}, plus the naive reference rate at 10k";
+      "{100, 1k, 10k, 100k}, plus the naive reference stack at 1k";
   scale.sweeps = {
       SweepSpec{"scale_core", {"n100"}, 3},
       SweepSpec{"scale_core", {"n1k"}, 2},
       SweepSpec{"scale_core", {"n10k"}, 1},
       SweepSpec{"scale_core", {"n100k"}, 1},
-      SweepSpec{"scale_core", {"n10k_naive"}, 1},
+      SweepSpec{"scale_core", {"n1k_naive"}, 1},
   };
   campaigns.push_back(scale);
 

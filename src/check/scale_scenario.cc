@@ -30,7 +30,10 @@ namespace {
 // re-registration storm across all N apps.
 constexpr double kWaveKbps[] = {60.0, 200.0, 30.0, 120.0};
 
+// Every kCancelSweepPeriod, kCancelSweepApps apps are recycled (cancel +
+// re-register), exercising request-table slot reuse under load.
 constexpr Duration kCancelSweepPeriod = 500 * kMillisecond;
+constexpr int kCancelSweepApps = 256;
 // Apps holding a second (idle) connection, so the scale rig exercises more
 // than one bucket of the strategy's connection-count histogram.
 constexpr int kMultiConnectionApps = 8;
@@ -42,9 +45,6 @@ struct ScaleParams {
   int hot_connections = 32;
   Duration horizon = 10 * kSecond;
   Duration feed_period = 50 * kMillisecond;
-  // Apps recycled (cancel + re-register) per sweep, exercising request-table
-  // slot reuse under load.
-  int cancel_sweep = 256;
   // OracleSet::set_max_audited_connections (0 = audit everything).
   size_t max_audited_connections = 0;
   bool reference = false;  // RigSpec::reference
@@ -171,7 +171,7 @@ class ScaleRig {
     if (sim_.now() >= params_.horizon) {
       return;
     }
-    const int sweep = std::min<int>(params_.cancel_sweep, static_cast<int>(apps_.size()));
+    const int sweep = std::min<int>(kCancelSweepApps, static_cast<int>(apps_.size()));
     for (int i = 0; i < sweep; ++i) {
       TrackedApp& app = apps_[cancel_cursor_++ % apps_.size()];
       if (app.request == 0) {
@@ -257,16 +257,16 @@ void RegisterScaleScenarios(ScenarioRegistry* registry) {
   add("n10k", VariantParams(10000, 64, 2048));
   add("n100k", VariantParams(100000, 64, 2048));
 
-  // The pre-scale reference stack at N=10k: the naive supply model's
-  // O(connections) recomputation per query makes every re-evaluation
-  // quadratic, so the variant runs a deliberately reduced schedule — the
-  // comparison against n10k is the events-per-wall-second *rate*, which is
-  // schedule-length independent.
-  ScaleParams naive = VariantParams(10000, 2, 64);
+  // The pre-scale reference stack at N=1k, under every oracle: the naive
+  // supply model's O(connections) recomputation per query makes every
+  // re-evaluation quadratic, so the variant runs a short schedule whose
+  // model_scan_ops pin the reference's cost (scale_differential_test holds
+  // its answers equal to the incremental model's).
+  ScaleParams naive = VariantParams(1000, 2, 64);
   naive.reference = true;
   naive.horizon = 1 * kSecond;
   naive.feed_period = 250 * kMillisecond;
-  add("n10k_naive", naive);
+  add("n1k_naive", naive);
 
   const Status status = registry->Register(std::move(scenario));
   ODY_ASSERT(status.ok(), "scale scenario registration failed");

@@ -7,11 +7,10 @@
 // set of hot connections.  Every supply step violates every window at once,
 // so the rig exercises exactly the paths the scale work optimized: the
 // indexed re-evaluation, batched upcall dispatch, slab-allocated request
-// table and incremental supply model.  The n10k_naive variant runs the same
+// table and incremental supply model.  The n1k_naive variant runs the same
 // rig on the pre-scale reference stack (an injected naive supply model,
-// whose inexact hints send the viceroy down the full scan) over a reduced
-// schedule; comparing its events/sec rate against n10k's is the
-// campaign's headline speedup figure.
+// whose inexact hints send the viceroy down the full scan) over a 1 s
+// schedule, and its model_scan_ops pin the reference's quadratic cost.
 //
 // This lives in odyssey_check rather than odyssey_harness because the rig
 // keeps the PR-5 OracleSet attached throughout — a trial with any oracle
@@ -25,7 +24,7 @@
 namespace odyssey {
 
 // Registers the "scale_core" scenario (variants n100, n1k, n10k, n100k,
-// n10k_naive).  Asserts that registration succeeds, like
+// n1k_naive).  Asserts that registration succeeds, like
 // RegisterBuiltinScenarios.
 void RegisterScaleScenarios(ScenarioRegistry* registry);
 
